@@ -1,9 +1,14 @@
 """Sparse assembly of the per-step systems and an SPD solver front end.
 
-Matrices are scipy CSR; assembly is vectorized over elements and serial, so
-repeated assembly of identical inputs is bitwise reproducible.  Dirichlet
-conditions are imposed by symmetric elimination (rows and columns zeroed,
-unit diagonal), which keeps mass and Jacobian matrices symmetric positive
+The kernels work through the space's quadrature-point operators
+(`FeSpace.operators`): vectors are products with P, B and their transposes;
+matrices contract B's dense gradient tensor over the quadrature axis in one
+batched matmul and are summed into a CSR pattern built once per space.
+Element matrices are made exactly symmetric and `np.bincount` adds them in
+element order, so every assembled matrix is exactly symmetric and repeated
+assembly of identical inputs is bitwise reproducible.  Dirichlet conditions
+are imposed by symmetric elimination (rows and columns zeroed, unit
+diagonal), which keeps mass and Jacobian matrices symmetric positive
 definite.
 """
 
@@ -13,8 +18,8 @@ import numpy as np
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 
-from .constitutive import s_flux, ds_jacobian, phi
-from .fespace import quadrature
+from .constitutive import s_flux, ds_jacobian, phi, magnitude
+from .fespace import quadrature, step_rule
 
 DIRECT_SOLVE_LIMIT = 40000  # unknowns; above this solve_spd falls back to CG
 CG_TOL_DEFAULT = 1e-11
@@ -41,50 +46,52 @@ class LinearSolveReport:
     method: str
 
 
-def step_rule(space):
-    """Quadrature used for residual/Jacobian/energy: exactness 2r + 2."""
-    return quadrature(2 * space.degree + 2)
+def _sum_into_pattern(space, local):
+    """Sum element matrices (nt, nloc, nloc) into the space's CSR pattern.
 
-
-def _coo_indices(space):
-    cache = space._basis_cache.setdefault("_asm", {})
-    if "coo" not in cache:
-        cd = space.cell_dofs
-        nloc = cd.shape[1]
-        cache["coo"] = (np.repeat(cd, nloc, axis=1).ravel(),
-                        np.tile(cd, (1, nloc)).ravel())
-    return cache["coo"]
-
-
-def _to_csr(space, local):
-    """Scatter per-element matrices; the result is symmetrized exactly.
-
-    All matrices assembled here are symmetric; averaging with the transpose
-    removes the tiny asymmetry that different duplicate-summation orders
-    introduce and is bitwise symmetric (IEEE addition commutes).
+    The pattern and the slot of every local entry (t, i, j) in its data
+    array are computed once per space, on first use.
     """
-    rows, cols = _coo_indices(space)
-    mat = sparse.coo_matrix((local.ravel(), (rows, cols)),
-                            shape=(space.ndof, space.ndof)).tocsr()
-    return 0.5 * (mat + mat.T).tocsr()
+    if space._pattern is None:
+        cd = space.cell_dofs
+        n, nloc = space.ndof, cd.shape[1]
+        keys = (np.repeat(cd, nloc, axis=1) * n + np.tile(cd, (1, nloc))).reshape(-1)
+        keys, scatter = np.unique(keys, return_inverse=True)
+        rows, cols = np.divmod(keys, n)
+        indptr = np.searchsorted(rows, np.arange(n + 1))
+        space._pattern = (indptr.astype(np.int32), cols.astype(np.int32), scatter)
+    indptr, indices, scatter = space._pattern
+    data = np.bincount(scatter, weights=local.reshape(-1), minlength=indices.shape[0])
+    return sparse.csr_matrix((data, indices, indptr), shape=(space.ndof, space.ndof))
 
 
-def _physical_gradients(space, rule):
-    cache = space._basis_cache.setdefault("_physgrad", {})
-    key = id(rule)
-    if key not in cache:
-        _, gref = space.basis_at(rule)
-        cache[key] = np.einsum("tab,qlb->tqla", space.inv_jac_t, gref)
-    return cache[key]
+def _local_mass(space, rule, scale=1.0):
+    """Element matrices scale * int phi_i phi_j dx, (nt, nloc, nloc)."""
+    phi_vals, _ = space.basis_at(rule)
+    ref = (rule.weights[:, None] * phi_vals).T @ phi_vals
+    return (scale * space.areas)[:, None, None] * (0.5 * (ref + ref.T))
+
+
+def _local_stiffness(ops, coeff):
+    """Element matrices int grad phi_i . C grad phi_j dx, (nt, nloc, nloc).
+
+    C is given per point: None (identity), scalar (nt, nq) or a matrix
+    (nt, nq, 2, 2).
+    """
+    grads = ops.gradient_tensor                       # (nt, nq, 2, nloc)
+    w = ops.w[:, :, None, None]
+    if coeff is not None and coeff.ndim == 4:
+        weighted = (w * coeff) @ grads
+    else:
+        weighted = (w if coeff is None else w * coeff[:, :, None, None]) * grads
+    flat = (ops.nt, 2 * ops.nq, ops.nloc)
+    local = grads.reshape(flat).swapaxes(1, 2) @ weighted.reshape(flat)
+    return 0.5 * (local + local.swapaxes(1, 2))
 
 
 def assemble_mass(space, rule=None):
     """Gram matrix M_ij = int phi_i phi_j dx, exact up to roundoff."""
-    rule = rule or quadrature(2 * space.degree)
-    phi_vals, _ = space.basis_at(rule)
-    local_ref = np.einsum("q,qi,qj->ij", rule.weights, phi_vals, phi_vals)
-    local = space.areas[:, None, None] * local_ref
-    return _to_csr(space, local)
+    return _sum_into_pattern(space, _local_mass(space, rule or quadrature(2 * space.degree)))
 
 
 def assemble_stiffness(space, coeff=None, rule=None):
@@ -92,26 +99,13 @@ def assemble_stiffness(space, coeff=None, rule=None):
 
     coeff is a per-quadrature-point array (nt, nq) or None for c = 1.
     """
-    rule = rule or step_rule(space)
-    grads = _physical_gradients(space, rule)
-    if coeff is None:
-        local = np.einsum("q,tqia,tqja->tij", rule.weights, grads, grads, optimize=True)
-    else:
-        local = np.einsum("q,tq,tqia,tqja->tij", rule.weights, coeff, grads, grads,
-                          optimize=True)
-    local = 0.5 * (local + local.transpose(0, 2, 1))
-    local *= space.areas[:, None, None]
-    return _to_csr(space, local)
+    ops = space.operators(rule or step_rule(space))
+    return _sum_into_pattern(space, _local_stiffness(ops, coeff))
 
 
 def assemble_load(space, values, rule=None):
     """Load vector b_i = int f phi_i dx from per-quadrature-point values."""
-    rule = rule or step_rule(space)
-    phi_vals, _ = space.basis_at(rule)
-    local = np.einsum("q,tq,qi->ti", rule.weights, values, phi_vals) \
-        * space.areas[:, None]
-    return np.bincount(space.cell_dofs.ravel(), weights=local.ravel(),
-                       minlength=space.ndof)
+    return space.operators(rule or step_rule(space)).load(values)
 
 
 def _check_same_space(space, *functions):
@@ -130,20 +124,9 @@ def assemble_step_residual(space, u, u_prev, tau, f_quad, params, bc_values=None
     _check_same_space(space, u, u_prev)
     if tau <= 0.0:
         raise ValueError("tau must be positive")
-    rule = step_rule(space)
-    phi_vals, _ = space.basis_at(rule)
-    grads = _physical_gradients(space, rule)
-
-    diff_vals = space.eval_at(rule, u.coeffs - u_prev.coeffs)
-    grad_u = np.einsum("tqla,tl->tqa", grads, u.coeffs[space.cell_dofs])
-    flux = s_flux(grad_u, params)
-
-    local = np.einsum("q,tq,qi->ti", rule.weights, diff_vals / tau, phi_vals)
-    local += np.einsum("q,tqa,tqia->ti", rule.weights, flux, grads, optimize=True)
-    local -= np.einsum("q,tq,qi->ti", rule.weights, f_quad, phi_vals)
-    local *= space.areas[:, None]
-    res = np.bincount(space.cell_dofs.ravel(), weights=local.ravel(),
-                      minlength=space.ndof)
+    ops = space.operators(step_rule(space))
+    diff = ops.eval(u.coeffs - u_prev.coeffs)
+    res = ops.load(diff / tau - f_quad, s_flux(ops.grad(u.coeffs), params))
 
     b = space.boundary_dofs
     g = np.zeros(b.shape[0]) if bc_values is None else np.asarray(bc_values, dtype=float)
@@ -158,31 +141,24 @@ def assemble_step_jacobian(space, u, tau, params, eps_reg=JACOBIAN_EPS_REG):
     """
     _check_same_space(space, u)
     rule = step_rule(space)
-    phi_vals, _ = space.basis_at(rule)
-    grads = _physical_gradients(space, rule)
-    grad_u = np.einsum("tqla,tl->tqa", grads, u.coeffs[space.cell_dofs])
-    ds = ds_jacobian(grad_u, params, eps_reg=eps_reg)
-
-    local = np.einsum("q,qi,qj->ij", rule.weights, phi_vals, phi_vals) / tau
-    local = np.broadcast_to(local, (space.mesh.num_triangles,) + local.shape).copy()
-    # batched tiny matmuls beat a single big einsum here
-    flux = (grads @ ds) @ grads.swapaxes(-1, -2)
-    local += np.einsum("q,tqij->tij", rule.weights, flux)
-    local = 0.5 * (local + local.transpose(0, 2, 1))
-    local *= space.areas[:, None, None]
-    mat = _to_csr(space, local)
-    return pin_rows_cols(mat, space.boundary_dofs)
+    ops = space.operators(rule)
+    ds = ds_jacobian(ops.grad(u.coeffs), params, eps_reg=eps_reg)
+    local = _local_stiffness(ops, ds) + _local_mass(space, rule, 1.0 / tau)
+    return pin_rows_cols(_sum_into_pattern(space, local), space.boundary_dofs)
 
 
 def pin_rows_cols(A, dofs):
-    """Zero the given rows and columns, put 1 on their diagonal."""
-    n = A.shape[0]
-    keep = np.ones(n)
-    keep[dofs] = 0.0
-    P = sparse.diags(keep)
-    pinned = np.zeros(n)
-    pinned[dofs] = 1.0
-    return (P @ A @ P + sparse.diags(pinned)).tocsr()
+    """Zero the given rows and columns, put 1 on their diagonal.
+
+    The entries are zeroed through a mask on the CSR data; adding the unit
+    diagonal then drops them from the pattern.
+    """
+    A = sparse.csr_matrix(A, copy=True)
+    pinned = np.zeros(A.shape[0], dtype=bool)
+    pinned[dofs] = True
+    rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+    A.data[pinned[rows] | pinned[A.indices]] = 0.0
+    return (A + sparse.diags(pinned.astype(float))).tocsr()
 
 
 def apply_dirichlet(A, b, dofs, values):
@@ -204,15 +180,11 @@ def step_energy(space, v, u_prev, tau, f_quad, params):
     evaluated with the step quadrature rule (consistent with the residual:
     the interior residual is the exact gradient of this function).
     """
-    rule = step_rule(space)
-    diff = space.eval_at(rule, v.coeffs - u_prev.coeffs)
-    grad_v = space.grad_at(rule, v.coeffs)
-    vals_v = space.eval_at(rule, v.coeffs)
-    mag = np.linalg.norm(grad_v, axis=-1)
-    e = space.integrate(rule, diff * diff) / (2.0 * tau)
-    e += space.integrate(rule, phi(mag, params))
-    e -= space.integrate(rule, f_quad * vals_v)
-    return e
+    ops = space.operators(step_rule(space))
+    diff = ops.eval(v.coeffs - u_prev.coeffs)
+    density = (diff * diff / (2.0 * tau) + phi(magnitude(ops.grad(v.coeffs)), params)
+               - f_quad * ops.eval(v.coeffs))
+    return float(np.vdot(ops.w, density))
 
 
 def solve_spd(A, b, tol=CG_TOL_DEFAULT, method=None):

@@ -40,6 +40,9 @@ def cmd_run(args):
         return 2
     try:
         reports = experiments.run_experiment(cfg)
+    except ConfigError as exc:
+        _log(f"config error: {exc}")
+        return 2
     except NonConvergence as exc:
         _log(f"solver failure: {exc}")
         return 1

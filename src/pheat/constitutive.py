@@ -41,8 +41,18 @@ class PLaplaceParams:
         return self.p / (self.p - 1.0)
 
 
+def magnitude(xi):
+    """Euclidean length over the trailing axis of length 2.
+
+    Bitwise equal to np.linalg.norm(xi, axis=-1), which reduces over the
+    short axis several times slower.
+    """
+    x, y = xi[..., 0], xi[..., 1]
+    return np.sqrt(x * x + y * y)
+
+
 def _norm(xi):
-    return np.linalg.norm(xi, axis=-1, keepdims=True)
+    return magnitude(xi)[..., None]
 
 
 def _power_factor(r, params, exponent):
@@ -94,7 +104,7 @@ def ds_jacobian(xi, params, eps_reg=1e-10):
     """
     xi = np.asarray(xi, dtype=float)
     p, kappa = params.p, params.kappa
-    r = np.linalg.norm(xi, axis=-1)
+    r = magnitude(xi)
     if kappa == 0.0 and p < 2.0 and eps_reg == 0.0 and np.any(r == 0.0):
         raise SingularJacobian("DS undefined at xi = 0 for kappa = 0, p < 2 without regularization")
     a = kappa + np.maximum(r, eps_reg)

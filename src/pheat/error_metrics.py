@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .constitutive import s_flux, v_transform
-from .fespace import _reference_bases, quadrature
+from .constitutive import magnitude, s_flux, v_transform
+from .fespace import PointOperators, _reference_bases, quadrature
 from .mesh import mesh_quality
 
 ERROR_QUADRATURE_DEGREE = 8
@@ -121,28 +121,28 @@ def _window_time_nodes(grid, m, t_singular):
 # exact references
 # ----------------------------------------------------------------------
 
-def _exact_window_pass(traj, ref, grid, params, quad_degree):
-    """Everything windowed in one sweep; yields per-window quantities."""
+def _exact_errors(traj, ref, grid, params, quad_degree):
+    """Every windowed quantity in one sweep over the steps."""
     space = traj.space
     rule = quadrature(quad_degree)
-    pts = space.physical_points(rule)
-    flat = pts.reshape(-1, 2)
+    ops = space.operators(rule)
+    flat = space.physical_points(rule).reshape(-1, 2)
     pprime = params.p_conjugate
+    linfty = sq_v = fluct = raw = 0.0
+    per_window, lengths = [], []
 
     for m in range(1, grid.M + 1):
         u_m = traj.snapshots[m].coeffs
-        uh = space.eval_at(rule, u_m)
-        grad_h = space.grad_at(rule, u_m)
+        uh = ops.eval(u_m)
+        grad_h = ops.grad(u_m)
         vh = v_transform(grad_h, params)
         sh = s_flux(grad_h, params)
 
         s_nodes, s_weights = _window_time_nodes(grid, m, ref.t_singular)
         length = s_weights.sum()
-
         u_acc = np.zeros_like(uh)
         v_acc = np.zeros_like(vh)
         s_acc = np.zeros_like(sh)
-        int_v = 0.0          # int_(J_m) ||V_h - V(s)||^2 ds
         int_vsq = 0.0        # int_(J_m) ||V(s)||^2 ds
         for sk, wk in zip(s_nodes, s_weights):
             v_ex = ref.v_field(flat, sk, params).reshape(vh.shape)
@@ -150,47 +150,23 @@ def _exact_window_pass(traj, ref, grid, params, quad_degree):
             v_acc += wk * v_ex
             s_acc += wk * ref.s_field(flat, sk, params).reshape(sh.shape)
             diff = vh - v_ex
-            int_v += wk * space.integrate(rule, np.sum(diff * diff, axis=-1))
+            sq_v += wk * space.integrate(rule, np.sum(diff * diff, axis=-1))
             int_vsq += wk * space.integrate(rule, np.sum(v_ex * v_ex, axis=-1))
 
-        u_bar = u_acc / length
+        du = uh - u_acc / length
+        linfty = max(linfty, space.integrate(rule, du * du))
         v_bar = v_acc / length
-        s_bar = s_acc / length
-
-        du = uh - u_bar
-        linfty_sq = space.integrate(rule, du * du)
         dv = vh - v_bar
-        avg_sq = space.integrate(rule, np.sum(dv * dv, axis=-1))
-        vbar_sq = space.integrate(rule, np.sum(v_bar * v_bar, axis=-1))
-        ds = np.linalg.norm(sh - s_bar, axis=-1)
-        lp_term = space.integrate(rule, ds ** pprime)
+        per_window.append(space.integrate(rule, np.sum(dv * dv, axis=-1)))
+        lengths.append(length)
+        fluct += int_vsq - length * space.integrate(rule, np.sum(v_bar * v_bar, axis=-1))
+        raw += grid.tau * space.integrate(rule, magnitude(sh - s_acc / length) ** pprime)
 
-        yield dict(m=m, length=length, linfty_sq=linfty_sq, int_v=int_v,
-                   avg_sq=avg_sq, fluct=int_vsq - length * vbar_sq, lp_term=lp_term)
-
-
-def _exact_errors(traj, ref, grid, params, quad_degree):
-    tau = grid.tau
-    pprime = params.p_conjugate
-    linfty = 0.0
-    sq_v = 0.0
-    per_window = []
-    lengths = []
-    fluct = 0.0
-    raw = 0.0
-    for w in _exact_window_pass(traj, ref, grid, params, quad_degree):
-        linfty = max(linfty, w["linfty_sq"])
-        sq_v += w["int_v"]
-        per_window.append(w["avg_sq"])
-        lengths.append(w["length"])
-        fluct += w["fluct"]
-        raw += tau * w["lp_term"]
     per_window = np.array(per_window)
-    lengths = np.array(lengths)
     return dict(sq_linfty_l2=linfty, sq_l2_v=sq_v,
-                sq_l2_v_avg=tau * per_window.sum(),
+                sq_l2_v_avg=grid.tau * per_window.sum(),
                 raw_lp_sum=raw, sq_lp_s=raw ** (2.0 / pprime),
-                per_window_avg_sq=per_window, window_lengths=lengths,
+                per_window_avg_sq=per_window, window_lengths=np.array(lengths),
                 fluctuation=fluct)
 
 
@@ -198,35 +174,27 @@ def _exact_errors(traj, ref, grid, params, quad_degree):
 # discrete references
 # ----------------------------------------------------------------------
 
-class _Transfer:
-    """Evaluate a coarse FE function at the quadrature points of a nested
-    finer mesh (exact, by the nesting invariant)."""
-
-    def __init__(self, coarse_space, fine_space, rule):
-        try:
-            anc = fine_space.mesh.ancestor_triangles(coarse_space.mesh)
-        except ValueError as exc:
-            raise IncompatibleHierarchy(str(exc)) from exc
-        self.coarse = coarse_space
-        pts = fine_space.physical_points(rule)          # (ntf, nq, 2)
-        corners = coarse_space.mesh.triangle_coords()[anc]  # (ntf, 3, 2)
-        inv_jt = coarse_space.inv_jac_t[anc]            # (J^-1)^T per fine tri
-        rel = pts - corners[:, None, 0, :]
-        lam12 = np.einsum("tba,tqb->tqa", inv_jt, rel)  # J^-1 (x - a)
-        bary = np.concatenate([1.0 - lam12.sum(axis=-1, keepdims=True), lam12], axis=-1)
-        ref = _reference_bases[coarse_space.degree]
-        flatb = bary.reshape(-1, 3)
-        nloc = coarse_space.cell_dofs.shape[1]
-        self.basis = ref.values(flatb).reshape(pts.shape[0], pts.shape[1], nloc)
-        gref = ref.gradients(flatb).reshape(pts.shape[0], pts.shape[1], nloc, 2)
-        self.gbasis = np.einsum("tab,tqlb->tqla", inv_jt, gref)
-        self.cell_dofs = coarse_space.cell_dofs[anc]
-
-    def values(self, coeffs):
-        return np.einsum("tql,tl->tq", self.basis, coeffs[self.cell_dofs])
-
-    def gradients(self, coeffs):
-        return np.einsum("tqla,tl->tqa", self.gbasis, coeffs[self.cell_dofs])
+def _transfer_operators(coarse_space, fine_space, rule):
+    """PointOperators taking coarse coefficients to values and gradients at
+    the quadrature points of a nested finer mesh (exact, by the nesting
+    invariant): each fine triangle carries its coarse ancestor's DOFs and
+    Jacobian, and that cell's reference basis at the fine points."""
+    try:
+        anc = fine_space.mesh.ancestor_triangles(coarse_space.mesh)
+    except ValueError as exc:
+        raise IncompatibleHierarchy(str(exc)) from exc
+    pts = fine_space.physical_points(rule)          # (ntf, nq, 2)
+    corners = coarse_space.mesh.triangle_coords()[anc]  # (ntf, 3, 2)
+    inv_jt = coarse_space.inv_jac_t[anc]            # (J^-1)^T per fine tri
+    lam12 = np.einsum("tba,tqb->tqa", inv_jt, pts - corners[:, None, 0, :])  # J^-1 (x - a)
+    bary = np.concatenate([1.0 - lam12.sum(axis=-1, keepdims=True), lam12], axis=-1)
+    ref = _reference_bases[coarse_space.degree]
+    nloc = coarse_space.cell_dofs.shape[1]
+    flat = bary.reshape(-1, 3)
+    values = ref.values(flat).reshape(pts.shape[0], pts.shape[1], nloc)
+    ref_grads = ref.gradients(flat).reshape(pts.shape[0], pts.shape[1], 2, nloc)
+    return PointOperators(coarse_space.cell_dofs[anc], coarse_space.ndof,
+                          fine_space.areas[:, None] * rule.weights, values, ref_grads, inv_jt)
 
 
 def _trapezoid_average(ref_traj, grid, m):
@@ -255,7 +223,8 @@ def _discrete_errors(traj, ref, grid, params, quad_degree):
     _check_discrete_compat(traj, ref_traj, grid)
     ref_space = ref_traj.space
     rule = quadrature(quad_degree)
-    transfer = _Transfer(traj.space, ref_space, rule)
+    transfer = _transfer_operators(traj.space, ref_space, rule)
+    ref_ops = ref_space.operators(rule)
     tau = grid.tau
     pprime = params.p_conjugate
 
@@ -264,16 +233,16 @@ def _discrete_errors(traj, ref, grid, params, quad_degree):
     raw = 0.0
     for m in range(1, grid.M + 1):
         avg = _trapezoid_average(ref_traj, grid, m)
-        uh = transfer.values(traj.snapshots[m].coeffs)
-        grad_h = transfer.gradients(traj.snapshots[m].coeffs)
-        u_ref = ref_space.eval_at(rule, avg)
-        grad_ref = ref_space.grad_at(rule, avg)
+        uh = transfer.eval(traj.snapshots[m].coeffs)
+        grad_h = transfer.grad(traj.snapshots[m].coeffs)
+        u_ref = ref_ops.eval(avg)
+        grad_ref = ref_ops.grad(avg)
 
         du = uh - u_ref
         linfty = max(linfty, ref_space.integrate(rule, du * du))
         dv = v_transform(grad_h, params) - v_transform(grad_ref, params)
         sq_v += tau * ref_space.integrate(rule, np.sum(dv * dv, axis=-1))
-        dsn = np.linalg.norm(s_flux(grad_h, params) - s_flux(grad_ref, params), axis=-1)
+        dsn = magnitude(s_flux(grad_h, params) - s_flux(grad_ref, params))
         raw += tau * ref_space.integrate(rule, dsn ** pprime)
 
     return dict(sq_linfty_l2=linfty, sq_l2_v=sq_v, sq_l2_v_avg=sq_v,
@@ -364,11 +333,6 @@ def empirical_order(reports, field, against="ndof"):
     return OrderFit(slopes=slopes, ls_slope=ls)
 
 
-def ls_slope_tail(reports, field, against="ndof", k=3):
-    """Least-squares slope over the last k levels (the EOC acceptance window)."""
-    return empirical_order(reports[-k:], field, against).ls_slope
-
-
 def _fmt(x):
     return f"{x:.17g}"
 
@@ -404,13 +368,7 @@ def read_csv(path):
     """Rows of a results CSV as dicts of floats (ndof, M as ints)."""
     with open(path) as fh:
         header = fh.readline().strip().split(",")
-        rows = []
-        for line in fh:
-            if not line.strip():
-                continue
-            vals = line.strip().split(",")
-            row = dict(zip(header, map(float, vals)))
-            row["ndof"] = int(row["ndof"])
-            row["M"] = int(row["M"])
-            rows.append(row)
+        rows = [dict(zip(header, map(float, line.split(",")))) for line in fh if line.strip()]
+    for row in rows:
+        row["ndof"], row["M"] = int(row["ndof"]), int(row["M"])
     return rows

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .constitutive import PLaplaceParams
+from .constitutive import PLaplaceParams, magnitude
 from .error_metrics import (DiscreteReference, ExactSolution, InsufficientData,
                             compute_error_report, empirical_order, write_csv,
                             write_dat, write_manifest)
@@ -36,6 +36,7 @@ EXPERIMENTS = ("slit_constant_force", "rough_in_time", "known_solution",
                "p2_validation", "custom")
 
 _DOMAIN_VARIANTS = {"omega1": "centered_square", "omega2": "shifted_square"}
+_FORCE_MODES = ("theta_average", "point_value")
 
 
 class ConfigError(Exception):
@@ -101,6 +102,20 @@ def default_config(experiment):
 _BOOL = {"true": True, "false": False, "1": True, "0": False,
          "yes": True, "no": False}
 
+
+def _parse_levels(text):
+    pairs = []
+    for chunk in text.replace(",", " ").split():
+        lvl, m = chunk.split(":")
+        pairs.append((int(lvl), int(m)))
+    return tuple(pairs)
+
+
+def _parse_reference(text):
+    lvl, m, deg = text.split(":")
+    return (int(lvl), int(m), int(deg))
+
+
 _KEY_PARSERS = {
     "experiment": str,
     "p": float,
@@ -115,20 +130,9 @@ _KEY_PARSERS = {
     "quad_degree": int,
     "sweep": str,
     "emit_dat": lambda s: _BOOL[s.lower()],
+    "levels": _parse_levels,
+    "reference": _parse_reference,
 }
-
-
-def _parse_levels(text):
-    pairs = []
-    for chunk in text.replace(",", " ").split():
-        lvl, m = chunk.split(":")
-        pairs.append((int(lvl), int(m)))
-    return tuple(pairs)
-
-
-def _parse_reference(text):
-    lvl, m, deg = text.split(":")
-    return (int(lvl), int(m), int(deg))
 
 
 def parse_config(text, base=None):
@@ -150,17 +154,12 @@ def parse_config(text, base=None):
     cfg = replace(cfg, experiment=experiment)
 
     for key, value in entries.items():
-        if key == "levels":
-            cfg.levels = _parse_levels(value)
-        elif key == "reference":
-            cfg.reference = _parse_reference(value)
-        elif key in _KEY_PARSERS:
-            try:
-                setattr(cfg, key, _KEY_PARSERS[key](value))
-            except (ValueError, KeyError) as exc:
-                raise ConfigError(f"bad value for {key}: {value!r}") from exc
-        else:
+        if key not in _KEY_PARSERS:
             raise ConfigError(f"unknown config key {key!r}")
+        try:
+            setattr(cfg, key, _KEY_PARSERS[key](value))
+        except (ValueError, KeyError) as exc:
+            raise ConfigError(f"bad value for {key}: {value!r}") from exc
     validate_config(cfg)
     return cfg
 
@@ -187,8 +186,14 @@ def validate_config(cfg):
                               "hold only for the unshifted flux)")
     if cfg.r not in (1, 2, 3):
         raise ConfigError(f"r must be 1, 2 or 3, got {cfg.r}")
+    if cfg.force_mode not in _FORCE_MODES:
+        raise ConfigError(f"force_mode must be one of {_FORCE_MODES}, got {cfg.force_mode!r}")
     if not cfg.levels:
         raise ConfigError("empty level schedule")
+    schedule = list(cfg.levels) + ([cfg.reference[:2]] if cfg.reference is not None else [])
+    for lvl, m in schedule:
+        if lvl < 0 or m < 1:
+            raise ConfigError(f"need mesh level >= 0 and M >= 1, got {lvl}:{m}")
     if cfg.reference is not None:
         ref_level, ref_m, ref_deg = cfg.reference
         if ref_deg not in (1, 2, 3):
@@ -220,19 +225,17 @@ def known_solution_fields(params):
     p = params.p
     pp = params.p_conjugate
 
-    # the error quadrature evaluates these fields at the same point arrays
+    # the error quadrature evaluates these fields at the same point array
     # hundreds of times (once per window and time node); memoize the radial
-    # powers per array, guarded by object identity
-    cache = {}
+    # powers of the latest array only, so arrays of past steps are released
+    latest = [None, None, {}]   # [points, |x|, {exponent: |x|^exponent}]
 
     def radial_power(pts, exponent):
-        entry = cache.get(id(pts))
-        if entry is None or entry[0] is not pts:
-            entry = (pts, np.linalg.norm(pts, axis=-1), {})
-            cache[id(pts)] = entry
-        powers = entry[2]
+        if latest[0] is not pts:
+            latest[:] = [pts, magnitude(pts), {}]
+        powers = latest[2]
         if exponent not in powers:
-            powers[exponent] = entry[1] ** exponent
+            powers[exponent] = latest[1] ** exponent
         return powers[exponent]
 
     def u(pts, t):

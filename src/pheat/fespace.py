@@ -12,9 +12,17 @@ triangle: positive weights, exact for all polynomials up to the requested
 degree, and the degree-1 rule degenerates to the centroid rule.  Weights are
 normalized to the reference measure, so integrals scale with the physical
 triangle area.
+
+Every evaluation at quadrature points goes through `PointOperators`: the
+value operator P (nt*nq x ndof), the gradient operator B (2*nt*nq x ndof)
+and the weights w, applied matrix-free from the reference basis and the cell
+Jacobians.  `FeSpace.operators` keeps only the step rule's set, whose dense
+gradient tensor the matrix kernels contract; other rules' sets are
+transient, so no per-point data of the error quadrature stays cached.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -118,17 +126,83 @@ class _ReferenceBasis:
         return mono @ self.coeffs
 
     def gradients(self, bary):
-        """d/d(xi), d/d(eta) of each basis function, shape (nq, nloc, 2)."""
+        """d/d(xi), d/d(eta) of each basis function, shape (nq, 2, nloc)."""
         bary = np.atleast_2d(bary)
         xi, eta = bary[:, 1], bary[:, 2]
         dxi = np.column_stack([i * xi ** max(i - 1, 0) * eta ** j if i else np.zeros_like(xi)
                                for i, j in self.exponents])
         deta = np.column_stack([j * xi ** i * eta ** max(j - 1, 0) if j else np.zeros_like(eta)
                                 for i, j in self.exponents])
-        return np.stack([dxi @ self.coeffs, deta @ self.coeffs], axis=-1)
+        return np.stack([dxi @ self.coeffs, deta @ self.coeffs], axis=1)
 
 
 _reference_bases = {r: _ReferenceBasis(r) for r in SUPPORTED_DEGREES}
+
+
+def step_rule(space):
+    """Quadrature of the step kernels (residual, Jacobian, energy): exactness 2r + 2."""
+    return quadrature(2 * space.degree + 2)
+
+
+# ----------------------------------------------------------------------
+# quadrature-point operators
+# ----------------------------------------------------------------------
+
+class PointOperators:
+    """Values and gradients at all quadrature points of one rule.
+
+    At point q of cell t a function with coefficients c has
+
+        value     (P c)[t, q]    = values[t, q] . c[cell_dofs[t]]
+        gradient  (B c)[t, q, :] = inv_jac_t[t] @ ref_grads[t, q] @ c[cell_dofs[t]]
+
+    with values (nt | 1, nq, nloc) and ref_grads (nt | 1, nq, 2, nloc) the
+    reference basis: shared by all cells of a space, or one set per cell for
+    the coarse-to-fine transfer of error_metrics.  w (nt, nq) holds rule
+    weights times cell areas.
+    """
+
+    def __init__(self, cell_dofs, ndof, w, values, ref_grads, inv_jac_t):
+        self.cell_dofs, self.ndof, self.w = cell_dofs, ndof, w
+        self.nt, self.nloc = cell_dofs.shape
+        self.nq = w.shape[1]
+        self.values = values
+        self.ref_grads = ref_grads.reshape(ref_grads.shape[0], 2 * self.nq, self.nloc)
+        self.inv_jac_t = inv_jac_t
+        self._inv_jac = np.ascontiguousarray(inv_jac_t.swapaxes(1, 2))
+
+    def _apply(self, basis, coeffs):
+        """basis[t] @ coeffs[cell_dofs[t]] for every cell, (nt, k); one GEMM if shared."""
+        local = coeffs[self.cell_dofs]
+        return local @ basis[0].T if basis.shape[0] == 1 else (basis @ local[:, :, None])[..., 0]
+
+    def _apply_t(self, basis, values):
+        """values[t] @ basis[t] for every cell, (nt, nloc)."""
+        return values @ basis[0] if basis.shape[0] == 1 else (values[:, None] @ basis)[:, 0]
+
+    def eval(self, coeffs):
+        """P c: values at every point, shape (nt, nq)."""
+        return self._apply(self.values, coeffs)
+
+    def grad(self, coeffs):
+        """B c: gradients at every point, shape (nt, nq, 2)."""
+        return self._apply(self.ref_grads, coeffs).reshape(self.nt, self.nq, 2) @ self._inv_jac
+
+    def load(self, values, vectors=None):
+        """P^T (w f) + B^T (w g): the vector of int f phi_i + g . grad phi_i dx
+        for per-point values f (nt, nq) and optional vectors g (nt, nq, 2)."""
+        local = self._apply_t(self.values, self.w * values)
+        if vectors is not None:
+            ref = (self.w[:, :, None] * vectors) @ self.inv_jac_t
+            local += self._apply_t(self.ref_grads, ref.reshape(self.nt, 2 * self.nq))
+        return np.bincount(self.cell_dofs.reshape(-1), weights=local.reshape(-1),
+                           minlength=self.ndof)
+
+    @cached_property
+    def gradient_tensor(self):
+        """Physical basis gradients, shape (nt, nq, 2, nloc)."""
+        ref = self.ref_grads.reshape(-1, self.nq, 2, self.nloc)
+        return self.inv_jac_t[:, None] @ ref
 
 
 # ----------------------------------------------------------------------
@@ -146,10 +220,11 @@ class FeSpace:
     dof_coords: np.ndarray           # (ndof, 2)
     boundary_dofs: np.ndarray        # sorted DOF indices on Dirichlet edges
     edges: np.ndarray                # (ne, 2) sorted vertex pairs, lexicographic
-    jac: np.ndarray = field(repr=False, default=None)        # (nt, 2, 2)
-    inv_jac_t: np.ndarray = field(repr=False, default=None)  # (nt, 2, 2)
+    inv_jac_t: np.ndarray = field(repr=False, default=None)  # (nt, 2, 2), J^-T per cell
     areas: np.ndarray = field(repr=False, default=None)      # (nt,)
     _basis_cache: dict = field(default_factory=dict, repr=False)
+    _step_operators: PointOperators = field(default=None, repr=False)
+    _pattern: tuple = field(default=None, repr=False)  # matrix pattern, see assembly
 
     # -- cached reference basis data per quadrature rule -----------------
     def basis_at(self, rule):
@@ -166,16 +241,26 @@ class FeSpace:
         return np.flatnonzero(mask)
 
     # -- vectorized evaluation over all triangles ------------------------
+    def operators(self, rule):
+        """PointOperators of `rule`; only the step rule's set is kept on the space,
+        any other rule gets a fresh set that lives as long as its caller holds it."""
+        keep = rule is step_rule(self)
+        if keep and self._step_operators is not None:
+            return self._step_operators
+        phi, gref = self.basis_at(rule)
+        ops = PointOperators(self.cell_dofs, self.ndof, self.areas[:, None] * rule.weights,
+                             phi[None], gref[None], self.inv_jac_t)
+        if keep:
+            self._step_operators = ops
+        return ops
+
     def eval_at(self, rule, coeffs):
         """Function values at all quadrature points, shape (nt, nq)."""
-        phi, _ = self.basis_at(rule)
-        return np.einsum("ql,tl->tq", phi, coeffs[self.cell_dofs])
+        return self.operators(rule).eval(coeffs)
 
     def grad_at(self, rule, coeffs):
         """Gradients at all quadrature points, shape (nt, nq, 2)."""
-        _, gref = self.basis_at(rule)
-        return np.einsum("tab,qlb,tl->tqa", self.inv_jac_t, gref, coeffs[self.cell_dofs],
-                         optimize=True)
+        return self.operators(rule).grad(coeffs)
 
     def physical_points(self, rule):
         """Quadrature point coordinates, shape (nt, nq, 2)."""
@@ -185,9 +270,6 @@ class FeSpace:
     def integrate(self, rule, values):
         """Integral over the domain of per-point values, shape (nt, nq)."""
         return float(np.dot(values @ rule.weights, self.areas))
-
-    def cell_integrals(self, rule, values):
-        return (values @ rule.weights) * self.areas
 
 
 @dataclass(eq=False)
@@ -220,27 +302,21 @@ def build_space(mesh, degree):
     t = mesh.triangles
     nt, nv = mesh.num_triangles, mesh.num_vertices
 
-    pairs = np.sort(np.concatenate([t[:, [a, b]] for a, b in _LOCAL_EDGES]), axis=1)
-    edges = np.unique(pairs, axis=0)
-    edge_id = {(int(i), int(j)): k for k, (i, j) in enumerate(edges)}
+    local_edges = np.concatenate([t[:, [a, b]] for a, b in _LOCAL_EDGES])  # (3 nt, 2)
+    edges, eid = np.unique(np.sort(local_edges, axis=1), axis=0, return_inverse=True)
+    eid = eid.reshape(3, nt).T              # edge number of each local edge
     ne = edges.shape[0]
 
     nloc = {1: 3, 2: 6, 3: 10}[degree]
     cell_dofs = np.empty((nt, nloc), dtype=np.int64)
     cell_dofs[:, :3] = t
-    if degree >= 2:
-        for k, (a, b) in enumerate(_LOCAL_EDGES):
-            va, vb = t[:, a], t[:, b]
-            lo = np.minimum(va, vb)
-            hi = np.maximum(va, vb)
-            eid = np.array([edge_id[(int(i), int(j))] for i, j in zip(lo, hi)])
-            if degree == 2:
-                cell_dofs[:, 3 + k] = nv + eid
-            else:
-                fwd = va == lo  # local first edge node is the one closer to va
-                cell_dofs[:, 3 + 2 * k] = nv + 2 * eid + np.where(fwd, 0, 1)
-                cell_dofs[:, 3 + 2 * k + 1] = nv + 2 * eid + np.where(fwd, 1, 0)
-    if degree == 3:
+    if degree == 2:
+        cell_dofs[:, 3:] = nv + eid
+    elif degree == 3:
+        # the local first node of an edge is the one closer to its first vertex
+        fwd = (local_edges[:, 0] < local_edges[:, 1]).reshape(3, nt).T
+        cell_dofs[:, 3:9:2] = nv + 2 * eid + np.where(fwd, 0, 1)
+        cell_dofs[:, 4:9:2] = nv + 2 * eid + np.where(fwd, 1, 0)
         cell_dofs[:, 9] = nv + 2 * ne + np.arange(nt)
 
     if degree == 1:
@@ -260,32 +336,25 @@ def build_space(mesh, degree):
                                          ).reshape(-1, 2),
                                 centroids])
 
-    bdofs = set()
-    for i, j in mesh.boundary_edges:
-        bdofs.add(int(i))
-        bdofs.add(int(j))
-        if degree >= 2:
-            eid = edge_id[(min(int(i), int(j)), max(int(i), int(j)))]
-            if degree == 2:
-                bdofs.add(nv + eid)
-            else:
-                bdofs.update((nv + 2 * eid, nv + 2 * eid + 1))
-    boundary_dofs = np.array(sorted(bdofs), dtype=np.int64)
+    bedges = np.sort(mesh.boundary_edges, axis=1)
+    beid = np.searchsorted(edges[:, 0] * nv + edges[:, 1], bedges[:, 0] * nv + bedges[:, 1])
+    bdofs = [bedges.reshape(-1)]
+    if degree == 2:
+        bdofs.append(nv + beid)
+    elif degree == 3:
+        bdofs += [nv + 2 * beid, nv + 2 * beid + 1]
+    boundary_dofs = np.unique(np.concatenate(bdofs)).astype(np.int64)
 
     corners = mesh.triangle_coords()
     jac = np.stack([corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0]], axis=-1)
     det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
-    inv = np.empty_like(jac)
-    inv[:, 0, 0] = jac[:, 1, 1] / det
-    inv[:, 0, 1] = -jac[:, 0, 1] / det
-    inv[:, 1, 0] = -jac[:, 1, 0] / det
-    inv[:, 1, 1] = jac[:, 0, 0] / det
-    inv_jac_t = np.swapaxes(inv, 1, 2)
+    inv_jac_t = np.stack([jac[:, 1, 1], -jac[:, 1, 0], -jac[:, 0, 1], jac[:, 0, 0]],
+                         axis=-1).reshape(-1, 2, 2) / det[:, None, None]
     areas = 0.5 * det  # positive by mesh orientation
 
     return FeSpace(mesh=mesh, degree=degree, ndof=ndof, cell_dofs=cell_dofs,
                    dof_coords=dof_coords, boundary_dofs=boundary_dofs, edges=edges,
-                   jac=jac, inv_jac_t=inv_jac_t, areas=areas)
+                   inv_jac_t=inv_jac_t, areas=areas)
 
 
 def eval_function(f, tri_index, bary):
@@ -300,4 +369,4 @@ def eval_gradient(f, tri_index, bary):
     ref = _reference_bases[f.space.degree]
     gref = ref.gradients(np.asarray(bary, dtype=float))[0]
     local = f.coeffs[f.space.cell_dofs[tri_index]]
-    return f.space.inv_jac_t[tri_index] @ (gref.T @ local)
+    return f.space.inv_jac_t[tri_index] @ (gref @ local)

@@ -21,6 +21,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from . import assembly
+from .constitutive import magnitude
 from .fespace import FeFunction, build_space
 from .mesh import refine_to_level
 from .projection import build_boundary_data, l2_project
@@ -243,7 +244,8 @@ def average_force(force, m, grid, space, force_mode="theta_average", rule=None):
     if force_mode == "point_value":
         tm = grid.t(m)
         if isinstance(force, PowerTimeForce):
-            return np.full(shape, np.sign(tm) * abs(tm) ** (-force.beta))
+            # the force is odd in t, so its value at the singularity is sgn(0) = 0
+            return np.full(shape, np.sign(tm) * abs(tm) ** (-force.beta) if tm else 0.0)
         pts = space.physical_points(rule).reshape(-1, 2)
         return force(pts, tm).reshape(shape)
 
@@ -367,7 +369,7 @@ def kacanov_matrix(space, u_coeffs, tau, params, clamp=None):
     """
     rule = assembly.step_rule(space)
     grad = space.grad_at(rule, u_coeffs)
-    mag = np.linalg.norm(grad, axis=-1)
+    mag = magnitude(grad)
     if clamp is None:
         clamp = max(1e-4 * float(mag.max()), KACANOV_CLAMP)
     a = params.kappa + np.maximum(mag, clamp)

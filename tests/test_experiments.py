@@ -64,6 +64,46 @@ def test_schedule_constraints():
                      "reference = 2:8:2\n")
 
 
+def test_levels_parse_error_is_config_error():
+    with pytest.raises(ConfigError):
+        parse_config("experiment = known_solution\nlevels = 1-4\n")
+
+
+def test_reference_parse_error_is_config_error():
+    with pytest.raises(ConfigError):
+        parse_config("experiment = slit_constant_force\nreference = 5:128\n")
+
+
+@pytest.mark.parametrize("schedule", ["levels = 1:0", "levels = -1:4", "levels = 1:4, 2:-8",
+                                      "levels = 1:4\nreference = 3:0:2"])
+def test_schedule_needs_positive_m_and_nonnegative_levels(schedule):
+    with pytest.raises(ConfigError):
+        parse_config(f"experiment = slit_constant_force\n{schedule}\n")
+
+
+def test_force_mode_validated():
+    with pytest.raises(ConfigError):
+        parse_config("experiment = known_solution\nforce_mode = pointvalue\n")
+    cfg = parse_config("experiment = known_solution\nforce_mode = point_value\n")
+    assert cfg.force_mode == "point_value"
+
+
+def test_known_solution_cache_keeps_latest_array_only(rng):
+    import weakref
+
+    exact, force = known_solution_fields(PLaplaceParams(p=1.5))
+    refs = []
+    for k in range(40):
+        pts = rng.uniform(0.1, 1.0, (16, 2))
+        r = np.linalg.norm(pts, axis=-1)
+        assert np.allclose(exact.u(pts, 0.25), 3.0 * 0.5 * r ** (1.0 / 3.0))
+        exact.v_of_grad(pts, 0.25)
+        force(pts, 0.25)
+        refs.append(weakref.ref(pts))
+        del pts
+    assert sum(ref() is not None for ref in refs) == 1
+
+
 def test_known_solution_force_divergence_oracle(rng):
     # f = du/dt - div S(grad u) checked by central finite differences at
     # random space-time points, for both exponents used in the studies
@@ -193,6 +233,13 @@ def test_cli_bad_config_exit_2(tmp_path):
     assert r.returncode == 2
     r = _cli("run", "known_solution", "--config", str(tmp_path / "missing.cfg"))
     assert r.returncode == 2
+
+
+def test_cli_run_without_schedule_exit_2():
+    # `custom` has no default schedule and no runner: a config error, not a traceback
+    r = _cli("run", "custom")
+    assert r.returncode == 2
+    assert "config error" in r.stderr and "Traceback" not in r.stderr
 
 
 def test_cli_dump_mesh(tmp_path):

@@ -143,6 +143,17 @@ def test_average_force_point_value_mode():
     assert np.allclose(vals.ravel(), (1.0 + pts[:, 0]) * grid.t(2))
 
 
+def test_average_force_point_value_at_power_singularity():
+    # an even M puts the grid node t_2 = 0 on the singularity of sgn(t)|t|^(-beta);
+    # the odd force takes its symmetric value sgn(0) = 0 there
+    space = build_space(refine_to_level("unit_square", 1), 1)
+    grid = TimeGrid(-0.1, 0.1, 4)
+    f = average_force(PowerTimeForce(0.5), 2, grid, space, "point_value")
+    assert grid.t(2) == 0.0 and np.all(f == 0.0)
+    f1 = average_force(PowerTimeForce(0.5), 1, grid, space, "point_value")
+    assert np.allclose(f1, -(0.05 ** -0.5))
+
+
 def test_average_force_separable_matches_callable():
     space = build_space(refine_to_level("unit_square", 1), 1)
     grid = TimeGrid(0.5, 1.5, 4)  # away from 0: the callable path uses plain Gauss
