@@ -79,36 +79,17 @@ def cmd_dump_mesh(args):
 
 
 def cmd_dump_solution(args):
-    from .fespace import build_space
     from .timestepper import TimeGrid, solve_evolution
 
     try:
         cfg = parse_config_file(args.config)
+        spec, _ = experiments.build_spec(cfg)
     except (ConfigError, OSError) as exc:
         _log(f"config error: {exc}")
         return 2
     # solve the first schedule row and dump its trajectory
     level, M = cfg.levels[0]
     interval = experiments._INTERVALS[cfg.experiment]
-    if cfg.experiment == "known_solution":
-        exact, force = experiments.known_solution_fields(cfg.params)
-        domain = experiments._DOMAIN_VARIANTS[cfg.domain_variant]
-        spec = experiments.ProblemSpec(params=cfg.params, domain=domain, force=force,
-                                       initial="exact_at_t0",
-                                       boundary_mode="averaged_nodal",
-                                       force_mode=cfg.force_mode,
-                                       exact_solution=exact.u)
-    elif cfg.experiment == "rough_in_time":
-        spec = experiments.ProblemSpec(params=cfg.params, domain="unit_square",
-                                       force=experiments.PowerTimeForce(cfg.beta))
-    elif cfg.experiment == "p2_validation":
-        exact, force = experiments.manufactured_p2_fields()
-        spec = experiments.ProblemSpec(params=cfg.params, domain="unit_square",
-                                       force=force, initial="exact_at_t0",
-                                       exact_solution=exact.u)
-    else:
-        spec = experiments.ProblemSpec(params=cfg.params, domain="slit",
-                                       force=experiments.ConstantForce(2.0))
     try:
         traj = solve_evolution(spec, level, cfg.r, TimeGrid(interval[0], interval[1], M),
                                tol=cfg.tol)

@@ -41,14 +41,20 @@ class PLaplaceParams:
         return self.p / (self.p - 1.0)
 
 
-def magnitude(xi):
-    """Euclidean length over the trailing axis of length 2.
+def sq_magnitude(xi):
+    """Squared Euclidean length over the trailing axis of length 2.
 
-    Bitwise equal to np.linalg.norm(xi, axis=-1), which reduces over the
-    short axis several times slower.
+    Bitwise equal to np.sum(xi * xi, axis=-1), which reduces over the short
+    axis several times slower.
     """
     x, y = xi[..., 0], xi[..., 1]
-    return np.sqrt(x * x + y * y)
+    return x * x + y * y
+
+
+def magnitude(xi):
+    """Euclidean length over the trailing axis of length 2; bitwise equal to
+    np.linalg.norm(xi, axis=-1)."""
+    return np.sqrt(sq_magnitude(xi))
 
 
 def _norm(xi):

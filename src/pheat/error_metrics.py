@@ -19,10 +19,9 @@ the CSV files store it under the column sqAerr.
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
-from .constitutive import magnitude, s_flux, v_transform
-from .fespace import PointOperators, _reference_bases, quadrature
+from .constitutive import magnitude, s_flux, sq_magnitude, v_transform
+from .fespace import PointOperators, _reference_bases, gauss_segments, quadrature
 from .mesh import mesh_quality
 
 ERROR_QUADRATURE_DEGREE = 8
@@ -54,15 +53,17 @@ class ExactSolution:
     s_of_grad: object = None
     t_singular: float = None
 
-    def v_field(self, pts, t, params):
-        if self.v_of_grad is not None:
-            return np.asarray(self.v_of_grad(pts, t), dtype=float)
-        return v_transform(np.asarray(self.grad_u(pts, t), dtype=float), params)
-
-    def s_field(self, pts, t, params):
-        if self.s_of_grad is not None:
-            return np.asarray(self.s_of_grad(pts, t), dtype=float)
-        return s_flux(np.asarray(self.grad_u(pts, t), dtype=float), params)
+    def v_and_s(self, pts, t, params):
+        """V(grad u) and S(grad u) at (pts, t); grad u is evaluated once, and
+        only when a closed form for V or S is missing."""
+        grad = None
+        if self.v_of_grad is None or self.s_of_grad is None:
+            grad = np.asarray(self.grad_u(pts, t), dtype=float)
+        v = (v_transform(grad, params) if self.v_of_grad is None
+             else np.asarray(self.v_of_grad(pts, t), dtype=float))
+        s = (s_flux(grad, params) if self.s_of_grad is None
+             else np.asarray(self.s_of_grad(pts, t), dtype=float))
+        return v, s
 
 
 @dataclass(frozen=True)
@@ -101,20 +102,8 @@ class VErrorBreakdown:
     fluctuation: float
 
 
-_gauss5 = leggauss(5)
-
-
 def _window_time_nodes(grid, m, t_singular):
-    nodes, weights = [], []
-    for lo, hi in grid.window_subintervals(m):
-        pieces = [(lo, hi)]
-        if t_singular is not None and lo < t_singular < hi:
-            pieces = [(lo, t_singular), (t_singular, hi)]
-        for a, b in pieces:
-            mid, half = 0.5 * (a + b), 0.5 * (b - a)
-            nodes.append(mid + half * _gauss5[0])
-            weights.append(half * _gauss5[1])
-    return np.concatenate(nodes), np.concatenate(weights)
+    return gauss_segments(grid.window_subintervals(m), t_singular)
 
 
 # ----------------------------------------------------------------------
@@ -145,21 +134,24 @@ def _exact_errors(traj, ref, grid, params, quad_degree):
         s_acc = np.zeros_like(sh)
         int_vsq = 0.0        # int_(J_m) ||V(s)||^2 ds
         for sk, wk in zip(s_nodes, s_weights):
-            v_ex = ref.v_field(flat, sk, params).reshape(vh.shape)
-            u_acc += wk * np.asarray(ref.u(flat, sk), dtype=float).reshape(uh.shape)
+            u_ex = np.asarray(ref.u(flat, sk), dtype=float).reshape(uh.shape)
+            v_ex, s_ex = ref.v_and_s(flat, sk, params)
+            v_ex, s_ex = v_ex.reshape(vh.shape), s_ex.reshape(sh.shape)
+            sq_v += wk * space.integrate(rule, sq_magnitude(vh - v_ex))
+            int_vsq += wk * space.integrate(rule, sq_magnitude(v_ex))
+            u_acc += wk * u_ex
             v_acc += wk * v_ex
-            s_acc += wk * ref.s_field(flat, sk, params).reshape(sh.shape)
-            diff = vh - v_ex
-            sq_v += wk * space.integrate(rule, np.sum(diff * diff, axis=-1))
-            int_vsq += wk * space.integrate(rule, np.sum(v_ex * v_ex, axis=-1))
+            s_acc += wk * s_ex
+            # release this node's fields before the next node builds its own
+            del u_ex, v_ex, s_ex
 
         du = uh - u_acc / length
         linfty = max(linfty, space.integrate(rule, du * du))
         v_bar = v_acc / length
         dv = vh - v_bar
-        per_window.append(space.integrate(rule, np.sum(dv * dv, axis=-1)))
+        per_window.append(space.integrate(rule, sq_magnitude(dv)))
         lengths.append(length)
-        fluct += int_vsq - length * space.integrate(rule, np.sum(v_bar * v_bar, axis=-1))
+        fluct += int_vsq - length * space.integrate(rule, sq_magnitude(v_bar))
         raw += grid.tau * space.integrate(rule, magnitude(sh - s_acc / length) ** pprime)
 
     per_window = np.array(per_window)
@@ -241,7 +233,7 @@ def _discrete_errors(traj, ref, grid, params, quad_degree):
         du = uh - u_ref
         linfty = max(linfty, ref_space.integrate(rule, du * du))
         dv = v_transform(grad_h, params) - v_transform(grad_ref, params)
-        sq_v += tau * ref_space.integrate(rule, np.sum(dv * dv, axis=-1))
+        sq_v += tau * ref_space.integrate(rule, sq_magnitude(dv))
         dsn = magnitude(s_flux(grad_h, params) - s_flux(grad_ref, params))
         raw += tau * ref_space.integrate(rule, dsn ** pprime)
 

@@ -54,7 +54,6 @@ class ExperimentConfig:
     levels: tuple = ()                # ((mesh level, M), ...)
     reference: tuple = None           # (mesh level, M_ref, degree) or None
     force_mode: str = "theta_average"
-    seed: int = 0
     output_path: str = "results.csv"
     tol: float = 1e-10
     quad_degree: int = 8
@@ -124,7 +123,6 @@ _KEY_PARSERS = {
     "domain_variant": str,
     "r": int,
     "force_mode": str,
-    "seed": int,
     "output_path": str,
     "tol": float,
     "quad_degree": int,
@@ -212,6 +210,25 @@ def validate_config(cfg):
 # closed-form data
 # ----------------------------------------------------------------------
 
+def _latest_array_memo():
+    """memo(pts, key, fn) returns fn(pts), cached for the latest point array.
+
+    The error quadrature evaluates a closed form at one point array for every
+    window and time node; its spatial factors are computed once per array,
+    and only the latest array's are kept, so arrays of past steps are released.
+    """
+    latest = [None, {}]
+
+    def memo(pts, key, fn):
+        if latest[0] is not pts:
+            latest[:] = [pts, {}]
+        if key not in latest[1]:
+            latest[1][key] = fn(pts)
+        return latest[1][key]
+
+    return memo
+
+
 def known_solution_fields(params):
     """The singular solution u = p'|t|^(1/2)|x|^(1/p') and its derived data.
 
@@ -224,19 +241,10 @@ def known_solution_fields(params):
     """
     p = params.p
     pp = params.p_conjugate
-
-    # the error quadrature evaluates these fields at the same point array
-    # hundreds of times (once per window and time node); memoize the radial
-    # powers of the latest array only, so arrays of past steps are released
-    latest = [None, None, {}]   # [points, |x|, {exponent: |x|^exponent}]
+    memo = _latest_array_memo()
 
     def radial_power(pts, exponent):
-        if latest[0] is not pts:
-            latest[:] = [pts, magnitude(pts), {}]
-        powers = latest[2]
-        if exponent not in powers:
-            powers[exponent] = latest[1] ** exponent
-        return powers[exponent]
+        return memo(pts, exponent, lambda x: memo(x, "r", magnitude) ** exponent)
 
     def u(pts, t):
         return pp * abs(t) ** 0.5 * radial_power(pts, 1.0 / pp)
@@ -264,14 +272,18 @@ def known_solution_fields(params):
 
 def manufactured_p2_fields():
     """Smooth linear-case benchmark: u = sin(pi x) sin(pi y) e^(-t)."""
+    memo = _latest_array_memo()
+
+    def trig(x):
+        sx, cx = np.sin(np.pi * x[:, 0]), np.cos(np.pi * x[:, 0])
+        sy, cy = np.sin(np.pi * x[:, 1]), np.cos(np.pi * x[:, 1])
+        return sx * sy, np.stack([cx * sy, sx * cy], axis=-1)
 
     def u(pts, t):
-        return np.sin(np.pi * pts[:, 0]) * np.sin(np.pi * pts[:, 1]) * math.exp(-t)
+        return memo(pts, "trig", trig)[0] * math.exp(-t)
 
     def grad_u(pts, t):
-        sx, cx = np.sin(np.pi * pts[:, 0]), np.cos(np.pi * pts[:, 0])
-        sy, cy = np.sin(np.pi * pts[:, 1]), np.cos(np.pi * pts[:, 1])
-        return math.exp(-t) * np.pi * np.stack([cx * sy, sx * cy], axis=-1)
+        return math.exp(-t) * np.pi * memo(pts, "trig", trig)[1]
 
     def f(pts, t):
         return (2.0 * np.pi ** 2 - 1.0) * u(pts, t)
@@ -307,7 +319,6 @@ def _manifest(cfg, domain, interval, extra=None):
         "force_mode": cfg.force_mode,
         "newton_tol": cfg.tol,
         "error_quadrature_degree": cfg.quad_degree,
-        "seed": cfg.seed,
     }
     if extra:
         entries.update(extra)
@@ -358,64 +369,62 @@ def _discrete_reference_factory(cfg, interval, spec):
     return factory
 
 
+def build_spec(cfg):
+    """The ProblemSpec that `pheat run` solves for cfg, and the closed-form
+    reference of the exact-reference studies (None for the others)."""
+    params, mode = cfg.params, cfg.force_mode
+    if cfg.experiment == "slit_constant_force":
+        return ProblemSpec(params=params, domain="slit", force=ConstantForce(2.0),
+                           force_mode=mode), None
+    if cfg.experiment == "rough_in_time":
+        return ProblemSpec(params=params, domain="unit_square",
+                           force=PowerTimeForce(cfg.beta), force_mode=mode), None
+    if cfg.experiment == "known_solution":
+        exact, force = known_solution_fields(params)
+        domain, boundary = _DOMAIN_VARIANTS[cfg.domain_variant], "averaged_nodal"
+    elif cfg.experiment == "p2_validation":
+        if cfg.p != 2.0:
+            raise ConfigError("p2_validation requires p = 2")
+        exact, force = manufactured_p2_fields()
+        domain, boundary = "unit_square", "homogeneous"
+    else:
+        raise ConfigError(f"experiment {cfg.experiment!r} has no problem specification")
+    return ProblemSpec(params=params, domain=domain, force=force, initial="exact_at_t0",
+                       boundary_mode=boundary, force_mode=mode,
+                       exact_solution=exact.u), exact
+
+
+def _run_study(cfg, extra):
+    """Solve the schedule of cfg against its reference and write the outputs."""
+    interval = _INTERVALS[cfg.experiment]
+    spec, exact = build_spec(cfg)
+    reference_for = ((lambda meshes, grid: exact) if exact is not None
+                     else _discrete_reference_factory(cfg, interval, spec))
+    reports = _run_schedule(cfg, spec.domain, interval, spec, reference_for)
+    _write_outputs(cfg, reports, _manifest(cfg, spec.domain, interval, extra))
+    return reports
+
+
 def run_slit(cfg):
     """Constant force 2 on the slit domain against a finer discrete reference."""
-    interval = _INTERVALS["slit_constant_force"]
-    spec = ProblemSpec(params=cfg.params, domain="slit", force=ConstantForce(2.0),
-                       initial="zero", boundary_mode="homogeneous",
-                       force_mode=cfg.force_mode)
-    reports = _run_schedule(cfg, "slit", interval, spec,
-                            _discrete_reference_factory(cfg, interval, spec))
-    _write_outputs(cfg, reports, _manifest(cfg, "slit", interval,
-                                           {"force": "constant 2", "initial": "zero"}))
-    return reports
+    return _run_study(cfg, {"force": "constant 2", "initial": "zero"})
 
 
 def run_rough_in_time(cfg):
     """Force sgn(t)|t|^(-beta) on the unit square over (-0.1, 0.1)."""
-    interval = _INTERVALS["rough_in_time"]
-    spec = ProblemSpec(params=cfg.params, domain="unit_square",
-                       force=PowerTimeForce(cfg.beta), initial="zero",
-                       boundary_mode="homogeneous", force_mode=cfg.force_mode)
-    reports = _run_schedule(cfg, "unit_square", interval, spec,
-                            _discrete_reference_factory(cfg, interval, spec))
-    _write_outputs(cfg, reports, _manifest(cfg, "unit_square", interval,
-                                           {"force": f"sgn(t)|t|^-{cfg.beta}",
-                                            "initial": "zero"}))
-    return reports
+    return _run_study(cfg, {"force": f"sgn(t)|t|^-{cfg.beta}", "initial": "zero"})
 
 
 def run_known_solution(cfg):
     """Exact-reference study of the singular closed-form solution."""
-    domain = _DOMAIN_VARIANTS[cfg.domain_variant]
-    interval = _INTERVALS["known_solution"]
-    exact, force = known_solution_fields(cfg.params)
-    spec = ProblemSpec(params=cfg.params, domain=domain, force=force,
-                       initial="exact_at_t0", boundary_mode="averaged_nodal",
-                       force_mode=cfg.force_mode, exact_solution=exact.u)
-    reports = _run_schedule(cfg, domain, interval, spec, lambda meshes, grid: exact)
-    _write_outputs(cfg, reports, _manifest(cfg, domain, interval,
-                                           {"force": "derived from the closed form",
-                                            "initial": "L2 projection of u(., t0)"}))
-    return reports
+    return _run_study(cfg, {"force": "derived from the closed form",
+                            "initial": "L2 projection of u(., t0)"})
 
 
 def run_p2_validation(cfg):
     """Linear-case anchor: smooth manufactured solution, exact reference."""
-    if cfg.p != 2.0:
-        raise ConfigError("p2_validation requires p = 2")
-    interval = _INTERVALS["p2_validation"]
-    exact, force = manufactured_p2_fields()
-    spec = ProblemSpec(params=cfg.params, domain="unit_square", force=force,
-                       initial="exact_at_t0", boundary_mode="homogeneous",
-                       force_mode=cfg.force_mode, exact_solution=exact.u)
-    reports = _run_schedule(cfg, "unit_square", interval, spec,
-                            lambda meshes, grid: exact)
-    _write_outputs(cfg, reports, _manifest(cfg, "unit_square", interval,
-                                           {"force": "manufactured, smooth",
-                                            "initial": "L2 projection of u(., t0)",
-                                            "sweep": cfg.sweep}))
-    return reports
+    return _run_study(cfg, {"force": "manufactured, smooth",
+                            "initial": "L2 projection of u(., t0)", "sweep": cfg.sweep})
 
 
 _RUNNERS = {

@@ -11,7 +11,7 @@ Quadrature rules are collapsed Gauss(-Jacobi) product rules on the reference
 triangle: positive weights, exact for all polynomials up to the requested
 degree, and the degree-1 rule degenerates to the centroid rule.  Weights are
 normalized to the reference measure, so integrals scale with the physical
-triangle area.
+triangle area.  `gauss_segments` is the one 5-point Gauss rule in time.
 
 Every evaluation at quadrature points goes through `PointOperators`: the
 value operator P (nt*nq x ndof), the gradient operator B (2*nt*nq x ndof)
@@ -78,6 +78,22 @@ def quadrature(exactness_degree):
     rule = QuadratureRule(points=bary, weights=2.0 * w, exactness_degree=d)
     _rule_cache[d] = rule
     return rule
+
+
+_gauss5 = leggauss(5)
+
+
+def gauss_segments(intervals, split=None):
+    """5-point Gauss nodes and weights in time over the intervals (a, b),
+    each split at `split` where it lies strictly inside."""
+    nodes, weights = [], []
+    for a, b in intervals:
+        cuts = [a, split, b] if split is not None and a < split < b else [a, b]
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+            nodes.append(mid + half * _gauss5[0])
+            weights.append(half * _gauss5[1])
+    return np.concatenate(nodes), np.concatenate(weights)
 
 
 # ----------------------------------------------------------------------

@@ -9,11 +9,10 @@ refinement.
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from . import assembly
 from .constitutive import v_transform
-from .fespace import FeFunction, build_space, quadrature
+from .fespace import FeFunction, build_space, gauss_segments, quadrature
 
 LOAD_QUADRATURE_DEGREE = 8   # >= 2r + 2 for all supported degrees
 
@@ -68,22 +67,6 @@ def nodal_interpolate(space, g):
     return FeFunction(space, vals)
 
 
-_gauss5 = leggauss(5)
-
-
-def _gauss_segments(a, b, split=0.0):
-    """5-point Gauss nodes/weights on [a, b], split at `split` if interior."""
-    bounds = [a, b]
-    if a < split < b:
-        bounds = [a, split, b]
-    nodes, weights = [], []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        nodes.append(mid + half * _gauss5[0])
-        weights.append(half * _gauss5[1])
-    return np.concatenate(nodes), np.concatenate(weights)
-
-
 def averaged_boundary_values(space, u_exact, m, grid):
     """Boundary-DOF values (1/|J_m|) int_{J_m} u(x_b, s) ds.
 
@@ -92,13 +75,10 @@ def averaged_boundary_values(space, u_exact, m, grid):
     """
     xb = space.dof_coords[space.boundary_dofs]
     total = np.zeros(xb.shape[0])
-    length = 0.0
-    for lo, hi in grid.window_subintervals(m):
-        s, w = _gauss_segments(lo, hi)
-        for sk, wk in zip(s, w):
-            total += wk * np.asarray(u_exact(xb, sk), dtype=float)
-        length += hi - lo
-    return total / length
+    subs = grid.window_subintervals(m)
+    for sk, wk in zip(*gauss_segments(subs, split=0.0)):
+        total += wk * np.asarray(u_exact(xb, sk), dtype=float)
+    return total / sum(hi - lo for lo, hi in subs)
 
 
 def build_boundary_data(space, grid, mode, u_exact=None):

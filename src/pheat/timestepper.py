@@ -18,11 +18,10 @@ may start at t0 != 0; all weight formulas act in grid-local coordinates.
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from . import assembly
 from .constitutive import magnitude
-from .fespace import FeFunction, build_space
+from .fespace import FeFunction, build_space, gauss_segments
 from .mesh import refine_to_level
 from .projection import build_boundary_data, l2_project
 
@@ -167,22 +166,6 @@ def theta_average_power(m, grid, gamma, signed):
     return total
 
 
-_gauss5 = leggauss(5)
-
-
-def _theta_gauss_nodes(m, grid):
-    """5-point Gauss nodes/weights (weights include theta) per linear piece."""
-    nodes, weights = [], []
-    for a, b, A, B in theta_pieces(m, grid):
-        for lo, hi in _split_at_zero(a, b):
-            mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-            s = mid + half * _gauss5[0]
-            w = half * _gauss5[1] * (A + B * s)
-            nodes.append(s)
-            weights.append(w)
-    return np.concatenate(nodes), np.concatenate(weights)
-
-
 # ----------------------------------------------------------------------
 # forces
 # ----------------------------------------------------------------------
@@ -261,7 +244,9 @@ def average_force(force, m, grid, space, force_mode="theta_average", rule=None):
             total += np.asarray(c(pts), dtype=float) * tf
         return total.reshape(shape)
 
-    nodes, weights = _theta_gauss_nodes(m, grid)
+    nodes, weights = gauss_segments([piece[:2] for piece in theta_pieces(m, grid)], split=0.0)
+    # Gauss nodes lie strictly inside their piece, where theta is its A + B s
+    weights = weights * theta_density(m, nodes, grid)
     total = np.zeros(pts.shape[0])
     for s, w in zip(nodes, weights):
         total += w * force(pts, s)

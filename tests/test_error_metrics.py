@@ -88,6 +88,76 @@ def test_p2_v_error_equals_gradient_error():
     assert v == pytest.approx(total, rel=1e-10)
 
 
+def _per_node_errors(traj, exact, grid, params):
+    """The four CSV quantities from a plain loop over windows and 5-point
+    Gauss time nodes, with the time axis split at exact.t_singular."""
+    from numpy.polynomial.legendre import leggauss
+
+    from pheat.constitutive import v_transform
+
+    space = traj.space
+    rule = quadrature(8)
+    flat = space.physical_points(rule).reshape(-1, 2)
+    weights = (space.areas[:, None] * rule.weights).reshape(-1)
+    xg, wg = leggauss(5)
+    pp = params.p_conjugate
+
+    def integral(values):
+        return float(np.sum(weights * values))
+
+    def sq(vectors):
+        return np.sum(vectors ** 2, axis=-1)
+
+    def v_s(s):
+        grad = exact.grad_u(flat, s)
+        v = exact.v_of_grad(flat, s) if exact.v_of_grad else v_transform(grad, params)
+        return v, (exact.s_of_grad(flat, s) if exact.s_of_grad else s_flux(grad, params))
+
+    linfty = sq_v = sq_v_avg = raw = 0.0
+    for m in range(1, grid.M + 1):
+        coeffs = traj.snapshots[m].coeffs
+        uh = space.eval_at(rule, coeffs).reshape(-1)
+        gh = space.grad_at(rule, coeffs).reshape(-1, 2)
+        vh, sh = v_transform(gh, params), s_flux(gh, params)
+        u_int, v_int, s_int = 0.0, 0.0, 0.0
+        for lo, hi in grid.window_subintervals(m):
+            cuts = [lo, hi]
+            if exact.t_singular is not None and lo < exact.t_singular < hi:
+                cuts = [lo, exact.t_singular, hi]
+            for a, b in zip(cuts, cuts[1:]):
+                for x, w in zip(xg, wg):
+                    s, w = 0.5 * (a + b) + 0.5 * (b - a) * x, 0.5 * (b - a) * w
+                    v, S = v_s(s)
+                    sq_v += w * integral(sq(vh - v))
+                    u_int, v_int, s_int = u_int + w * exact.u(flat, s), v_int + w * v, s_int + w * S
+        length = grid.window_length(m)
+        linfty = max(linfty, integral((uh - u_int / length) ** 2))
+        sq_v_avg += grid.tau * integral(sq(vh - v_int / length))
+        raw += grid.tau * integral(sq(sh - s_int / length) ** (pp / 2.0))
+    return dict(sq_linfty_l2=linfty, sq_l2_v=sq_v, sq_l2_v_avg=sq_v_avg, raw_lp_sum=raw)
+
+
+@pytest.mark.parametrize("experiment, grid, closed_forms", [
+    ("known_solution", TimeGrid(-1.0, 1.0, 5), True),    # windows straddle t = 0
+    ("known_solution", TimeGrid(-1.0, 1.0, 5), False),   # V, S derived from grad u
+    ("p2_validation", TimeGrid(0.0, 1.0, 4), False),
+])
+def test_exact_pass_matches_per_node_loop(experiment, grid, closed_forms):
+    from dataclasses import replace
+
+    from pheat.experiments import build_spec, default_config
+
+    cfg = default_config(experiment)
+    spec, exact = build_spec(cfg)
+    if not closed_forms:
+        exact = replace(exact, v_of_grad=None, s_of_grad=None)
+    traj = solve_evolution(spec, 2, 1, grid)
+    report = compute_error_report(traj, exact, grid, cfg.params)
+    expected = _per_node_errors(traj, exact, grid, cfg.params)
+    for field, value in expected.items():
+        assert getattr(report, field) == pytest.approx(value, rel=1e-12, abs=0.0), field
+
+
 def test_orthogonal_window_decomposition():
     traj, exact, grid, params = _smooth_run(level=2, M=5)
     br = v_error_breakdown(traj, exact, grid, params)

@@ -36,8 +36,9 @@ def test_parse_roundtrip_and_comments():
 
 
 def test_unknown_key_rejected():
-    with pytest.raises(ConfigError):
-        parse_config("experiment = known_solution\nwhatever = 3\n")
+    for key in ("whatever", "seed"):
+        with pytest.raises(ConfigError):
+            parse_config(f"experiment = known_solution\n{key} = 3\n")
 
 
 def test_bad_values_rejected():
@@ -89,19 +90,26 @@ def test_force_mode_validated():
 
 
 def test_known_solution_cache_keeps_latest_array_only(rng):
+    # both closed forms cache their spatial factors for the latest point
+    # array only, and recompute them for every new array
     import weakref
 
-    exact, force = known_solution_fields(PLaplaceParams(p=1.5))
-    refs = []
-    for k in range(40):
-        pts = rng.uniform(0.1, 1.0, (16, 2))
-        r = np.linalg.norm(pts, axis=-1)
-        assert np.allclose(exact.u(pts, 0.25), 3.0 * 0.5 * r ** (1.0 / 3.0))
-        exact.v_of_grad(pts, 0.25)
-        force(pts, 0.25)
-        refs.append(weakref.ref(pts))
-        del pts
-    assert sum(ref() is not None for ref in refs) == 1
+    closed_forms = [
+        (known_solution_fields(PLaplaceParams(p=1.5)),
+         lambda pts: 3.0 * 0.5 * np.linalg.norm(pts, axis=-1) ** (1.0 / 3.0)),
+        (manufactured_p2_fields(),
+         lambda pts: np.sin(np.pi * pts[:, 0]) * np.sin(np.pi * pts[:, 1]) * np.exp(-0.25)),
+    ]
+    for (exact, force), expected_u in closed_forms:
+        refs = []
+        for k in range(40):
+            pts = rng.uniform(0.1, 1.0, (16, 2))
+            assert np.allclose(exact.u(pts, 0.25), expected_u(pts))
+            exact.v_and_s(pts, 0.25, PLaplaceParams(p=1.5))
+            force(pts, 0.25)
+            refs.append(weakref.ref(pts))
+            del pts
+        assert sum(ref() is not None for ref in refs) == 1
 
 
 def test_known_solution_force_divergence_oracle(rng):
@@ -117,7 +125,7 @@ def test_known_solution_force_divergence_oracle(rng):
             pt = np.array([x])
 
             def S(xx, yy):
-                return exact.s_field(np.array([[xx, yy]]), t, params)[0]
+                return exact.v_and_s(np.array([[xx, yy]]), t, params)[1][0]
 
             div_s = ((S(x[0] + h, x[1])[0] - S(x[0] - h, x[1])[0])
                      + (S(x[0], x[1] + h)[1] - S(x[0], x[1] - h)[1])) / (2 * h)
@@ -141,10 +149,9 @@ def test_known_solution_gradient_consistency(rng):
         assert np.allclose(grad[:, 1], gy, rtol=1e-6)
         # V and S closed forms agree with the generic transforms of grad u
         from pheat.constitutive import s_flux, v_transform
-        assert np.allclose(exact.v_field(pts, t, params), v_transform(grad, params),
-                           rtol=1e-12)
-        assert np.allclose(exact.s_field(pts, t, params), s_flux(grad, params),
-                           rtol=1e-12)
+        v, s = exact.v_and_s(pts, t, params)
+        assert np.allclose(v, v_transform(grad, params), rtol=1e-12)
+        assert np.allclose(s, s_flux(grad, params), rtol=1e-12)
 
 
 def test_manufactured_p2_force(rng):
@@ -260,6 +267,27 @@ def test_cli_dump_solution(tmp_path):
     assert r.returncode == 0, r.stderr
     assert (outdir / "trajectory.manifest").exists()
     assert (outdir / "snapshot_00002.txt").exists()
+
+
+def test_cli_dump_solution_solves_the_runner_spec(tmp_path):
+    # dump-solution must solve the problem `pheat run` solves, force_mode included
+    from pheat.cli import main
+    from pheat.experiments import build_spec
+    from pheat.timestepper import TimeGrid, solve_evolution
+
+    text = ("experiment = rough_in_time\nforce_mode = point_value\n"
+            "levels = 1:4\nreference = 2:8:2\n")
+    cfgfile = tmp_path / "rough.cfg"
+    cfgfile.write_text(text)
+    outdir = tmp_path / "traj"
+    assert main(["dump-solution", "--config", str(cfgfile), "--out", str(outdir)]) == 0
+
+    spec, exact = build_spec(parse_config(text))
+    assert spec.force_mode == "point_value" and exact is None
+    traj = solve_evolution(spec, 1, 1, TimeGrid(-0.1, 0.1, 4))
+    for m, snap in enumerate(traj.snapshots):
+        dumped = np.loadtxt(outdir / f"snapshot_{m:05d}.txt", skiprows=1)
+        assert np.array_equal(dumped, snap.coeffs), m
 
 
 def test_cli_verify():
