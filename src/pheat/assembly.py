@@ -23,6 +23,10 @@ from .fespace import quadrature, step_rule
 
 DIRECT_SOLVE_LIMIT = 40000  # unknowns; above this solve_spd falls back to CG
 CG_TOL_DEFAULT = 1e-11
+# relative residual below which the direct solve is not refined; the
+# roundoff floor of b - A x lies between 1e-16 and 1e-13 on the step Jacobians
+REFINE_TARGET = 5e-15
+REFINE_PASSES = 2
 JACOBIAN_EPS_REG = 1e-10
 
 
@@ -190,6 +194,19 @@ def step_energy(space, v, u_prev, tau, f_quad, params):
 def solve_spd(A, b, tol=CG_TOL_DEFAULT, method=None):
     """Solve SPD system: sparse direct below DIRECT_SOLVE_LIMIT, else Jacobi-CG.
 
+    The direct path is SuperLU in symmetric mode: a minimum-degree ordering
+    of A + A^T and pivots taken from the diagonal (threshold 0), which is
+    stable for an SPD matrix and roughly halves the fill of the general
+    COLAMD ordering with partial pivoting.  Supernodes are not relaxed and
+    panels are one column wide: with SuperLU's defaults (relax 5, panel 10)
+    this ordering factors P1 step Jacobians of 4k DOFs 2.5x and of 16k DOFs
+    20-30x slower than COLAMD; with these settings it is faster than COLAMD
+    on every step Jacobian measured (slit, shifted and unit square, P1 to
+    P3, 289 to 16 705 DOFs).  At most REFINE_PASSES passes of iterative
+    refinement follow, taken only while the relative residual exceeds
+    REFINE_TARGET and each pass lowers it.  The reported relative residual
+    is that of the returned x.
+
     Returns (x, LinearSolveReport).  Raises MaxIterations if CG does not reach
     the tolerance within 10 n iterations.
     """
@@ -199,14 +216,25 @@ def solve_spd(A, b, tol=CG_TOL_DEFAULT, method=None):
     b = np.asarray(b, dtype=float)
     bnorm = np.linalg.norm(b)
     if method == "direct":
-        lu = spla.splu(A.tocsc())
+        lu = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                       relax=1, panel_size=1, options=dict(SymmetricMode=True))
+        scale = bnorm if bnorm > 0 else 1.0
         x = lu.solve(b)
-        # two passes of iterative refinement: the step Jacobians can be very
-        # ill-conditioned (degenerate gradients next to the slit tip), and the
-        # refined solve keeps Newton directions usable down to tiny residuals
-        for _ in range(2):
-            x = x + lu.solve(b - A @ x)
-        rel = np.linalg.norm(A @ x - b) / (bnorm if bnorm > 0 else 1.0)
+        r = b - A @ x
+        rel = np.linalg.norm(r) / scale
+        # the step Jacobians can be very ill-conditioned (degenerate gradients
+        # next to the slit tip); refinement keeps Newton directions usable
+        # down to tiny residuals.  A pass that does not lower the residual
+        # has met the roundoff floor of b - A x and is discarded.
+        for _ in range(REFINE_PASSES):
+            if rel <= REFINE_TARGET:
+                break
+            x_new = x + lu.solve(r)
+            r_new = b - A @ x_new
+            rel_new = np.linalg.norm(r_new) / scale
+            if rel_new >= rel:
+                break
+            x, r, rel = x_new, r_new, rel_new
         return x, LinearSolveReport(iterations=1, relative_residual=float(rel),
                                     method="direct")
     diag = A.diagonal()

@@ -316,6 +316,8 @@ def empirical_order(reports, field, against="ndof"):
     if len(reports) < 2:
         raise InsufficientData("need at least two reports")
     x = np.array([float(_report_field(r, against)) for r in reports])
+    if np.unique(x).size < x.size:
+        raise InsufficientData(f"repeated {against} values give no slope")
     y = np.array([float(_report_field(r, field)) for r in reports])
     if np.any(y <= 0):
         raise InsufficientData("errors must be positive to fit a log-log slope")

@@ -27,7 +27,7 @@ from .constitutive import PLaplaceParams, magnitude
 from .error_metrics import (DiscreteReference, ExactSolution, InsufficientData,
                             compute_error_report, empirical_order, write_csv,
                             write_dat, write_manifest)
-from .fespace import build_space
+from .fespace import MAX_QUADRATURE_DEGREE, build_space
 from .mesh import make_initial_mesh, refine_uniform
 from .timestepper import (CallableForce, ConstantForce, PowerTimeForce,
                           SeparableForce, ProblemSpec, TimeGrid, solve_evolution)
@@ -170,12 +170,18 @@ def parse_config_file(path, base=None):
 def validate_config(cfg):
     if cfg.experiment not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {cfg.experiment!r}")
-    if not cfg.p > 1.0:
-        raise ConfigError(f"p must exceed 1, got {cfg.p}")
-    if cfg.kappa < 0:
-        raise ConfigError(f"kappa must be nonnegative, got {cfg.kappa}")
-    if cfg.experiment == "rough_in_time" and cfg.beta >= 1.0:
+    # comparisons written so that nan fails them
+    if not 1.0 < cfg.p < math.inf:
+        raise ConfigError(f"p must be finite and exceed 1, got {cfg.p}")
+    if not 0.0 <= cfg.kappa < math.inf:
+        raise ConfigError(f"kappa must be finite and nonnegative, got {cfg.kappa}")
+    if cfg.experiment == "rough_in_time" and not cfg.beta < 1.0:
         raise ConfigError(f"beta must be < 1 (integrability), got {cfg.beta}")
+    if not 0.0 < cfg.tol < math.inf:
+        raise ConfigError(f"tol must be finite and positive, got {cfg.tol}")
+    if not 1 <= cfg.quad_degree <= MAX_QUADRATURE_DEGREE:
+        raise ConfigError(f"quad_degree must be in [1, {MAX_QUADRATURE_DEGREE}], "
+                          f"got {cfg.quad_degree}")
     if cfg.experiment == "known_solution":
         if cfg.domain_variant not in _DOMAIN_VARIANTS:
             raise ConfigError(f"domain_variant must be omega1 or omega2, got {cfg.domain_variant!r}")
@@ -443,7 +449,14 @@ def run_experiment(cfg):
 
 
 def eoc_summary(reports, fields=("sq_l2_v", "sq_l2_v_avg", "sq_linfty_l2", "sq_lp_s"),
-                against="ndof"):
+                against=None):
+    """Per-level and least-squares slopes of each field, one line per field.
+
+    By default the slopes are fitted against ndof, or against tau when every
+    report has the same ndof (a temporal sweep on one mesh).
+    """
+    if against is None:
+        against = "tau" if len({r.ndof for r in reports}) == 1 else "ndof"
     lines = []
     for f in fields:
         try:

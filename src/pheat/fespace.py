@@ -17,8 +17,9 @@ Every evaluation at quadrature points goes through `PointOperators`: the
 value operator P (nt*nq x ndof), the gradient operator B (2*nt*nq x ndof)
 and the weights w, applied matrix-free from the reference basis and the cell
 Jacobians.  `FeSpace.operators` keeps only the step rule's set, whose dense
-gradient tensor the matrix kernels contract; other rules' sets are
-transient, so no per-point data of the error quadrature stays cached.
+gradient tensor the matrix kernels contract, and `FeSpace.step_points` the
+step rule's point coordinates; other rules' sets are transient, so no
+per-point data of the error quadrature stays cached.
 """
 
 from dataclasses import dataclass, field
@@ -282,6 +283,15 @@ class FeSpace:
         """Quadrature point coordinates, shape (nt, nq, 2)."""
         corners = self.mesh.triangle_coords()
         return np.einsum("qi,tia->tqa", rule.points, corners)
+
+    @cached_property
+    def step_points(self):
+        """The step rule's points flattened to (nt * nq, 2), built once and
+        read-only: every step hands the same array to a space-time force,
+        so a closed form's per-array memo computes its spatial factors once."""
+        pts = self.physical_points(step_rule(self)).reshape(-1, 2)
+        pts.flags.writeable = False
+        return pts
 
     def integrate(self, rule, values):
         """Integral over the domain of per-point values, shape (nt, nq)."""

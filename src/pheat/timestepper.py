@@ -29,6 +29,7 @@ DEFAULT_TOL = 1e-10
 MAX_COMBINED_ITERATIONS = 200
 ARMIJO_SLOPE = 1e-4
 ARMIJO_MAX_HALVINGS = 40
+ENDGAME_HALVINGS = 10
 KACANOV_CLAMP = 1e-12
 # achieved/predicted energy decrease below these = stalled; Newton bails out
 # eagerly (it crawls near degenerate gradients), the lagged-coefficient
@@ -210,16 +211,16 @@ class CallableForce:
         return np.asarray(self.fn(pts, t), dtype=float)
 
 
-def average_force(force, m, grid, space, force_mode="theta_average", rule=None):
+def average_force(force, m, grid, space, force_mode="theta_average"):
     """Discrete force f_m at the step quadrature points, shape (nt, nq).
 
     theta_average mode returns <f>_theta_m (mass-one window weights); constant
     and pure power-law time profiles are integrated analytically, generic
     space-time callables by 5-point Gauss per theta piece split at t = 0.
-    point_value mode returns f(t_m).
+    point_value mode returns f(t_m).  Space-dependent forces are evaluated
+    at `space.step_points`, the same array at every step.
     """
-    rule = rule or assembly.step_rule(space)
-    shape = (space.mesh.num_triangles, rule.num_points)
+    shape = (space.mesh.num_triangles, assembly.step_rule(space).num_points)
 
     if isinstance(force, ConstantForce):
         return np.full(shape, force.value)
@@ -229,14 +230,14 @@ def average_force(force, m, grid, space, force_mode="theta_average", rule=None):
         if isinstance(force, PowerTimeForce):
             # the force is odd in t, so its value at the singularity is sgn(0) = 0
             return np.full(shape, np.sign(tm) * abs(tm) ** (-force.beta) if tm else 0.0)
-        pts = space.physical_points(rule).reshape(-1, 2)
+        pts = space.step_points
         return force(pts, tm).reshape(shape)
 
     if isinstance(force, PowerTimeForce):
         val = theta_average_power(m, grid, -force.beta, signed=True)
         return np.full(shape, val)
 
-    pts = space.physical_points(rule).reshape(-1, 2)
+    pts = space.step_points
     if isinstance(force, SeparableForce):
         total = np.zeros(pts.shape[0])
         for c, gamma, signed in force.terms:
@@ -277,6 +278,10 @@ class NewtonReport:
     energy_values: tuple
     fallback_used: bool
     converged: bool
+    # iterations that solved for the lagged-coefficient (Kacanov) direction,
+    # and moves, along either direction, accepted on residual decrease alone
+    kacanov_iterations: int = 0
+    endgame_iterations: int = 0
 
 
 @dataclass
@@ -376,7 +381,7 @@ def step(space, u_prev, m, grid, spec, tol=DEFAULT_TOL, bc_values=None, f_quad=N
     tau = grid.tau
     rule = assembly.step_rule(space)
     if f_quad is None:
-        f_quad = average_force(spec.force, m, grid, space, spec.force_mode, rule)
+        f_quad = average_force(spec.force, m, grid, space, spec.force_mode)
 
     bdofs = space.boundary_dofs
     g = np.zeros(bdofs.shape[0]) if bc_values is None else np.asarray(bc_values, float)
@@ -406,20 +411,27 @@ def step(space, u_prev, m, grid, spec, tol=DEFAULT_TOL, bc_values=None, f_quad=N
     fallback_used = False
     use_fallback = False
     dead_ends = 0
+    kacanov_iterations = endgame_iterations = 0
+    residual = None  # residual at u; assembled again only after u moves
     rnorm = np.inf
 
+    def report(iterations, converged):
+        return NewtonReport(iterations=iterations, final_residual_norm=rnorm,
+                            energy_values=tuple(energies), fallback_used=fallback_used,
+                            converged=converged, kacanov_iterations=kacanov_iterations,
+                            endgame_iterations=endgame_iterations)
+
     for it in range(1, MAX_COMBINED_ITERATIONS + 1):
-        residual = assembly.assemble_step_residual(space, FeFunction(space, u), u_prev,
-                                                   tau, f_quad, params, bc_values=g)
+        if residual is None:
+            residual = assembly.assemble_step_residual(space, FeFunction(space, u), u_prev,
+                                                       tau, f_quad, params, bc_values=g)
         rnorm = float(np.linalg.norm(residual))
         if rnorm <= tol * scale:
-            return FeFunction(space, u), NewtonReport(
-                iterations=it - 1, final_residual_norm=rnorm,
-                energy_values=tuple(energies), fallback_used=fallback_used,
-                converged=True)
+            return FeFunction(space, u), report(it - 1, True)
 
         if use_fallback:
             fallback_used = True
+            kacanov_iterations += 1
             mat = kacanov_matrix(space, u, tau, params)
             A, b = assembly.apply_dirichlet(mat, rhs.copy(), bdofs, g)
             target, _ = assembly.solve_spd(A, b)
@@ -432,29 +444,28 @@ def step(space, u_prev, m, grid, spec, tol=DEFAULT_TOL, bc_values=None, f_quad=N
 
         # Endgame: once the predicted energy decrease is below the energy's
         # floating-point resolution the Armijo test is blind; accept steps on
-        # residual decrease instead (Newton is locally contractive there) and
-        # take the best candidate along the halving sequence.
+        # residual decrease instead (Newton is locally contractive there):
+        # the first candidate of the halving sequence that lowers the
+        # residual norm, whose residual the next iteration starts from.
         if abs(slope) < 128.0 * np.finfo(float).eps * (1.0 + abs(energies[-1])):
             s = 1.0
-            best_s, best_rn = None, rnorm
-            for _ in range(10):
+            for _ in range(ENDGAME_HALVINGS):
                 trial = u + s * delta
                 r_trial = assembly.assemble_step_residual(
                     space, FeFunction(space, trial), u_prev, tau, f_quad, params,
                     bc_values=g)
-                rn_trial = float(np.linalg.norm(r_trial))
-                if rn_trial < best_rn:
-                    best_s, best_rn = s, rn_trial
+                if float(np.linalg.norm(r_trial)) < rnorm:
+                    u, residual = trial, r_trial
+                    energies.append(energies[-1])
+                    endgame_iterations += 1
+                    dead_ends = 0
+                    break
                 s *= 0.5
-            if best_s is not None:
-                u = u + best_s * delta
-                energies.append(energies[-1])
-                dead_ends = 0
-                continue
-            dead_ends += 1
-            if dead_ends >= 2:
-                break
-            use_fallback = not use_fallback
+            else:
+                dead_ends += 1
+                if dead_ends >= 2:
+                    break
+                use_fallback = not use_fallback
             continue
 
         accepted = _armijo(space, u, u_prev, tau, f_quad, params, delta, slope, energies[-1])
@@ -466,6 +477,7 @@ def step(space, u_prev, m, grid, spec, tol=DEFAULT_TOL, bc_values=None, f_quad=N
             continue
         dead_ends = 0
         u, energy = accepted
+        residual = None
         # For p < 2, toggle between Newton and the lagged-coefficient
         # direction whenever the achieved decrease collapses against the
         # linear model: Newton crawls near degenerate gradients while Kacanov
@@ -482,10 +494,7 @@ def step(space, u_prev, m, grid, spec, tol=DEFAULT_TOL, bc_values=None, f_quad=N
         elif use_fallback:
             use_fallback = False
 
-    report = NewtonReport(iterations=MAX_COMBINED_ITERATIONS,
-                          final_residual_norm=rnorm, energy_values=tuple(energies),
-                          fallback_used=fallback_used, converged=False)
-    raise NonConvergence(report, m=m)
+    raise NonConvergence(report(MAX_COMBINED_ITERATIONS, False), m=m)
 
 
 def solve_evolution(spec, level, degree, grid, tol=DEFAULT_TOL, space=None):

@@ -171,6 +171,74 @@ def test_solve_mass_times_ones():
     assert rep.relative_residual <= 1e-11 or rep.method == "direct"
 
 
+@pytest.fixture
+def factorizations(monkeypatch):
+    """Wrap the factorizations solve_spd makes; the wrapper counts the
+    triangular solves and scales the first result and the later ones."""
+    made = []
+    splu = assembly.spla.splu
+
+    class Scaled:
+        def __init__(self, lu, first, later):
+            self.lu, self.first, self.later, self.calls = lu, first, later, 0
+
+        def solve(self, rhs):
+            self.calls += 1
+            return self.lu.solve(rhs) * (self.first if self.calls == 1 else self.later)
+
+    def install(first=1.0, later=1.0):
+        monkeypatch.setattr(assembly.spla, "splu", lambda *a, **k: made.append(
+            Scaled(splu(*a, **k), first, later)) or made[-1])
+        return made
+
+    return install
+
+
+@pytest.mark.parametrize("later, solves", [(1.0, None), (1e3, 2)])
+def test_solve_reports_residual_of_returned_x(later, solves, rng, factorizations):
+    # the first solve is off by 1e-8 relative, which triggers refinement;
+    # exact corrections repair it, while corrections blown up 1000-fold make
+    # the first pass raise the residual, so it is discarded and refinement
+    # stops.  Either way the residual reported is that of the returned x.
+    space = build_space(refine_to_level("unit_square", 3), 1)
+    A = (assemble_mass(space) + assemble_stiffness(space)).tocsr()
+    b = rng.standard_normal(space.ndof)
+    first = (1.0 + 1e-8) * assembly.spla.splu(A.tocsc()).solve(b)
+    first_rel = np.linalg.norm(A @ first - b) / np.linalg.norm(b)
+    made = factorizations(first=1.0 + 1e-8, later=later)
+    x, rep = solve_spd(A, b)
+    if solves is None:
+        assert made[0].calls > 1 and rep.relative_residual < 1e-13
+    else:
+        assert made[0].calls == solves and rep.relative_residual == pytest.approx(first_rel)
+    assert rep.relative_residual == np.linalg.norm(A @ x - b) / np.linalg.norm(b)
+
+
+def test_solve_well_conditioned_mass_takes_no_refinement(factorizations):
+    space = build_space(refine_to_level("unit_square", 3), 2)
+    M = assemble_mass(space)
+    b = M @ np.ones(space.ndof)
+    made = factorizations()
+    x, rep = solve_spd(M, b)
+    assert [lu.calls for lu in made] == [1]
+    assert rep.relative_residual <= assembly.REFINE_TARGET
+    assert rep.relative_residual == np.linalg.norm(M @ x - b) / np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_solve_degenerate_p15_jacobian_vs_dense(degree, rng):
+    # zero gradient on the left half: DS is regularized to eps_reg^(p-2) there,
+    # which puts the condition number near 1e6..1e7
+    space = build_space(refine_to_level("unit_square", 3), degree)
+    u = FeFunction(space, np.maximum(space.dof_coords[:, 0] - 0.5, 0.0))
+    J = assemble_step_jacobian(space, u, 100.0, PLaplaceParams(p=1.5, kappa=0.0))
+    assert np.linalg.cond(J.toarray()) > 1e5
+    b = rng.standard_normal(space.ndof)
+    x, _ = solve_spd(J, b)
+    expected = np.linalg.solve(J.toarray(), b)
+    assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
 def test_solve_random_spd_vs_dense_oracle(rng):
     B = rng.standard_normal((50, 50))
     A = B @ B.T + 50 * np.eye(50)

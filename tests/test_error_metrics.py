@@ -241,6 +241,8 @@ def test_empirical_order_examples():
 
     with pytest.raises(InsufficientData):
         empirical_order([rep(0.1, 1.0)], "sq_l2_v", against="h")
+    with pytest.raises(InsufficientData):  # one mesh: no slope against ndof
+        empirical_order([rep(0.1, 1.0), rep(0.05, 0.5)], "sq_l2_v", against="ndof")
 
 
 def test_empirical_order_synthetic_noise(rng):

@@ -1,13 +1,18 @@
+import math
+import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from pheat.experiments import (ConfigError, default_config, eoc_summary,
+from pheat.experiments import (EXPERIMENTS, ConfigError, default_config, eoc_summary,
                                known_solution_fields, manufactured_p2_fields,
                                parse_config, run_experiment, run_known_solution,
                                validate_config)
+from pheat import experiments
 from pheat.constitutive import PLaplaceParams
 from pheat.error_metrics import read_csv
 
@@ -54,6 +59,13 @@ def test_bad_values_rejected():
         parse_config("experiment = nonsense\n")
     with pytest.raises(ConfigError):
         parse_config("experiment = known_solution\nnot a pair\n")
+    # accepted before, then a traceback or a silent failure in the run
+    for bad in ("tol = -1", "tol = nan", "quad_degree = 0", "quad_degree = 99",
+                "kappa = nan", "p = inf", "p = nan"):
+        with pytest.raises(ConfigError):
+            parse_config(f"experiment = slit_constant_force\n{bad}\n")
+    with pytest.raises(ConfigError):
+        parse_config("experiment = rough_in_time\nbeta = nan\n")
 
 
 def test_schedule_constraints():
@@ -87,6 +99,36 @@ def test_force_mode_validated():
         parse_config("experiment = known_solution\nforce_mode = pointvalue\n")
     cfg = parse_config("experiment = known_solution\nforce_mode = point_value\n")
     assert cfg.force_mode == "point_value"
+
+
+_JUNK = st.text(max_size=12)
+_VALUES = st.one_of(
+    _JUNK,
+    st.integers(-10 ** 6, 10 ** 6).map(str),
+    st.floats().map(repr),
+    st.sampled_from(["", "0", "1", "2", "3", "1.5", "nan", "inf", "-inf", "1e400", "yes",
+                     "true", "1:4", "1:4, 2:8", "0:1 1:2", "1-4", "1:0", "-1:4", "1:4:",
+                     "5:128", "5:32:2", "5:128:9", "2:8:2", "0:4:1", ":", "::",
+                     "omega1", "omega2", "spatial", "temporal", "theta_average",
+                     "point_value", *EXPERIMENTS]),
+)
+_LINES = st.one_of(
+    st.tuples(st.one_of(st.sampled_from(sorted(experiments._KEY_PARSERS)), _JUNK),
+              _VALUES).map(lambda kv: f"{kv[0]} = {kv[1]}"),
+    _JUNK,
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.lists(_LINES, max_size=8).map("\n".join),
+       st.sampled_from((None,) + EXPERIMENTS))
+def test_config_fuzz_gives_config_or_config_error(text, base):
+    # any config text either parses to a valid config or raises ConfigError
+    try:
+        cfg = parse_config(text, base=None if base is None else default_config(base))
+        validate_config(cfg)
+    except ConfigError:
+        pass
 
 
 def test_known_solution_cache_keeps_latest_array_only(rng):
@@ -231,6 +273,24 @@ def test_cli_run_and_eoc(tmp_path):
     assert r.returncode == 0
     assert "least-squares" in r.stderr
     float(r.stdout.strip())  # machine-readable slope on stdout
+
+
+def test_cli_run_temporal_sweep_prints_finite_slopes(tmp_path, capsys):
+    # every row has the same mesh, so the printed slopes are fitted against tau
+    from pheat.cli import main
+
+    cfgfile = tmp_path / "temporal.cfg"
+    cfgfile.write_text("experiment = p2_validation\nsweep = temporal\n"
+                       f"levels = 2:2, 2:4, 2:8\noutput_path = {tmp_path / 't.csv'}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", "p2_validation", "--config", str(cfgfile)]) == 0
+    fits = [line for line in capsys.readouterr().err.splitlines() if "per-level" in line]
+    assert len(fits) == 4
+    for line in fits:
+        slopes = line.split(":", 1)[1]
+        values = [float(v) for v in re.findall(r"[-+]?(?:\d+\.\d+|inf|nan)", slopes)]
+        assert len(values) == 3 and all(math.isfinite(v) for v in values), line
 
 
 def test_cli_bad_config_exit_2(tmp_path):

@@ -261,14 +261,27 @@ def test_energy_monotone_and_not_above_start(rng):
     assert e_final <= e_start + 1e-14
 
 
-def test_converged_step_satisfies_weak_form():
+def test_converged_step_satisfies_weak_form(monkeypatch):
     space = build_space(refine_to_level("unit_square", 2), 1)
     params = PLaplaceParams(p=1.5, kappa=0.0)
     spec = ProblemSpec(params=params, domain="unit_square", force=ConstantForce(2.0))
     grid = TimeGrid(0.0, 0.5, 4)
     zero = FeFunction(space, np.zeros(space.ndof))
     tol = 1e-10
+    states = []
+    assemble = assembly.assemble_step_residual
+
+    def recording(space, u, *args, **kwargs):
+        states.append(u.coeffs.tobytes())
+        return assemble(space, u, *args, **kwargs)
+
+    monkeypatch.setattr(assembly, "assemble_step_residual", recording)
     u, rep = step(space, zero, 1, grid, spec, tol=tol)
+    monkeypatch.undo()
+    # this step ends on residual decrease; the accepted trial's residual is
+    # handed to the next iteration, so no state is assembled twice
+    assert rep.converged and rep.endgame_iterations >= 1
+    assert len(set(states)) == len(states)
     # independent residual assembly
     rule = assembly.step_rule(space)
     f_quad = average_force(spec.force, 1, grid, space)
@@ -276,6 +289,53 @@ def test_converged_step_satisfies_weak_form():
     rhs = assembly.assemble_load(space, f_quad + space.eval_at(rule, zero.coeffs) / grid.tau, rule)
     rhs[space.boundary_dofs] = 0.0
     assert np.linalg.norm(res) <= tol * (1.0 + np.linalg.norm(rhs))
+
+
+def test_report_counts_kacanov_iterations(monkeypatch):
+    # fast decay with p = 1.5: late steps alternate Newton and Kacanov
+    space = build_space(refine_to_level("unit_square", 2), 1)
+    spec = ProblemSpec(params=PLaplaceParams(p=1.5, kappa=0.0), domain="unit_square",
+                       force=ConstantForce(0.0),
+                       initial=lambda pts: np.sin(np.pi * pts[:, 0]) * np.sin(np.pi * pts[:, 1]))
+    calls = []
+    matrix = timestepper.kacanov_matrix
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return matrix(*args, **kwargs)
+
+    monkeypatch.setattr(timestepper, "kacanov_matrix", counting)
+    traj = solve_evolution(spec, 2, 1, TimeGrid(0.0, 0.5, 4), space=space)
+    reports = traj.newton_reports
+    assert sum(r.kacanov_iterations for r in reports) == len(calls) > 0
+    for r in reports:
+        assert r.fallback_used == (r.kacanov_iterations > 0)
+        assert max(r.kacanov_iterations, r.endgame_iterations) <= r.iterations
+
+
+def test_force_factors_computed_once_per_trajectory(monkeypatch):
+    # every step hands the force the space's one read-only point array, so
+    # the closed form's spatial factors are computed once, not once per step
+    from pheat import experiments
+
+    computed = []
+    memo = experiments._latest_array_memo
+
+    def counting_memo():
+        inner = memo()
+        return lambda pts, key, fn: inner(pts, key, lambda x: computed.append(key) or fn(x))
+
+    monkeypatch.setattr(experiments, "_latest_array_memo", counting_memo)
+    _, force = experiments.manufactured_p2_fields()
+    space = build_space(refine_to_level("unit_square", 2), 1)
+    spec = ProblemSpec(params=PLaplaceParams(p=2.0, kappa=0.0), domain="unit_square",
+                       force=force)
+    grid = TimeGrid(0.0, 1.0, 4)
+    u = FeFunction(space, np.zeros(space.ndof))
+    for m in range(1, grid.M + 1):
+        u, _ = step(space, u, m, grid, spec)
+    assert computed == ["trig"]
+    assert not space.step_points.flags.writeable
 
 
 def test_evolution_stationary_fixed_point():
