@@ -5,7 +5,7 @@ condition, optimal averaged rates.
 Run:  python demos/05_convergence_study.py        (about a minute)
 """
 
-from pheat.experiments import default_config, eoc_summary, run_known_solution
+from pheat.experiments import default_config, eoc_summary, run_experiment
 
 cfg = default_config("known_solution")
 cfg.p = 1.5
@@ -14,7 +14,7 @@ cfg.levels = ((1, 4), (2, 8), (3, 16), (4, 32))
 cfg.output_path = "demo_known_solution.csv"
 cfg.emit_dat = True
 
-reports = run_known_solution(cfg)
+reports = run_experiment(cfg)
 print("level-by-level squared errors (see demo_known_solution.csv):")
 for r in reports:
     print(f"  ndof={r.ndof:5d} M={r.M:3d}  errL2V={r.sq_l2_v:.4e}  "

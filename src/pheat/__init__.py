@@ -29,8 +29,7 @@ from .error_metrics import (ErrorReport, ExactSolution, DiscreteReference,
                             err_linfty_l2, err_l2_v, err_lp_s, v_error_breakdown,
                             empirical_order, write_csv, write_manifest)
 from .experiments import (ExperimentConfig, ConfigError, parse_config,
-                          run_experiment, run_slit, run_rough_in_time,
-                          run_known_solution, run_p2_validation)
+                          run_experiment)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

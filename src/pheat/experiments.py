@@ -1,6 +1,7 @@
 """Convergence studies: configuration, schedules, reference solutions, CSV.
 
-Four experiments are wired up:
+Four experiments are wired up, one record each in `STUDIES`; `run_experiment`
+runs any of them:
 
   slit_constant_force   constant force 2 on the slit domain, discrete reference
   rough_in_time         power-law-in-time force sgn(t)|t|^(-beta) on the unit
@@ -32,9 +33,6 @@ from .mesh import make_initial_mesh, refine_uniform
 from .timestepper import (CallableForce, ConstantForce, PowerTimeForce,
                           SeparableForce, ProblemSpec, TimeGrid, solve_evolution)
 
-EXPERIMENTS = ("slit_constant_force", "rough_in_time", "known_solution",
-               "p2_validation", "custom")
-
 _DOMAIN_VARIANTS = {"omega1": "centered_square", "omega2": "shifted_square"}
 _FORCE_MODES = ("theta_average", "point_value")
 
@@ -65,37 +63,42 @@ class ExperimentConfig:
         return PLaplaceParams(p=self.p, kappa=self.kappa)
 
 
-_DEFAULT_LEVELS = {
-    "slit_constant_force": (((1, 8), (2, 16), (3, 32), (4, 64)), (5, 128, None)),
-    "rough_in_time": (((2, 8), (3, 16), (4, 32)), (5, 64, 2)),
-    "known_solution": (((1, 4), (2, 8), (3, 16), (4, 32), (5, 64)), None),
-    "p2_validation": (((2, 4), (3, 16), (4, 64), (5, 256)), None),
-}
+@dataclass(frozen=True)
+class Study:
+    """One experiment of the paper: its time interval, its default schedule
+    and reference, and the manifest's description of its data."""
 
-_INTERVALS = {
+    interval: tuple                   # (t0, t_end)
+    levels: tuple                     # default ((mesh level, M), ...)
+    reference: tuple                  # default (mesh level, M_ref, degree), or None: exact
+    force: str                        # manifest text; {beta} is the config's beta
+    initial: str                      # manifest text
+    p: float = 1.5                    # default exponent
+
+
+_PROJECTED = "L2 projection of u(., t0)"
+
+STUDIES = {
     # the slit experiment's interval is not prescribed by the source problem;
     # (0, 4) reaches the quasi-steady regime where the re-entrant corner
     # singularity is fully developed (recorded in every manifest)
-    "slit_constant_force": (0.0, 4.0),
-    "rough_in_time": (-0.1, 0.1),
-    "known_solution": (-1.0, 1.0),
-    "p2_validation": (0.0, 1.0),
-    "custom": (0.0, 1.0),
+    "slit_constant_force": Study((0.0, 4.0), ((1, 8), (2, 16), (3, 32), (4, 64)),
+                                 (5, 128, 2), "constant 2", "zero"),
+    "rough_in_time": Study((-0.1, 0.1), ((2, 8), (3, 16), (4, 32)), (5, 64, 2),
+                           "sgn(t)|t|^-{beta}", "zero"),
+    "known_solution": Study((-1.0, 1.0), ((1, 4), (2, 8), (3, 16), (4, 32), (5, 64)), None,
+                            "derived from the closed form", _PROJECTED),
+    "p2_validation": Study((0.0, 1.0), ((2, 4), (3, 16), (4, 64), (5, 256)), None,
+                           "manufactured, smooth", _PROJECTED, p=2.0),
 }
 
 
 def default_config(experiment):
-    if experiment not in EXPERIMENTS:
+    if experiment not in STUDIES:
         raise ConfigError(f"unknown experiment {experiment!r}")
-    cfg = ExperimentConfig(experiment=experiment)
-    if experiment in _DEFAULT_LEVELS:
-        levels, ref = _DEFAULT_LEVELS[experiment]
-        cfg.levels = levels
-        if ref is not None:
-            cfg.reference = (ref[0], ref[1], ref[2] if ref[2] else cfg.r + 1)
-    if experiment == "p2_validation":
-        cfg.p = 2.0
-    return cfg
+    study = STUDIES[experiment]
+    return ExperimentConfig(experiment=experiment, p=study.p, levels=study.levels,
+                            reference=study.reference)
 
 
 _BOOL = {"true": True, "false": False, "1": True, "0": False,
@@ -168,7 +171,7 @@ def parse_config_file(path, base=None):
 
 
 def validate_config(cfg):
-    if cfg.experiment not in EXPERIMENTS:
+    if cfg.experiment not in STUDIES:
         raise ConfigError(f"unknown experiment {cfg.experiment!r}")
     # comparisons written so that nan fails them
     if not 1.0 < cfg.p < math.inf:
@@ -188,6 +191,8 @@ def validate_config(cfg):
         if cfg.kappa != 0.0:
             raise ConfigError("known_solution requires kappa = 0 (the closed forms "
                               "hold only for the unshifted flux)")
+    if cfg.experiment == "p2_validation" and cfg.p != 2.0:
+        raise ConfigError(f"p2_validation requires p = 2, got {cfg.p}")
     if cfg.r not in (1, 2, 3):
         raise ConfigError(f"r must be 1, 2 or 3, got {cfg.r}")
     if cfg.force_mode not in _FORCE_MODES:
@@ -299,81 +304,8 @@ def manufactured_p2_fields():
 
 
 # ----------------------------------------------------------------------
-# the runners
+# the study
 # ----------------------------------------------------------------------
-
-def _mesh_hierarchy(domain, max_level):
-    meshes = [make_initial_mesh(domain)]
-    for _ in range(max_level):
-        meshes.append(refine_uniform(meshes[-1]))
-    return meshes
-
-
-def _manifest(cfg, domain, interval, extra=None):
-    entries = {
-        "experiment": cfg.experiment,
-        "domain": domain,
-        "p": cfg.p,
-        "kappa": cfg.kappa,
-        "beta": cfg.beta if cfg.experiment == "rough_in_time" else "n/a",
-        "r": cfg.r,
-        "t0": interval[0],
-        "t_end": interval[1],
-        "levels": " ".join(f"{l}:{m}" for l, m in cfg.levels),
-        "reference": "exact" if cfg.reference is None else
-                     ":".join(map(str, cfg.reference)),
-        "force_mode": cfg.force_mode,
-        "newton_tol": cfg.tol,
-        "error_quadrature_degree": cfg.quad_degree,
-    }
-    if extra:
-        entries.update(extra)
-    return entries
-
-
-def _write_outputs(cfg, reports, manifest):
-    write_csv(reports, cfg.output_path)
-    write_manifest(manifest, cfg.output_path + ".manifest")
-    if cfg.emit_dat:
-        root, _ = os.path.splitext(cfg.output_path)
-        write_dat(reports, root + ".dat")
-
-
-def _run_schedule(cfg, domain, interval, spec, reference_for):
-    """Solve every (level, M) row of the schedule and collect error reports."""
-    max_level = max(lvl for lvl, _ in cfg.levels)
-    if cfg.reference is not None:
-        max_level = max(max_level, cfg.reference[0])
-    meshes = _mesh_hierarchy(domain, max_level)
-    spaces = {}
-    reports = []
-    for lvl, M in cfg.levels:
-        if (lvl, cfg.r) not in spaces:
-            spaces[(lvl, cfg.r)] = build_space(meshes[lvl], cfg.r)
-        grid = TimeGrid(interval[0], interval[1], M)
-        traj = solve_evolution(spec, lvl, cfg.r, grid, tol=cfg.tol,
-                               space=spaces[(lvl, cfg.r)])
-        ref = reference_for(meshes, grid)
-        reports.append(compute_error_report(traj, ref, grid, cfg.params,
-                                            quad_degree=cfg.quad_degree))
-    return reports
-
-
-def _discrete_reference_factory(cfg, interval, spec):
-    """Solve the reference run once and wrap it per compared grid."""
-    ref_level, ref_m, ref_deg = cfg.reference
-    holder = {}
-
-    def factory(meshes, grid):
-        if "traj" not in holder:
-            space = build_space(meshes[ref_level], ref_deg)
-            ref_grid = TimeGrid(interval[0], interval[1], ref_m)
-            holder["traj"] = solve_evolution(spec, ref_level, ref_deg, ref_grid,
-                                             tol=cfg.tol, space=space)
-        return DiscreteReference(holder["traj"])
-
-    return factory
-
 
 def build_spec(cfg):
     """The ProblemSpec that `pheat run` solves for cfg, and the closed-form
@@ -388,64 +320,74 @@ def build_spec(cfg):
     if cfg.experiment == "known_solution":
         exact, force = known_solution_fields(params)
         domain, boundary = _DOMAIN_VARIANTS[cfg.domain_variant], "averaged_nodal"
-    elif cfg.experiment == "p2_validation":
-        if cfg.p != 2.0:
-            raise ConfigError("p2_validation requires p = 2")
+    else:
         exact, force = manufactured_p2_fields()
         domain, boundary = "unit_square", "homogeneous"
-    else:
-        raise ConfigError(f"experiment {cfg.experiment!r} has no problem specification")
     return ProblemSpec(params=params, domain=domain, force=force, initial="exact_at_t0",
                        boundary_mode=boundary, force_mode=mode,
                        exact_solution=exact.u), exact
 
 
-def _run_study(cfg, extra):
-    """Solve the schedule of cfg against its reference and write the outputs."""
-    interval = _INTERVALS[cfg.experiment]
-    spec, exact = build_spec(cfg)
-    reference_for = ((lambda meshes, grid: exact) if exact is not None
-                     else _discrete_reference_factory(cfg, interval, spec))
-    reports = _run_schedule(cfg, spec.domain, interval, spec, reference_for)
-    _write_outputs(cfg, reports, _manifest(cfg, spec.domain, interval, extra))
-    return reports
-
-
-def run_slit(cfg):
-    """Constant force 2 on the slit domain against a finer discrete reference."""
-    return _run_study(cfg, {"force": "constant 2", "initial": "zero"})
-
-
-def run_rough_in_time(cfg):
-    """Force sgn(t)|t|^(-beta) on the unit square over (-0.1, 0.1)."""
-    return _run_study(cfg, {"force": f"sgn(t)|t|^-{cfg.beta}", "initial": "zero"})
-
-
-def run_known_solution(cfg):
-    """Exact-reference study of the singular closed-form solution."""
-    return _run_study(cfg, {"force": "derived from the closed form",
-                            "initial": "L2 projection of u(., t0)"})
-
-
-def run_p2_validation(cfg):
-    """Linear-case anchor: smooth manufactured solution, exact reference."""
-    return _run_study(cfg, {"force": "manufactured, smooth",
-                            "initial": "L2 projection of u(., t0)", "sweep": cfg.sweep})
-
-
-_RUNNERS = {
-    "slit_constant_force": run_slit,
-    "rough_in_time": run_rough_in_time,
-    "known_solution": run_known_solution,
-    "p2_validation": run_p2_validation,
-}
+def _manifest(cfg, domain):
+    study = STUDIES[cfg.experiment]
+    entries = {
+        "experiment": cfg.experiment,
+        "domain": domain,
+        "p": cfg.p,
+        "kappa": cfg.kappa,
+        "beta": cfg.beta if cfg.experiment == "rough_in_time" else "n/a",
+        "r": cfg.r,
+        "t0": study.interval[0],
+        "t_end": study.interval[1],
+        "levels": " ".join(f"{l}:{m}" for l, m in cfg.levels),
+        "reference": "exact" if cfg.reference is None else
+                     ":".join(map(str, cfg.reference)),
+        "force_mode": cfg.force_mode,
+        "newton_tol": cfg.tol,
+        "error_quadrature_degree": cfg.quad_degree,
+        "force": study.force.format(beta=cfg.beta),
+        "initial": study.initial,
+    }
+    if cfg.experiment == "p2_validation":
+        entries["sweep"] = cfg.sweep
+    return entries
 
 
 def run_experiment(cfg):
+    """Solve every (level, M) row of cfg's schedule, compare it with the
+    study's reference and write the CSV, the manifest and the .dat copy.
+
+    A discrete reference is solved once, after the first row; the rows of
+    one mesh level share one space.
+    """
     validate_config(cfg)
-    if cfg.experiment not in _RUNNERS:
-        raise ConfigError(f"experiment {cfg.experiment!r} has no runner")
-    return _RUNNERS[cfg.experiment](cfg)
+    t0, t_end = STUDIES[cfg.experiment].interval
+    spec, reference = build_spec(cfg)
+    max_level = max(lvl for lvl, _ in cfg.levels)
+    if cfg.reference is not None:
+        max_level = max(max_level, cfg.reference[0])
+    meshes = [make_initial_mesh(spec.domain)]
+    for _ in range(max_level):
+        meshes.append(refine_uniform(meshes[-1]))
+    spaces = {}
+    reports = []
+    for lvl, M in cfg.levels:
+        if lvl not in spaces:
+            spaces[lvl] = build_space(meshes[lvl], cfg.r)
+        grid = TimeGrid(t0, t_end, M)
+        traj = solve_evolution(spec, lvl, cfg.r, grid, tol=cfg.tol, space=spaces[lvl])
+        if reference is None:
+            ref_level, ref_m, ref_deg = cfg.reference
+            reference = DiscreteReference(solve_evolution(
+                spec, ref_level, ref_deg, TimeGrid(t0, t_end, ref_m), tol=cfg.tol,
+                space=build_space(meshes[ref_level], ref_deg)))
+        reports.append(compute_error_report(traj, reference, grid, cfg.params,
+                                            quad_degree=cfg.quad_degree))
+    write_csv(reports, cfg.output_path)
+    write_manifest(_manifest(cfg, spec.domain), cfg.output_path + ".manifest")
+    if cfg.emit_dat:
+        write_dat(reports, os.path.splitext(cfg.output_path)[0] + ".dat")
+    return reports
 
 
 def eoc_summary(reports, fields=("sq_l2_v", "sq_l2_v_avg", "sq_linfty_l2", "sq_lp_s"),

@@ -157,7 +157,12 @@ def _power_piece(a, b, A, B, gamma, signed):
 
 
 def theta_average_power(m, grid, gamma, signed):
-    """Exact theta_m-average of t -> sgn(t)^signed |t|^gamma (gamma > -1)."""
+    """Exact theta_m-average of t -> sgn(t)^signed |t|^gamma (gamma > -1).
+
+    The constant (gamma = 0, unsigned) averages to 1 exactly: theta_m has mass one.
+    """
+    if gamma == 0 and not signed:
+        return 1.0
     if gamma <= -1.0:
         raise NonIntegrableForce(f"|t|^{gamma} is not integrable across t = 0")
     total = 0.0
@@ -171,36 +176,47 @@ def theta_average_power(m, grid, gamma, signed):
 # forces
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ConstantForce:
-    value: float
-
-
-@dataclass(frozen=True)
-class PowerTimeForce:
-    """f(t) = sgn(t) |t|^(-beta), spatially constant; needs beta < 1."""
-
-    beta: float
-
-    def __post_init__(self):
-        if self.beta >= 1.0:
-            raise NonIntegrableForce(f"beta must be < 1, got {self.beta}")
+def time_power(t, gamma, signed):
+    """sgn(t)^signed |t|^gamma.  At t = 0 a signed (odd) term or gamma > 0
+    takes the value 0, and gamma = 0 the value 1."""
+    if t == 0.0:
+        return 0.0 if signed or gamma > 0 else (1.0 if gamma == 0 else np.inf)
+    tf = abs(t) ** gamma
+    return tf * np.sign(t) if signed else tf
 
 
 @dataclass(frozen=True)
 class SeparableForce:
-    """Sum of terms c_i(x) sgn(t)^(s_i) |t|^(gamma_i); time factors integrate exactly."""
+    """Sum of terms c_i(x) sgn(t)^(s_i) |t|^(gamma_i); time factors integrate exactly.
 
-    terms: tuple  # of (spatial callable on (n,2) points, gamma, signed)
+    A spatial factor c_i is a number or a callable on (n, 2) points.
+    """
+
+    terms: tuple  # of (spatial factor, gamma, signed)
+
+    def combine(self, time_factors, points, shape):
+        """sum_i c_i * time_factors[i] as an array of `shape`; points() gives
+        the (n, 2) points and is called only if some c_i is a callable."""
+        total = 0.0
+        for (c, _, _), tf in zip(self.terms, time_factors):
+            total = total + (np.asarray(c(points()), dtype=float) if callable(c) else c) * tf
+        return np.full(shape, total) if np.ndim(total) == 0 else total.reshape(shape)
 
     def __call__(self, pts, t):
-        total = np.zeros(pts.shape[0])
-        for c, gamma, signed in self.terms:
-            tf = abs(t) ** gamma if t != 0.0 else (0.0 if gamma > 0 else np.inf)
-            if signed:
-                tf *= np.sign(t)
-            total += np.asarray(c(pts), dtype=float) * tf
-        return total
+        return self.combine([time_power(t, gamma, signed) for _, gamma, signed in self.terms],
+                            lambda: pts, pts.shape[0])
+
+
+def ConstantForce(value):
+    """f = value, constant in space and time."""
+    return SeparableForce(terms=((value, 0.0, False),))
+
+
+def PowerTimeForce(beta):
+    """f(t) = sgn(t) |t|^(-beta), spatially constant; needs beta < 1."""
+    if beta >= 1.0:
+        raise NonIntegrableForce(f"beta must be < 1, got {beta}")
+    return SeparableForce(terms=((1.0, -beta, True),))
 
 
 @dataclass(frozen=True)
@@ -214,36 +230,25 @@ class CallableForce:
 def average_force(force, m, grid, space, force_mode="theta_average"):
     """Discrete force f_m at the step quadrature points, shape (nt, nq).
 
-    theta_average mode returns <f>_theta_m (mass-one window weights); constant
-    and pure power-law time profiles are integrated analytically, generic
-    space-time callables by 5-point Gauss per theta piece split at t = 0.
+    theta_average mode returns <f>_theta_m (mass-one window weights): the
+    time factors of a SeparableForce are integrated analytically, a
+    CallableForce by 5-point Gauss per theta piece split at t = 0.
     point_value mode returns f(t_m).  Space-dependent forces are evaluated
     at `space.step_points`, the same array at every step.
     """
     shape = (space.mesh.num_triangles, assembly.step_rule(space).num_points)
 
-    if isinstance(force, ConstantForce):
-        return np.full(shape, force.value)
-
-    if force_mode == "point_value":
-        tm = grid.t(m)
-        if isinstance(force, PowerTimeForce):
-            # the force is odd in t, so its value at the singularity is sgn(0) = 0
-            return np.full(shape, np.sign(tm) * abs(tm) ** (-force.beta) if tm else 0.0)
-        pts = space.step_points
-        return force(pts, tm).reshape(shape)
-
-    if isinstance(force, PowerTimeForce):
-        val = theta_average_power(m, grid, -force.beta, signed=True)
-        return np.full(shape, val)
+    if isinstance(force, SeparableForce):
+        if force_mode == "point_value":
+            factors = [time_power(grid.t(m), gamma, signed) for _, gamma, signed in force.terms]
+        else:
+            factors = [theta_average_power(m, grid, gamma, signed)
+                       for _, gamma, signed in force.terms]
+        return force.combine(factors, lambda: space.step_points, shape)
 
     pts = space.step_points
-    if isinstance(force, SeparableForce):
-        total = np.zeros(pts.shape[0])
-        for c, gamma, signed in force.terms:
-            tf = theta_average_power(m, grid, gamma, signed)
-            total += np.asarray(c(pts), dtype=float) * tf
-        return total.reshape(shape)
+    if force_mode == "point_value":
+        return force(pts, grid.t(m)).reshape(shape)
 
     nodes, weights = gauss_segments([piece[:2] for piece in theta_pieces(m, grid)], split=0.0)
     # Gauss nodes lie strictly inside their piece, where theta is its A + B s
@@ -428,6 +433,8 @@ def step(space, u_prev, m, grid, spec, tol=DEFAULT_TOL, bc_values=None, f_quad=N
         rnorm = float(np.linalg.norm(residual))
         if rnorm <= tol * scale:
             return FeFunction(space, u), report(it - 1, True)
+        if not np.isfinite(rnorm):
+            raise NonConvergence(report(it - 1, False), m=m)
 
         if use_fallback:
             fallback_used = True
@@ -494,7 +501,7 @@ def step(space, u_prev, m, grid, spec, tol=DEFAULT_TOL, bc_values=None, f_quad=N
         elif use_fallback:
             use_fallback = False
 
-    raise NonConvergence(report(MAX_COMBINED_ITERATIONS, False), m=m)
+    raise NonConvergence(report(it, False), m=m)
 
 
 def solve_evolution(spec, level, degree, grid, tol=DEFAULT_TOL, space=None):

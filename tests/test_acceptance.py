@@ -14,8 +14,7 @@ from numpy.polynomial.legendre import leggauss
 from pheat import assembly
 from pheat.constitutive import PLaplaceParams, equivalence_ratios, s_flux, v_transform
 from pheat.error_metrics import empirical_order
-from pheat.experiments import (default_config, run_known_solution, run_p2_validation,
-                               run_rough_in_time, run_slit, known_solution_fields)
+from pheat.experiments import default_config, known_solution_fields, run_experiment
 from pheat.fespace import FeFunction, build_space, quadrature
 from pheat.mesh import refine_to_level
 from pheat.projection import l2_project, verify_l2_decay
@@ -233,7 +232,7 @@ def test_accept_06_linear_regression_anchor(tmp_path):
     cfg = default_config("p2_validation")
     cfg.levels = ((2, 4), (3, 16), (4, 64), (5, 256))
     cfg.output_path = str(tmp_path / "p2_spatial.csv")
-    spatial = run_p2_validation(cfg)
+    spatial = run_experiment(cfg)
     h = np.log([r.h for r in spatial[-3:]])
     e = 0.5 * np.log([r.sq_l2_v for r in spatial[-3:]])  # unsquared H1-type error
     s_spatial = float(np.polyfit(h, e, 1)[0])
@@ -242,7 +241,7 @@ def test_accept_06_linear_regression_anchor(tmp_path):
     cfg.sweep = "temporal"
     cfg.levels = ((5, 4), (5, 8), (5, 16), (5, 32))
     cfg.output_path = str(tmp_path / "p2_temporal.csv")
-    temporal = run_p2_validation(cfg)
+    temporal = run_experiment(cfg)
     taus = np.log([r.tau for r in temporal])
     e = 0.5 * np.log([r.sq_linfty_l2 for r in temporal])  # unsquared LinfL2 error
     s_temporal = float(np.polyfit(taus, e, 1)[0])
@@ -261,7 +260,7 @@ def test_accept_07_omega2_optimal_averaged_rate(tmp_path):
         cfg.p = p
         cfg.domain_variant = "omega2"
         cfg.output_path = str(tmp_path / f"omega2_p{p}.csv")
-        reports = run_known_solution(cfg)
+        reports = run_experiment(cfg)
         x = np.log([r.ndof for r in reports[-3:]])
         y = np.log([r.sq_linfty_l2 + r.sq_l2_v_avg for r in reports[-3:]])
         slopes[p] = float(np.polyfit(x, y, 1)[0])
@@ -289,7 +288,7 @@ def test_accept_08_omega1_reduced_rates(tmp_path):
     cfg.p = 1.5
     cfg.domain_variant = "omega1"
     cfg.output_path = str(tmp_path / "omega1.csv")
-    reports = run_known_solution(cfg)
+    reports = run_experiment(cfg)
     s_v = _tail_slope(reports, "sq_l2_v")
     s_s = _tail_slope(reports, "sq_lp_s")
     ok = -0.7 <= s_v <= -0.3 and -0.48 <= s_s <= -0.18
@@ -305,7 +304,7 @@ def test_accept_09_slit_rates(tmp_path):
         cfg = default_config("slit_constant_force")
         cfg.p = p
         cfg.output_path = str(tmp_path / f"slit_p{p}.csv")
-        reports = run_slit(cfg)
+        reports = run_experiment(cfg)
         slopes[p] = (_tail_slope(reports, "sq_l2_v"),
                      _tail_slope(reports, "sq_linfty_l2"))
     ok = all(-0.8 <= sv <= -0.2 and sl <= -0.65 for sv, sl in slopes.values())
@@ -322,7 +321,7 @@ def test_accept_10_rough_in_time_qualitative(tmp_path):
         cfg.p = 1.5
         cfg.beta = beta
         cfg.output_path = str(tmp_path / f"rough_b{beta}.csv")
-        results[beta] = run_rough_in_time(cfg)
+        results[beta] = run_experiment(cfg)
     slopes = {b: empirical_order(r, "sq_l2_v", "ndof").ls_slope
               for b, r in results.items()}
     converging = all(s < 0 for s in slopes.values())

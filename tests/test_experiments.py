@@ -8,10 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pheat.experiments import (EXPERIMENTS, ConfigError, default_config, eoc_summary,
+from pheat.experiments import (STUDIES, ConfigError, default_config, eoc_summary,
                                known_solution_fields, manufactured_p2_fields,
-                               parse_config, run_experiment, run_known_solution,
-                               validate_config)
+                               parse_config, run_experiment, validate_config)
 from pheat import experiments
 from pheat.constitutive import PLaplaceParams
 from pheat.error_metrics import read_csv
@@ -66,6 +65,8 @@ def test_bad_values_rejected():
             parse_config(f"experiment = slit_constant_force\n{bad}\n")
     with pytest.raises(ConfigError):
         parse_config("experiment = rough_in_time\nbeta = nan\n")
+    with pytest.raises(ConfigError):
+        parse_config("experiment = p2_validation\np = 3\n")
 
 
 def test_schedule_constraints():
@@ -110,7 +111,7 @@ _VALUES = st.one_of(
                      "true", "1:4", "1:4, 2:8", "0:1 1:2", "1-4", "1:0", "-1:4", "1:4:",
                      "5:128", "5:32:2", "5:128:9", "2:8:2", "0:4:1", ":", "::",
                      "omega1", "omega2", "spatial", "temporal", "theta_average",
-                     "point_value", *EXPERIMENTS]),
+                     "point_value", *STUDIES]),
 )
 _LINES = st.one_of(
     st.tuples(st.one_of(st.sampled_from(sorted(experiments._KEY_PARSERS)), _JUNK),
@@ -121,7 +122,7 @@ _LINES = st.one_of(
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(st.lists(_LINES, max_size=8).map("\n".join),
-       st.sampled_from((None,) + EXPERIMENTS))
+       st.sampled_from((None, *STUDIES)))
 def test_config_fuzz_gives_config_or_config_error(text, base):
     # any config text either parses to a valid config or raises ConfigError
     try:
@@ -217,9 +218,9 @@ def _tiny_known_solution_cfg(tmp_path, name="run.csv"):
 
 def test_bitwise_deterministic_csv(tmp_path):
     cfg1 = _tiny_known_solution_cfg(tmp_path, "a.csv")
-    run_known_solution(cfg1)
+    run_experiment(cfg1)
     cfg2 = _tiny_known_solution_cfg(tmp_path, "b.csv")
-    run_known_solution(cfg2)
+    run_experiment(cfg2)
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
@@ -239,6 +240,20 @@ def test_emit_dat(tmp_path):
     cfg.emit_dat = True
     run_experiment(cfg)
     assert (tmp_path / "run.dat").exists()
+
+
+def test_known_solution_point_value_finite_at_t0(tmp_path):
+    # an even M puts a grid node on t = 0, where the force's signed term
+    # sgn(t)|t|^(-1/2) takes its odd value 0 and the other term vanishes
+    _, force = known_solution_fields(PLaplaceParams(p=1.5))
+    pts = np.array([[1.5, 0.5], [2.0, -0.5]])
+    assert np.array_equal(force(pts, 0.0), [0.0, 0.0])
+    cfg = _tiny_known_solution_cfg(tmp_path)
+    cfg.force_mode = "point_value"
+    cfg.levels = ((1, 2),)
+    run_experiment(cfg)
+    row = read_csv(tmp_path / "run.csv")[0]
+    assert all(math.isfinite(v) for v in row.values())
 
 
 def test_eoc_summary_format(tmp_path):
@@ -302,9 +317,14 @@ def test_cli_bad_config_exit_2(tmp_path):
     assert r.returncode == 2
 
 
-def test_cli_run_without_schedule_exit_2():
-    # `custom` has no default schedule and no runner: a config error, not a traceback
+def test_cli_run_without_schedule_exit_2(tmp_path):
+    # an unknown experiment is a config error, not a traceback
     r = _cli("run", "custom")
+    assert r.returncode == 2
+    assert "invalid choice" in r.stderr and "Traceback" not in r.stderr
+    cfgfile = tmp_path / "custom.cfg"
+    cfgfile.write_text("experiment = custom\nlevels = 1:2\n")
+    r = _cli("dump-solution", "--config", str(cfgfile), "--out", str(tmp_path / "traj"))
     assert r.returncode == 2
     assert "config error" in r.stderr and "Traceback" not in r.stderr
 
@@ -349,8 +369,3 @@ def test_cli_dump_solution_solves_the_runner_spec(tmp_path):
         dumped = np.loadtxt(outdir / f"snapshot_{m:05d}.txt", skiprows=1)
         assert np.array_equal(dumped, snap.coeffs), m
 
-
-def test_cli_verify():
-    r = _cli("verify")
-    assert r.returncode == 0, r.stderr
-    assert "all property suites passed" in r.stderr

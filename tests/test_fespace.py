@@ -119,6 +119,11 @@ def test_lagrange_reproduction_random_polynomials(degree, rng):
     expected = poly(pts)
     scale = np.abs(expected).max()
     assert np.max(np.abs(vals - expected)) < 1e-11 * max(scale, 1.0)
+    # and at quadrature points, through the point operators
+    rule = quadrature(6)
+    qpts = space.physical_points(rule)
+    expected = poly(qpts.reshape(-1, 2)).reshape(qpts.shape[:2])
+    assert np.max(np.abs(space.eval_at(rule, f.coeffs) - expected)) < 1e-11 * max(scale, 1.0)
 
 
 def test_gradient_matches_finite_differences(rng):

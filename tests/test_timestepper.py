@@ -191,6 +191,8 @@ def test_p2_step_single_newton_matches_direct():
     u, rep = step(space, zero, 1, grid, spec)
     assert rep.iterations == 1
     assert rep.converged and not rep.fallback_used
+    traj = solve_evolution(spec, 2, 1, TimeGrid(0.0, 0.25, 4))
+    assert all(r.converged and r.iterations <= 2 for r in traj.newton_reports)
 
     rule = assembly.step_rule(space)
     sys = (assembly.assemble_mass(space, rule) / grid.tau
@@ -410,6 +412,27 @@ def test_nonconvergence_carries_step_index():
         solve_evolution(spec, 3, 1, TimeGrid(0.0, 1.0, 16), space=space)
     assert exc.value.m is not None
     assert exc.value.report.iterations == timestepper.MAX_COMBINED_ITERATIONS
+
+
+def test_nonconvergence_reports_iterations_done(monkeypatch):
+    space = build_space(refine_to_level("unit_square", 2), 1)
+    params = PLaplaceParams(p=1.5, kappa=0.0)
+    spec = ProblemSpec(params=params, domain="unit_square", force=ConstantForce(1.0))
+    grid = TimeGrid(0.0, 1.0, 4)
+    zero = FeFunction(space, np.zeros(space.ndof))
+    # a non-finite residual ends the step before any iteration
+    nan_force = np.full((space.mesh.num_triangles, assembly.step_rule(space).num_points),
+                        np.nan)
+    with pytest.raises(NonConvergence) as exc:
+        step(space, zero, 1, grid, spec, f_quad=nan_force)
+    rep = exc.value.report
+    assert rep.iterations == 0 and not rep.converged and np.isnan(rep.final_residual_norm)
+    # a line-search dead end along Newton, then along Kacanov, ends it after two
+    monkeypatch.setattr(timestepper, "_armijo", lambda *args: None)
+    with pytest.raises(NonConvergence) as exc:
+        step(space, zero, 1, grid, spec)
+    rep = exc.value.report
+    assert (rep.iterations, rep.kacanov_iterations, rep.converged) == (2, 1, False)
 
 
 def test_trajectory_dump(tmp_path):
