@@ -6,7 +6,8 @@ Subcommands:
   dump-mesh --domain D --level K --out FILE
   dump-solution --config FILE --out DIR
 
-Exit codes: 0 success, 1 invariant or solver failure, 2 bad configuration.
+Exit codes: 0 success, 1 invariant or solver failure, 2 bad configuration or
+unwritable output.
 Diagnostics go to stderr; data goes to files.
 """
 
@@ -43,6 +44,9 @@ def cmd_run(args):
     except NonConvergence as exc:
         _log(f"solver failure: {exc}")
         return 1
+    except OSError as exc:
+        _log(f"output error: {exc}")
+        return 2
     _log(f"wrote {cfg.output_path} ({len(reports)} rows)")
     _log(experiments.eoc_summary(reports))
     return 0

@@ -204,6 +204,8 @@ def validate_config(cfg):
         if lvl < 0 or m < 1:
             raise ConfigError(f"need mesh level >= 0 and M >= 1, got {lvl}:{m}")
     if cfg.reference is not None:
+        if STUDIES[cfg.experiment].reference is None:
+            raise ConfigError(f"{cfg.experiment} has an exact reference; drop `reference`")
         ref_level, ref_m, ref_deg = cfg.reference
         if ref_deg not in (1, 2, 3):
             raise ConfigError(f"reference degree must be 1, 2 or 3, got {ref_deg}")
@@ -361,6 +363,9 @@ def run_experiment(cfg):
     one mesh level share one space.
     """
     validate_config(cfg)
+    out_dir = os.path.dirname(cfg.output_path) or "."
+    if not os.path.isdir(out_dir):
+        raise ConfigError(f"output directory {out_dir!r} does not exist")
     t0, t_end = STUDIES[cfg.experiment].interval
     spec, reference = build_spec(cfg)
     max_level = max(lvl for lvl, _ in cfg.levels)

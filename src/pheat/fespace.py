@@ -236,7 +236,6 @@ class FeSpace:
     cell_dofs: np.ndarray            # (nt, nloc)
     dof_coords: np.ndarray           # (ndof, 2)
     boundary_dofs: np.ndarray        # sorted DOF indices on Dirichlet edges
-    edges: np.ndarray                # (ne, 2) sorted vertex pairs, lexicographic
     inv_jac_t: np.ndarray = field(repr=False, default=None)  # (nt, 2, 2), J^-T per cell
     areas: np.ndarray = field(repr=False, default=None)      # (nt,)
     _basis_cache: dict = field(default_factory=dict, repr=False)
@@ -328,9 +327,7 @@ def build_space(mesh, degree):
     t = mesh.triangles
     nt, nv = mesh.num_triangles, mesh.num_vertices
 
-    local_edges = np.concatenate([t[:, [a, b]] for a, b in _LOCAL_EDGES])  # (3 nt, 2)
-    edges, eid = np.unique(np.sort(local_edges, axis=1), axis=0, return_inverse=True)
-    eid = eid.reshape(3, nt).T              # edge number of each local edge
+    edges, eid = mesh.edges                 # eid: edge number of each local edge
     ne = edges.shape[0]
 
     nloc = {1: 3, 2: 6, 3: 10}[degree]
@@ -340,7 +337,7 @@ def build_space(mesh, degree):
         cell_dofs[:, 3:] = nv + eid
     elif degree == 3:
         # the local first node of an edge is the one closer to its first vertex
-        fwd = (local_edges[:, 0] < local_edges[:, 1]).reshape(3, nt).T
+        fwd = t < t[:, [1, 2, 0]]
         cell_dofs[:, 3:9:2] = nv + 2 * eid + np.where(fwd, 0, 1)
         cell_dofs[:, 4:9:2] = nv + 2 * eid + np.where(fwd, 1, 0)
         cell_dofs[:, 9] = nv + 2 * ne + np.arange(nt)
@@ -362,9 +359,8 @@ def build_space(mesh, degree):
                                          ).reshape(-1, 2),
                                 centroids])
 
-    bedges = np.sort(mesh.boundary_edges, axis=1)
-    beid = np.searchsorted(edges[:, 0] * nv + edges[:, 1], bedges[:, 0] * nv + bedges[:, 1])
-    bdofs = [bedges.reshape(-1)]
+    beid = mesh.boundary_edge_ids
+    bdofs = [mesh.boundary_edges.ravel()]
     if degree == 2:
         bdofs.append(nv + beid)
     elif degree == 3:
@@ -379,7 +375,7 @@ def build_space(mesh, degree):
     areas = 0.5 * det  # positive by mesh orientation
 
     return FeSpace(mesh=mesh, degree=degree, ndof=ndof, cell_dofs=cell_dofs,
-                   dof_coords=dof_coords, boundary_dofs=boundary_dofs, edges=edges,
+                   dof_coords=dof_coords, boundary_dofs=boundary_dofs,
                    inv_jac_t=inv_jac_t, areas=areas)
 
 

@@ -1,9 +1,11 @@
 """Conforming triangulations of the study domains with uniform red refinement.
 
 Meshes are immutable after construction.  Refinement returns a new mesh that
-keeps a reference to its parent together with the parent-triangle -> children
-map, so point location can descend the hierarchy and coarse functions can be
-evaluated exactly on descendant meshes.
+keeps a reference to its parent.  The hierarchy is an index rule, not a stored
+map: the children of parent triangle t are triangles 4t..4t+3 of the refined
+mesh, so point location descends it by index and coarse functions are
+evaluated exactly on descendant meshes.  `Mesh.edges` is the one edge table:
+refinement, the conformity check and the edge DOFs of `fespace` number by it.
 
 The slit domain (-1,1)^2 \\ (-1,0]x{0} is represented by duplicating every
 vertex that lies on the open cut.  Triangles above and below the cut then
@@ -11,7 +13,8 @@ share no degrees of freedom across it, which is exactly the conformity the
 continuous problem requires; both copies carry the Dirichlet tag.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -56,9 +59,8 @@ class Mesh:
     boundary_tags : tuple of str, one tag per boundary edge
     level : int, refinement depth
     parent : Mesh or None
-    child_map : (nt_parent, 4) int array or None
-        For each parent triangle the indices of its four children in this
-        mesh (three corner children then the center child).
+        The mesh this one refines.  The children of parent triangle t are
+        triangles 4t..4t+3 here: three corner children, then the center child.
     """
 
     domain: str
@@ -68,8 +70,6 @@ class Mesh:
     boundary_tags: tuple = ()
     level: int = 0
     parent: "Mesh | None" = None
-    child_map: np.ndarray | None = None
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "vertices", np.asarray(self.vertices, dtype=float))
@@ -99,50 +99,44 @@ class Mesh:
         d2 = xy[:, 2] - xy[:, 0]
         return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
 
-    def parent_of(self):
-        """Index of the parent triangle for each triangle (requires parent)."""
-        if self.parent is None:
-            raise ValueError("root mesh has no parent")
-        return np.repeat(np.arange(self.parent.num_triangles), 4)
+    @cached_property
+    def edges(self):
+        """(edges, tri_edges): the distinct edges as sorted vertex pairs in
+        lexicographic order, shape (ne, 2), and the edge number of each
+        triangle's local edges ab, bc, ca, shape (nt, 3)."""
+        nv = self.num_vertices
+        pairs = np.sort(self.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 3, 2), axis=2)
+        keys, tri_edges = np.unique(pairs @ np.array([nv, 1]), return_inverse=True)
+        return np.stack(np.divmod(keys, nv), axis=1), tri_edges.reshape(-1, 3)
+
+    @cached_property
+    def boundary_edge_ids(self):
+        """Edge number of each listed boundary edge, -1 where no triangle has it."""
+        weights = np.array([self.num_vertices, 1])
+        keys = self.edges[0] @ weights
+        bkeys = np.sort(self.boundary_edges, axis=1) @ weights
+        idx = np.minimum(np.searchsorted(keys, bkeys), len(keys) - 1)
+        return np.where(keys[idx] == bkeys, idx, -1)
 
     def ancestor_triangles(self, ancestor):
         """Map each triangle to its containing triangle of `ancestor`.
 
         `ancestor` must lie on this mesh's parent chain (or be this mesh).
         """
-        chain = [self]
-        m = self
+        m, depth = self, 0
         while m is not ancestor:
             if m.parent is None:
                 raise ValueError("mesh does not descend from the given ancestor")
-            m = m.parent
-            chain.append(m)
-        idx = np.arange(self.num_triangles)
-        for m in chain[:-1]:
-            idx = m.parent_of()[idx]
-        return idx
-
-    def edge_use_counts(self):
-        """Dict mapping each undirected edge to the number of adjacent triangles."""
-        counts = {}
-        t = self.triangles
-        for a, b in ((0, 1), (1, 2), (2, 0)):
-            for i, j in zip(t[:, a], t[:, b]):
-                key = (min(i, j), max(i, j))
-                counts[key] = counts.get(key, 0) + 1
-        return counts
+            m, depth = m.parent, depth + 1
+        return np.arange(self.num_triangles) // 4 ** depth
 
     def is_conforming(self):
-        """Every edge belongs to two triangles or is a listed boundary edge."""
-        counts = self.edge_use_counts()
-        boundary = {(min(i, j), max(i, j)) for i, j in self.boundary_edges}
-        for key, c in counts.items():
-            if c == 2 and key not in boundary:
-                continue
-            if c == 1 and key in boundary:
-                continue
-            return False
-        return boundary <= set(counts)
+        """Every edge belongs to two triangles, or to one triangle and is
+        listed once as a boundary edge."""
+        edges, tri_edges = self.edges
+        ids = np.concatenate([tri_edges.ravel(), self.boundary_edge_ids]) + 1  # 0: no edge
+        uses = np.bincount(ids, minlength=len(edges) + 1)
+        return bool(uses[0] == 0 and np.all(uses[1:] == 2))
 
     # ------------------------------------------------------------------
     def dump(self, fh):
@@ -260,40 +254,32 @@ def make_initial_mesh(domain):
 def refine_uniform(mesh):
     """Red refinement: each triangle is split into 4 via edge midpoints.
 
-    Midpoints are keyed by the (sorted) endpoint index pair, so the
-    duplicated slit edges receive duplicated midpoints and the cut stays
-    open after refinement.  Children of triangle t occupy slots 4t..4t+3.
+    One midpoint per edge of `Mesh.edges`, so the duplicated slit edges get
+    duplicated midpoints and the cut stays open.  Midpoints are numbered after
+    the vertices in the order their edges are first met, triangle by triangle
+    and ab, bc, ca within one.  Children of triangle t occupy slots 4t..4t+3.
     """
-    verts = [tuple(v) for v in mesh.vertices]
-    midpoint = {}
+    edges, tri_edges = mesh.edges
+    if np.any(mesh.boundary_edge_ids < 0):
+        raise ValueError("a listed boundary edge belongs to no triangle")
+    nv, ne = mesh.num_vertices, len(edges)
+    order = np.argsort(np.unique(tri_edges, return_index=True)[1])
+    mid = np.empty(ne, dtype=np.int64)
+    mid[order] = nv + np.arange(ne)
+    ends = mesh.vertices[edges[order]]
+    verts = np.vstack([mesh.vertices, (ends[:, 0] + ends[:, 1]) / 2.0])
 
-    def mid(i, j):
-        key = (min(i, j), max(i, j))
-        if key not in midpoint:
-            midpoint[key] = len(verts)
-            verts.append(((verts[i][0] + verts[j][0]) / 2.0,
-                          (verts[i][1] + verts[j][1]) / 2.0))
-        return midpoint[key]
+    a, b, c = mesh.triangles.T
+    mab, mbc, mca = mid[tri_edges].T
+    tris = np.stack([a, mab, mca, b, mbc, mab, c, mca, mbc, mab, mbc, mca],
+                    axis=1).reshape(-1, 3)
 
-    tris = np.empty((4 * mesh.num_triangles, 3), dtype=np.int64)
-    child_map = np.arange(4 * mesh.num_triangles).reshape(-1, 4)
-    for t, (a, b, c) in enumerate(mesh.triangles):
-        mab, mbc, mca = mid(a, b), mid(b, c), mid(c, a)
-        tris[4 * t + 0] = (a, mab, mca)
-        tris[4 * t + 1] = (b, mbc, mab)
-        tris[4 * t + 2] = (c, mca, mbc)
-        tris[4 * t + 3] = (mab, mbc, mca)
+    i, j = mesh.boundary_edges.T
+    m = mid[mesh.boundary_edge_ids]
+    bnd = np.stack([i, m, m, j], axis=1).reshape(-1, 2)
+    tags = tuple(tag for tag in mesh.boundary_tags for _ in range(2))
 
-    bnd = []
-    tags = []
-    for (i, j), tag in zip(mesh.boundary_edges, mesh.boundary_tags):
-        m = mid(i, j)
-        bnd.append((i, m))
-        bnd.append((m, j))
-        tags.extend((tag, tag))
-
-    return Mesh(mesh.domain, np.array(verts), tris, np.array(bnd), tuple(tags),
-                level=mesh.level + 1, parent=mesh, child_map=child_map)
+    return Mesh(mesh.domain, verts, tris, bnd, tags, level=mesh.level + 1, parent=mesh)
 
 
 def refine_to_level(domain, level):
@@ -375,7 +361,7 @@ def locate_point(mesh, x, slit_side=None, tol=1e-10):
 
     for child_mesh in chain[1:]:
         nxt = None
-        for t in child_mesh.child_map[found]:
+        for t in range(4 * found, 4 * found + 4):
             ok, lam = _contains(child_mesh, t, x, tol)
             if ok and side_ok(child_mesh, t):
                 nxt = t

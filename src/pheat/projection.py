@@ -9,6 +9,8 @@ refinement.
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sparse
+from scipy.sparse.csgraph import shortest_path
 
 from . import assembly
 from .constitutive import v_transform
@@ -108,20 +110,6 @@ class DecayReport:
         return [f"{k},{h!r},{v!r}" for k, v in enumerate(self.layer_max)]
 
 
-def _element_adjacency(mesh):
-    """Triangle neighbors through shared vertices (the omega_T patches)."""
-    nv = mesh.num_vertices
-    by_vertex = [[] for _ in range(nv)]
-    for t, tri in enumerate(mesh.triangles):
-        for v in tri:
-            by_vertex[v].append(t)
-    neighbors = [set() for _ in range(mesh.num_triangles)]
-    for owners in by_vertex:
-        for t in owners:
-            neighbors[t].update(owners)
-    return neighbors
-
-
 def verify_l2_decay(space, g=None, source_tri=None):
     """Exponential decay of Pi_2 applied to a localized source.
 
@@ -160,20 +148,11 @@ def verify_l2_decay(space, g=None, source_tri=None):
     # max |Pi_2 v| per triangle over its local DOF values
     tri_max = np.max(np.abs(proj.coeffs[space.cell_dofs]), axis=1)
 
-    neighbors = _element_adjacency(mesh)
-    dist = np.full(mesh.num_triangles, -1, dtype=int)
-    dist[source] = 0
-    frontier = [source]
-    d = 0
-    while frontier:
-        d += 1
-        nxt = []
-        for t in frontier:
-            for s in neighbors[t]:
-                if dist[s] < 0:
-                    dist[s] = d
-                    nxt.append(s)
-        frontier = nxt
+    # graph distance through shared vertices (the omega_T patches)
+    tris = mesh.triangles.ravel()
+    incidence = sparse.csr_matrix((np.ones(tris.size), tris, np.arange(0, tris.size + 1, 3)))
+    hops = shortest_path(incidence @ incidence.T, unweighted=True, indices=source)
+    dist = np.where(np.isfinite(hops), hops, -1).astype(int)
     kmax = dist.max()
     layer_max = np.array([tri_max[dist == k].max() for k in range(kmax + 1)])
 

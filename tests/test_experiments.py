@@ -67,6 +67,11 @@ def test_bad_values_rejected():
         parse_config("experiment = rough_in_time\nbeta = nan\n")
     with pytest.raises(ConfigError):
         parse_config("experiment = p2_validation\np = 3\n")
+    # an exact-reference study would refine up to L for nothing and record
+    # a reference it never used in the manifest
+    for exp in ("known_solution", "p2_validation"):
+        with pytest.raises(ConfigError):
+            parse_config(f"experiment = {exp}\nlevels = 1:4\nreference = 6:4:2\n")
 
 
 def test_schedule_constraints():
@@ -315,6 +320,29 @@ def test_cli_bad_config_exit_2(tmp_path):
     assert r.returncode == 2
     r = _cli("run", "known_solution", "--config", str(tmp_path / "missing.cfg"))
     assert r.returncode == 2
+
+
+def test_cli_unwritable_output_exit_2_before_any_solve(tmp_path, monkeypatch, capsys):
+    from pheat.cli import main
+
+    solves = []
+    real_solve = experiments.solve_evolution
+    monkeypatch.setattr(experiments, "solve_evolution",
+                        lambda *a, **k: solves.append(1) or real_solve(*a, **k))
+    cfgfile = tmp_path / "p2.cfg"
+    cfgfile.write_text("experiment = p2_validation\nlevels = 1:2\n"
+                       f"output_path = {tmp_path / 'missing' / 'x.csv'}\n")
+    assert main(["run", "p2_validation", "--config", str(cfgfile)]) == 2
+    assert solves == [] and "config error" in capsys.readouterr().err
+    r = _cli("run", "p2_validation", "--config", str(cfgfile))
+    assert r.returncode == 2 and "Traceback" not in r.stderr
+
+    # a directory exists but the CSV itself cannot be written
+    (tmp_path / "taken.csv").mkdir()
+    cfgfile.write_text("experiment = p2_validation\nlevels = 1:2\n"
+                       f"output_path = {tmp_path / 'taken.csv'}\n")
+    assert main(["run", "p2_validation", "--config", str(cfgfile)]) == 2
+    assert solves and "output error" in capsys.readouterr().err
 
 
 def test_cli_run_without_schedule_exit_2(tmp_path):

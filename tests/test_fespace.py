@@ -150,8 +150,8 @@ def test_single_valued_on_shared_edges(rng):
     mesh = refine_to_level("unit_square", 2)
     space = build_space(mesh, 2)
     f = FeFunction(space, rng.standard_normal(space.ndof))
-    counts = mesh.edge_use_counts()
-    shared = [e for e, c in counts.items() if c == 2][:10]
+    edges, tri_edges = mesh.edges
+    shared = edges[np.bincount(tri_edges.ravel()) == 2][:10]
     for i, j in shared:
         x = 0.5 * (mesh.vertices[i] + mesh.vertices[j])
         owners = [t for t in range(mesh.num_triangles)

@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from pheat.mesh import (Mesh, PointOutsideDomain, locate_point, make_initial_mesh,
-                        mesh_quality, refine_to_level, refine_uniform)
+from pheat.mesh import (DOMAINS, Mesh, PointOutsideDomain, barycentric_coordinates,
+                        locate_point, make_initial_mesh, mesh_quality, refine_to_level,
+                        refine_uniform)
 
 DOMAIN_AREAS = {"unit_square": 1.0, "centered_square": 4.0,
                 "shifted_square": 4.0, "slit": 4.0}
@@ -22,12 +23,87 @@ def test_templates_conforming_oriented_area(domain):
         mesh = refine_uniform(mesh)
 
 
+def _refine_by_dict(mesh):
+    """Red refinement with one midpoint per edge, numbered as a per-triangle
+    walk first meets it; the oracle for the array version."""
+    verts = [tuple(v) for v in mesh.vertices]
+    midpoint = {}
+
+    def mid(i, j):
+        key = (min(i, j), max(i, j))
+        if key not in midpoint:
+            midpoint[key] = len(verts)
+            verts.append(((verts[i][0] + verts[j][0]) / 2.0,
+                          (verts[i][1] + verts[j][1]) / 2.0))
+        return midpoint[key]
+
+    tris = np.empty((4 * mesh.num_triangles, 3), dtype=np.int64)
+    for t, (a, b, c) in enumerate(mesh.triangles):
+        mab, mbc, mca = mid(a, b), mid(b, c), mid(c, a)
+        tris[4 * t:4 * t + 4] = ((a, mab, mca), (b, mbc, mab), (c, mca, mbc), (mab, mbc, mca))
+    bnd, tags = [], []
+    for (i, j), tag in zip(mesh.boundary_edges, mesh.boundary_tags):
+        m = mid(i, j)
+        bnd += [(i, m), (m, j)]
+        tags += [tag, tag]
+    return np.array(verts), tris, np.array(bnd, dtype=np.int64), tuple(tags)
+
+
+@pytest.mark.parametrize("domain", DOMAINS)
+def test_refinement_matches_dict_oracle(domain):
+    mesh = make_initial_mesh(domain)
+    for _ in range(5):
+        verts, tris, bnd, tags = _refine_by_dict(mesh)
+        mesh = refine_uniform(mesh)
+        for got, want in ((mesh.vertices, verts), (mesh.triangles, tris),
+                          (mesh.boundary_edges, bnd)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert mesh.boundary_tags == tags
+
+
+def test_ancestors_chain_geometric_parents():
+    # one-level parent: the coarse triangle that contains the child's centroid
+    meshes = [make_initial_mesh("slit")]
+    for _ in range(3):
+        meshes.append(refine_uniform(meshes[-1]))
+    idx = np.arange(meshes[-1].num_triangles)
+    for fine, coarse in zip(meshes[:0:-1], meshes[-2::-1]):
+        centroids = fine.triangle_coords().mean(axis=1)
+        parent = np.array([next(t for t in range(coarse.num_triangles)
+                                if barycentric_coordinates(coarse, t, x).min() > 0)
+                           for x in centroids])
+        idx = parent[idx]
+        assert np.array_equal(meshes[-1].ancestor_triangles(coarse), idx)
+
+
+def _two_triangles(boundary):
+    return Mesh("unit_square", np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]),
+                np.array([[0, 1, 2], [0, 2, 3]]), np.array(boundary))
+
+
+def test_is_conforming_rejects_broken_meshes():
+    ring = [[0, 1], [1, 2], [2, 3], [3, 0]]
+    assert _two_triangles(ring).is_conforming()
+    assert not _two_triangles(ring[:3]).is_conforming()                # boundary edge missing
+    assert not _two_triangles(ring + [[2, 0]]).is_conforming()         # interior edge listed
+    assert not _two_triangles(ring + [[1, 0]]).is_conforming()         # listed twice
+    assert not _two_triangles(ring + [[1, 3]]).is_conforming()         # no triangle has it
+    with pytest.raises(ValueError):
+        refine_uniform(_two_triangles(ring + [[1, 3]]))
+    # hanging node: vertex 4 splits the diagonal on one side only
+    hanging = Mesh("unit_square",
+                   np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.5, 0.5]]),
+                   np.array([[0, 1, 4], [4, 1, 2], [0, 2, 3]]), np.array(ring))
+    assert np.all(hanging.signed_areas() > 0)
+    assert not hanging.is_conforming()
+
+
 def test_unit_square_template():
     mesh = make_initial_mesh("unit_square")
     assert mesh.num_triangles == 2
     assert mesh.num_vertices == 4
     # Euler: V - E + F = 1 for a disk (F counts triangles)
-    edges = len(mesh.edge_use_counts())
+    edges = len(mesh.edges[0])
     assert mesh.num_vertices - edges + mesh.num_triangles == 1
 
 
