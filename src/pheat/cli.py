@@ -12,6 +12,7 @@ Diagnostics go to stderr; data goes to files.
 """
 
 import argparse
+import os
 import sys
 
 from . import experiments
@@ -72,8 +73,12 @@ def cmd_dump_mesh(args):
     except ValueError as exc:
         _log(f"config error: {exc}")
         return 2
-    with open(args.out, "w") as fh:
-        mesh.dump(fh)
+    try:
+        with open(args.out, "w") as fh:
+            mesh.dump(fh)
+    except OSError as exc:
+        _log(f"output error: {exc}")
+        return 2
     _log(f"wrote {args.out}: {mesh.num_vertices} vertices, "
          f"{mesh.num_triangles} triangles")
     return 0
@@ -86,6 +91,11 @@ def cmd_dump_solution(args):
     except (ConfigError, OSError) as exc:
         _log(f"config error: {exc}")
         return 2
+    try:
+        os.makedirs(args.out, exist_ok=True)  # fail before the solve, not after
+    except OSError as exc:
+        _log(f"output error: {exc}")
+        return 2
     # solve the first schedule row and dump its trajectory
     level, M = cfg.levels[0]
     t0, t_end = experiments.STUDIES[cfg.experiment].interval
@@ -94,7 +104,11 @@ def cmd_dump_solution(args):
     except NonConvergence as exc:
         _log(f"solver failure: {exc}")
         return 1
-    traj.dump(args.out)
+    try:
+        traj.dump(args.out)
+    except OSError as exc:
+        _log(f"output error: {exc}")
+        return 2
     _log(f"wrote trajectory ({M + 1} snapshots) to {args.out}")
     return 0
 

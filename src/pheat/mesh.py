@@ -284,6 +284,8 @@ def refine_uniform(mesh):
 
 def refine_to_level(domain, level):
     """Coarse template refined `level` times (hierarchy retained)."""
+    if level < 0:
+        raise ValueError(f"level must be >= 0, got {level}")
     m = make_initial_mesh(domain)
     for _ in range(level):
         m = refine_uniform(m)

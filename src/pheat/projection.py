@@ -118,7 +118,9 @@ def verify_l2_decay(space, g=None, source_tri=None):
     of |Pi_2 v| per triangle, bins by graph distance from the source, and
     least-squares fits log(max) against the distance.  Returns the per-layer
     decay factor q_fit = exp(slope); a projection that reproduces its input
-    (e.g. a constant) yields the degenerate report q_fit = 0.
+    (e.g. a constant) yields the degenerate report q_fit = 0.  Raises
+    ValueError when fewer than two layers lie beyond the source (every
+    level-0 template), where no slope can be fitted.
     """
     mesh = space.mesh
     rule = quadrature(max(2 * space.degree, 2))
@@ -154,6 +156,8 @@ def verify_l2_decay(space, g=None, source_tri=None):
     hops = shortest_path(incidence @ incidence.T, unweighted=True, indices=source)
     dist = np.where(np.isfinite(hops), hops, -1).astype(int)
     kmax = dist.max()
+    if kmax < 2:
+        raise ValueError(f"{kmax} layer(s) beyond the source; the decay fit needs two")
     layer_max = np.array([tri_max[dist == k].max() for k in range(kmax + 1)])
 
     ks = np.arange(1, kmax + 1)          # skip the source layer

@@ -8,6 +8,15 @@ over the affine set matching the Dirichlet data, via Newton directions with
 Armijo backtracking; if Newton stalls, a lagged-coefficient (Kacanov) step is
 taken (with the same energy safeguard) before Newton resumes.
 
+For p != 2 the solve starts from the lowest-energy one of u_(m-1) and its
+linear and quadratic extrapolations 2u_(m-1) - u_(m-2) and
+3u_(m-1) - 3u_(m-2) + u_(m-3) (boundary DOFs set to the step's Dirichlet
+data; an extrapolation must win by more than the energy's floating-point
+resolution), so no step starts from a higher energy than u_(m-1).  Near the
+solution the Armijo test is blind and the step accepts moves on residual
+decrease; a run of such moves that each fail to halve the residual ends the
+step with a stalled NonConvergence.
+
 The discrete forces f_m are theta-weighted time averages.  The weights are
 the piecewise linear densities obtained by averaging the running tau-mean of
 the equation over the window J_m = [t_(m-1), t_(m+1)]; the last window is
@@ -30,6 +39,12 @@ MAX_COMBINED_ITERATIONS = 200
 ARMIJO_SLOPE = 1e-4
 ARMIJO_MAX_HALVINGS = 40
 ENDGAME_HALVINGS = 10
+# an endgame move makes progress when it cuts the residual norm by this
+# factor; this many moves in a row without progress end the step as stalled
+ENDGAME_PROGRESS = 0.5
+ENDGAME_STALL_MOVES = 3
+# candidate starts of a step: weights on (u_(m-1), u_(m-2), u_(m-3))
+EXTRAPOLATIONS = (("linear", (2.0, -1.0)), ("quadratic", (3.0, -3.0, 1.0)))
 KACANOV_CLAMP = 1e-12
 # achieved/predicted energy decrease below these = stalled; Newton bails out
 # eagerly (it crawls near degenerate gradients), the lagged-coefficient
@@ -46,8 +61,9 @@ class NonConvergence(Exception):
     """A step failed to converge; carries the report and the step index."""
 
     def __init__(self, report, m=None):
+        stalled = "endgame stalled, " if report.stalled else ""
         super().__init__(f"step {m}: no convergence after {report.iterations} iterations, "
-                         f"residual {report.final_residual_norm:.3e}")
+                         f"{stalled}residual {report.final_residual_norm:.3e}")
         self.report = report
         self.m = m
 
@@ -287,6 +303,8 @@ class NewtonReport:
     # and moves, along either direction, accepted on residual decrease alone
     kacanov_iterations: int = 0
     endgame_iterations: int = 0
+    start: str = "previous"  # "previous" | "linear" | "quadratic" initial guess
+    stalled: bool = False    # ended by endgame moves that stopped halving the residual
 
 
 @dataclass
@@ -374,11 +392,19 @@ def kacanov_matrix(space, u_coeffs, tau, params, clamp=None):
     return mat.tocsr()
 
 
-def step(space, u_prev, m, grid, spec, tol=DEFAULT_TOL, bc_values=None, f_quad=None):
+def _energy_resolution(energy):
+    """Energy differences below this are floating-point noise."""
+    return 128.0 * np.finfo(float).eps * (1.0 + abs(energy))
+
+
+def step(space, u_prev, m, grid, spec, tol=DEFAULT_TOL, bc_values=None, f_quad=None,
+         history=()):
     """One implicit Euler step: returns (u_m, NewtonReport).
 
-    Convergence when the Euclidean residual norm drops below
-    tol * (1 + ||rhs||) with rhs the step load vector.
+    `history` holds the snapshots before u_prev, newest first; for p != 2
+    their extrapolations with u_prev are candidate starts, and the solve
+    starts from the lowest-energy candidate.  Convergence when the Euclidean
+    residual norm drops below tol * (1 + ||rhs||) with rhs the step load vector.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -399,6 +425,23 @@ def step(space, u_prev, m, grid, spec, tol=DEFAULT_TOL, bc_values=None, f_quad=N
     u = u_prev.coeffs.copy()
     u[bdofs] = g
     energy = assembly.step_energy(space, FeFunction(space, u), u_prev, tau, f_quad, params)
+    start = "previous"
+
+    # Extrapolated starts (nonlinear case; the p = 2 step is one Newton step
+    # from anywhere): each is kept only if it lowers the step energy by more
+    # than its resolution.  In a quasi-steady regime the candidates tie with
+    # u_(m-1) up to roundoff, and a start picked by noise can cost an iteration.
+    if params.p != 2.0:
+        snaps = [u_prev.coeffs] + [h.coeffs for h in history]
+        for name, weights in EXTRAPOLATIONS:
+            if len(weights) > len(snaps):
+                break
+            cand = sum(w * c for w, c in zip(weights, snaps))
+            cand[bdofs] = g
+            e_cand = assembly.step_energy(space, FeFunction(space, cand), u_prev, tau,
+                                          f_quad, params)
+            if e_cand < energy - _energy_resolution(energy):
+                u, energy, start = cand, e_cand, name
 
     # Degenerate warm start (zero gradient field, nonlinear case): try one
     # linear-diffusion solve; kept only if it lowers the step energy.
@@ -417,14 +460,16 @@ def step(space, u_prev, m, grid, spec, tol=DEFAULT_TOL, bc_values=None, f_quad=N
     use_fallback = False
     dead_ends = 0
     kacanov_iterations = endgame_iterations = 0
+    creeping = 0  # endgame moves in a row that did not halve the residual
     residual = None  # residual at u; assembled again only after u moves
     rnorm = np.inf
 
-    def report(iterations, converged):
+    def report(iterations, converged, stalled=False):
         return NewtonReport(iterations=iterations, final_residual_norm=rnorm,
                             energy_values=tuple(energies), fallback_used=fallback_used,
                             converged=converged, kacanov_iterations=kacanov_iterations,
-                            endgame_iterations=endgame_iterations)
+                            endgame_iterations=endgame_iterations, start=start,
+                            stalled=stalled)
 
     for it in range(1, MAX_COMBINED_ITERATIONS + 1):
         if residual is None:
@@ -435,6 +480,8 @@ def step(space, u_prev, m, grid, spec, tol=DEFAULT_TOL, bc_values=None, f_quad=N
             return FeFunction(space, u), report(it - 1, True)
         if not np.isfinite(rnorm):
             raise NonConvergence(report(it - 1, False), m=m)
+        if creeping >= ENDGAME_STALL_MOVES:
+            raise NonConvergence(report(it - 1, False, stalled=True), m=m)
 
         if use_fallback:
             fallback_used = True
@@ -454,14 +501,17 @@ def step(space, u_prev, m, grid, spec, tol=DEFAULT_TOL, bc_values=None, f_quad=N
         # residual decrease instead (Newton is locally contractive there):
         # the first candidate of the halving sequence that lowers the
         # residual norm, whose residual the next iteration starts from.
-        if abs(slope) < 128.0 * np.finfo(float).eps * (1.0 + abs(energies[-1])):
+        # Moves that lower it by less than ENDGAME_PROGRESS are creeping.
+        if abs(slope) < _energy_resolution(energies[-1]):
             s = 1.0
             for _ in range(ENDGAME_HALVINGS):
                 trial = u + s * delta
                 r_trial = assembly.assemble_step_residual(
                     space, FeFunction(space, trial), u_prev, tau, f_quad, params,
                     bc_values=g)
-                if float(np.linalg.norm(r_trial)) < rnorm:
+                r_trial_norm = float(np.linalg.norm(r_trial))
+                if r_trial_norm < rnorm:
+                    creeping = creeping + 1 if r_trial_norm > ENDGAME_PROGRESS * rnorm else 0
                     u, residual = trial, r_trial
                     energies.append(energies[-1])
                     endgame_iterations += 1
@@ -482,7 +532,7 @@ def step(space, u_prev, m, grid, spec, tol=DEFAULT_TOL, bc_values=None, f_quad=N
                 break  # both directions exhausted from this state: give up
             use_fallback = not use_fallback
             continue
-        dead_ends = 0
+        dead_ends = creeping = 0
         u, energy = accepted
         residual = None
         # For p < 2, toggle between Newton and the lagged-coefficient
@@ -532,7 +582,7 @@ def solve_evolution(spec, level, degree, grid, tol=DEFAULT_TOL, space=None):
                       newton_reports=[])
     for m in range(1, grid.M + 1):
         u, rep = step(space, traj.snapshots[-1], m, grid, spec, tol=tol,
-                      bc_values=bdata.step_values(m))
+                      bc_values=bdata.step_values(m), history=traj.snapshots[-3:-1][::-1])
         traj.snapshots.append(u)
         traj.newton_reports.append(rep)
     return traj

@@ -367,6 +367,36 @@ def test_cli_dump_mesh(tmp_path):
     assert r.returncode == 2
 
 
+def test_cli_dump_mesh_unwritable_out_exit_2(tmp_path):
+    out = tmp_path / "missing" / "m.txt"
+    r = _cli("dump-mesh", "--domain", "slit", "--out", str(out))
+    assert r.returncode == 2
+    assert "output error" in r.stderr and "Traceback" not in r.stderr
+
+
+def test_cli_dump_mesh_negative_level_exit_2(tmp_path):
+    out = tmp_path / "m.txt"
+    r = _cli("dump-mesh", "--domain", "slit", "--level", "-1", "--out", str(out))
+    assert r.returncode == 2
+    assert "config error" in r.stderr and not out.exists()
+
+
+def test_cli_dump_solution_out_is_a_file_exit_2_before_any_solve(tmp_path, monkeypatch,
+                                                                  capsys):
+    from pheat import cli
+
+    solves = []
+    monkeypatch.setattr(cli, "solve_evolution", lambda *a, **k: solves.append(1))
+    cfgfile = tmp_path / "p2.cfg"
+    cfgfile.write_text("experiment = p2_validation\nlevels = 1:2\n")
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert cli.main(["dump-solution", "--config", str(cfgfile), "--out", str(taken)]) == 2
+    assert solves == [] and "output error" in capsys.readouterr().err
+    r = _cli("dump-solution", "--config", str(cfgfile), "--out", str(taken))
+    assert r.returncode == 2 and "Traceback" not in r.stderr
+
+
 def test_cli_dump_solution(tmp_path):
     cfgfile = tmp_path / "p2.cfg"
     cfgfile.write_text("experiment = p2_validation\nlevels = 1:2\n")

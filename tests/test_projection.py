@@ -5,7 +5,7 @@ from conftest import eval_at_points, random_points_in
 from pheat import assembly
 from pheat.constitutive import PLaplaceParams
 from pheat.fespace import build_space, quadrature
-from pheat.mesh import make_initial_mesh, refine_to_level, refine_uniform
+from pheat.mesh import DOMAINS, make_initial_mesh, refine_to_level, refine_uniform
 from pheat.projection import (NonFiniteValue, averaged_boundary_values, l2_project,
                               nodal_interpolate, verify_l2_decay, verify_v_stability)
 from pheat.timestepper import TimeGrid
@@ -188,6 +188,13 @@ def test_l2_decay_stable_across_levels():
         space = build_space(refine_to_level("unit_square", level), 1)
         fits.append(verify_l2_decay(space).q_fit)
     assert max(fits) - min(fits) <= 0.2  # +-0.1 about the common value
+
+
+@pytest.mark.parametrize("domain", DOMAINS)
+def test_l2_decay_needs_two_layers_beyond_the_source(domain):
+    # every level-0 template lies within one patch hop of its source triangle
+    with pytest.raises(ValueError, match="layer"):
+        verify_l2_decay(build_space(refine_to_level(domain, 0), 1))
 
 
 def test_l2_decay_constant_flag():

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
@@ -8,6 +10,7 @@ from pheat.assembly import apply_dirichlet, assemble_step_residual, solve_spd, s
 from pheat.constitutive import PLaplaceParams, s_flux
 from pheat.fespace import FeFunction, build_space, quadrature
 from pheat.mesh import refine_to_level
+from pheat.projection import build_boundary_data
 from pheat.timestepper import (CallableForce, ConstantForce, NonConvergence,
                                NonIntegrableForce, PowerTimeForce, ProblemSpec,
                                SeparableForce, TimeGrid, average_force, kacanov_matrix,
@@ -402,7 +405,9 @@ def test_evolution_p2_manufactured_error_decreases():
 
 
 def test_nonconvergence_carries_step_index():
-    # deep-extinction regime: an honestly unreachable absolute tolerance
+    # deep-extinction regime: an honestly unreachable absolute tolerance; the
+    # endgame stops as soon as its moves no longer halve the residual instead
+    # of creeping to the iteration cap
     space = build_space(refine_to_level("unit_square", 3), 1)
     params = PLaplaceParams(p=1.5, kappa=0.0)
     spec = ProblemSpec(params=params, domain="unit_square", force=ConstantForce(0.0),
@@ -410,8 +415,99 @@ def test_nonconvergence_carries_step_index():
                        * np.sin(np.pi * pts[:, 1]))
     with pytest.raises(NonConvergence) as exc:
         solve_evolution(spec, 3, 1, TimeGrid(0.0, 1.0, 16), space=space)
-    assert exc.value.m is not None
-    assert exc.value.report.iterations == timestepper.MAX_COMBINED_ITERATIONS
+    rep = exc.value.report
+    assert exc.value.m == 6
+    assert rep.stalled and not rep.converged and "stalled" in str(exc.value)
+    assert rep.endgame_iterations >= timestepper.ENDGAME_STALL_MOVES
+    assert rep.iterations < timestepper.MAX_COMBINED_ITERATIONS // 10
+
+
+@functools.lru_cache(maxsize=None)
+def _known_trajectory(p):
+    from pheat.experiments import build_spec, default_config
+
+    cfg = default_config("known_solution")
+    cfg.p = p
+    spec, _ = build_spec(cfg)
+    grid = TimeGrid(-1.0, 1.0, 16)
+    traj = solve_evolution(spec, 3, 1, grid)
+    bdata = build_boundary_data(traj.space, grid, spec.boundary_mode, spec.exact_solution)
+    return spec, traj, bdata
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_start_energy_not_above_previous_snapshot(p):
+    # oracle: every step starts at or below the energy of u_(m-1) with the
+    # step's boundary data, the start used before extrapolation existed
+    spec, traj, bdata = _known_trajectory(p)
+    space, grid = traj.space, traj.grid
+    for m, rep in enumerate(traj.newton_reports, start=1):
+        prev = traj.snapshots[m - 1]
+        start = prev.coeffs.copy()
+        start[space.boundary_dofs] = bdata.step_values(m)
+        f_quad = average_force(spec.force, m, grid, space, spec.force_mode)
+        e_prev = step_energy(space, FeFunction(space, start), prev, grid.tau, f_quad,
+                             spec.params)
+        assert rep.energy_values[0] <= e_prev, m
+        assert rep.energy_values[0] < e_prev or rep.start == "previous", m
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_extrapolated_starts_taken(p):
+    _, traj, _ = _known_trajectory(p)
+    starts = [rep.start for rep in traj.newton_reports]
+    assert starts[0] == "previous"  # no earlier snapshot to extrapolate from
+    assert starts[1] in ("previous", "linear")
+    assert {"linear", "quadratic"} <= set(starts)
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_extrapolated_start_converges_to_the_same_step(p):
+    spec, traj, bdata = _known_trajectory(p)
+    iterations = 0
+    for m in range(1, traj.grid.M + 1):
+        u, rep = step(traj.space, traj.snapshots[m - 1], m, traj.grid, spec,
+                      bc_values=bdata.step_values(m))
+        assert rep.start == "previous"
+        iterations += rep.iterations
+        ref = np.max(np.abs(u.coeffs))
+        assert np.max(np.abs(traj.snapshots[m].coeffs - u.coeffs)) <= 1e-8 * ref, m
+    assert sum(rep.iterations for rep in traj.newton_reports) < iterations
+
+
+def test_steady_state_keeps_the_previous_start():
+    # at the discrete steady state the extrapolations tie with u_(m-1) up to
+    # roundoff; a start chosen by that noise would cost a Newton iteration
+    space = build_space(refine_to_level("unit_square", 2), 1)
+    spec = ProblemSpec(params=PLaplaceParams(p=1.5, kappa=0.0), domain="unit_square",
+                       force=ConstantForce(1.0))
+    traj = solve_evolution(spec, 2, 1, TimeGrid(0.0, 80.0, 10), space=space)
+    late = traj.newton_reports[4:]
+    assert [rep.start for rep in late] == ["previous"] * len(late)
+    assert sum(rep.iterations for rep in late) == 0
+
+
+def test_p2_step_ignores_history(monkeypatch):
+    # the p = 2 step is linear: no candidate start is evaluated
+    from pheat.experiments import manufactured_p2_fields
+
+    exact, force = manufactured_p2_fields()
+    space = build_space(refine_to_level("unit_square", 2), 1)
+    spec = ProblemSpec(params=PLaplaceParams(p=2.0, kappa=0.0), domain="unit_square",
+                       force=force, initial="exact_at_t0", exact_solution=exact.u)
+    grid = TimeGrid(0.0, 1.0, 4)
+    calls = []
+    energy = assembly.step_energy
+    monkeypatch.setattr(assembly, "step_energy",
+                        lambda *a, **k: calls.append(1) or energy(*a, **k))
+    traj = solve_evolution(spec, 2, 1, grid, space=space)
+    with_history = len(calls)
+    calls.clear()
+    u = traj.snapshots[0]
+    for m in range(1, grid.M + 1):
+        u, _ = step(space, u, m, grid, spec)
+    assert with_history == len(calls)
+    assert all(rep.start == "previous" for rep in traj.newton_reports)
 
 
 def test_nonconvergence_reports_iterations_done(monkeypatch):
