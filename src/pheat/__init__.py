@@ -11,7 +11,8 @@ from .constitutive import (PLaplaceParams, SingularJacobian, DegenerateInput,
                            s_flux, v_transform, ds_jacobian, phi, phi_prime,
                            phi_second, phi_shifted, equivalence_ratios)
 from .fespace import (FeSpace, FeFunction, QuadratureRule, UnsupportedDegree,
-                      build_space, quadrature, eval_function, eval_gradient)
+                      build_space, quadrature, prolongation, eval_function,
+                      eval_gradient)
 from .assembly import (LinearSolveReport, SpaceMismatch, MaxIterations,
                        assemble_mass, assemble_load, assemble_stiffness,
                        assemble_step_residual, assemble_step_jacobian,
@@ -26,7 +27,7 @@ from .timestepper import (TimeGrid, ProblemSpec, Trajectory, NewtonReport,
                           step, solve_evolution)
 from .error_metrics import (ErrorReport, ExactSolution, DiscreteReference,
                             IncompatibleHierarchy, InsufficientData,
-                            err_linfty_l2, err_l2_v, err_lp_s, v_error_breakdown,
+                            compute_error_report, v_error_breakdown,
                             empirical_order, write_csv, write_manifest)
 from .experiments import (ExperimentConfig, ConfigError, parse_config,
                           run_experiment)

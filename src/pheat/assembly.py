@@ -71,7 +71,7 @@ def _sum_into_pattern(space, local):
 
 def _local_mass(space, rule, scale=1.0):
     """Element matrices scale * int phi_i phi_j dx, (nt, nloc, nloc)."""
-    phi_vals, _ = space.basis_at(rule)
+    phi_vals = space.operators(rule).values
     ref = (rule.weights[:, None] * phi_vals).T @ phi_vals
     return (scale * space.areas)[:, None, None] * (0.5 * (ref + ref.T))
 

@@ -7,21 +7,25 @@ Against an exact (closed-form) reference:
     sq_l2_v_avg  = tau sum_m || V(grad u_(h,m)) - <V(grad u)>_(J_m) ||_L2^2
     sq_lp_s      = ( tau sum_m || S(grad u_(h,m)) - <S(grad u)>_(J_m) ||_Lp'^p' )^(2/p')
 
-Against a discrete reference (finer nested mesh, higher degree, finer grid)
-the time average acts on the reference snapshots (trapezoidal rule) and the
-V / S errors compare against the transformed gradient of the averaged
-reference; the two V columns then coincide.
+Against a discrete reference (a refinement of the run's mesh, a degree at
+least the run's, a finer grid) the time average acts on the reference
+snapshots (trapezoidal rule), the run is prolongated to the reference space
+(`fespace.prolongation`), and the V / S errors compare against the
+transformed gradient of the averaged reference; the two V columns then
+coincide.
+
+`compute_error_report` computes every quantity in one pass over the steps.
 
 The raw p'-power sum (before the 2/p' exponent) is kept alongside, because
 the CSV files store it under the column sqAerr.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .constitutive import magnitude, s_flux, sq_magnitude, v_transform
-from .fespace import PointOperators, _reference_bases, gauss_segments, quadrature
+from .fespace import gauss_segments, prolongation, quadrature
 from .mesh import mesh_quality
 
 ERROR_QUADRATURE_DEGREE = 8
@@ -102,10 +106,6 @@ class VErrorBreakdown:
     fluctuation: float
 
 
-def _window_time_nodes(grid, m, t_singular):
-    return gauss_segments(grid.window_subintervals(m), t_singular)
-
-
 # ----------------------------------------------------------------------
 # exact references
 # ----------------------------------------------------------------------
@@ -127,7 +127,7 @@ def _exact_errors(traj, ref, grid, params, quad_degree):
         vh = v_transform(grad_h, params)
         sh = s_flux(grad_h, params)
 
-        s_nodes, s_weights = _window_time_nodes(grid, m, ref.t_singular)
+        s_nodes, s_weights = gauss_segments(grid.window_subintervals(m), ref.t_singular)
         length = s_weights.sum()
         u_acc = np.zeros_like(uh)
         v_acc = np.zeros_like(vh)
@@ -157,37 +157,13 @@ def _exact_errors(traj, ref, grid, params, quad_degree):
     per_window = np.array(per_window)
     return dict(sq_linfty_l2=linfty, sq_l2_v=sq_v,
                 sq_l2_v_avg=grid.tau * per_window.sum(),
-                raw_lp_sum=raw, sq_lp_s=raw ** (2.0 / pprime),
-                per_window_avg_sq=per_window, window_lengths=np.array(lengths),
+                raw_lp_sum=raw, per_window_avg_sq=per_window, window_lengths=np.array(lengths),
                 fluctuation=fluct)
 
 
 # ----------------------------------------------------------------------
 # discrete references
 # ----------------------------------------------------------------------
-
-def _transfer_operators(coarse_space, fine_space, rule):
-    """PointOperators taking coarse coefficients to values and gradients at
-    the quadrature points of a nested finer mesh (exact, by the nesting
-    invariant): each fine triangle carries its coarse ancestor's DOFs and
-    Jacobian, and that cell's reference basis at the fine points."""
-    try:
-        anc = fine_space.mesh.ancestor_triangles(coarse_space.mesh)
-    except ValueError as exc:
-        raise IncompatibleHierarchy(str(exc)) from exc
-    pts = fine_space.physical_points(rule)          # (ntf, nq, 2)
-    corners = coarse_space.mesh.triangle_coords()[anc]  # (ntf, 3, 2)
-    inv_jt = coarse_space.inv_jac_t[anc]            # (J^-1)^T per fine tri
-    lam12 = np.einsum("tba,tqb->tqa", inv_jt, pts - corners[:, None, 0, :])  # J^-1 (x - a)
-    bary = np.concatenate([1.0 - lam12.sum(axis=-1, keepdims=True), lam12], axis=-1)
-    ref = _reference_bases[coarse_space.degree]
-    nloc = coarse_space.cell_dofs.shape[1]
-    flat = bary.reshape(-1, 3)
-    values = ref.values(flat).reshape(pts.shape[0], pts.shape[1], nloc)
-    ref_grads = ref.gradients(flat).reshape(pts.shape[0], pts.shape[1], 2, nloc)
-    return PointOperators(coarse_space.cell_dofs[anc], coarse_space.ndof,
-                          fine_space.areas[:, None] * rule.weights, values, ref_grads, inv_jt)
-
 
 def _trapezoid_average(ref_traj, grid, m):
     """Trapezoidal average of reference snapshots over J_m of the coarse grid."""
@@ -203,93 +179,71 @@ def _trapezoid_average(ref_traj, grid, m):
 
 
 def _check_discrete_compat(traj, ref_traj, grid):
+    """The run's prolongation to the reference space; IncompatibleHierarchy
+    unless the reference refines the run's grid and mesh at no lower degree."""
     rg = ref_traj.grid
     if not (np.isclose(rg.t0, grid.t0) and np.isclose(rg.t_end, grid.t_end)):
         raise IncompatibleHierarchy("reference grid covers a different interval")
     if rg.M % grid.M != 0:
         raise IncompatibleHierarchy(f"reference M = {rg.M} is not a multiple of M = {grid.M}")
+    try:
+        return prolongation(traj.space, ref_traj.space)
+    except ValueError as exc:
+        raise IncompatibleHierarchy(str(exc)) from exc
 
 
 def _discrete_errors(traj, ref, grid, params, quad_degree):
+    """The run, prolongated to the reference space, against the reference."""
     ref_traj = ref.trajectory
-    _check_discrete_compat(traj, ref_traj, grid)
+    prolong = _check_discrete_compat(traj, ref_traj, grid)
     ref_space = ref_traj.space
     rule = quadrature(quad_degree)
-    transfer = _transfer_operators(traj.space, ref_space, rule)
-    ref_ops = ref_space.operators(rule)
-    tau = grid.tau
+    ops = ref_space.operators(rule)
     pprime = params.p_conjugate
 
-    linfty = 0.0
-    sq_v = 0.0
-    raw = 0.0
+    linfty = sq_v = raw = 0.0
     for m in range(1, grid.M + 1):
         avg = _trapezoid_average(ref_traj, grid, m)
-        uh = transfer.eval(traj.snapshots[m].coeffs)
-        grad_h = transfer.grad(traj.snapshots[m].coeffs)
-        u_ref = ref_ops.eval(avg)
-        grad_ref = ref_ops.grad(avg)
+        uh = prolong @ traj.snapshots[m].coeffs
+        grad_h = ops.grad(uh)
+        grad_ref = ops.grad(avg)
 
-        du = uh - u_ref
+        du = ops.eval(uh - avg)
         linfty = max(linfty, ref_space.integrate(rule, du * du))
         dv = v_transform(grad_h, params) - v_transform(grad_ref, params)
-        sq_v += tau * ref_space.integrate(rule, sq_magnitude(dv))
+        sq_v += grid.tau * ref_space.integrate(rule, sq_magnitude(dv))
         dsn = magnitude(s_flux(grad_h, params) - s_flux(grad_ref, params))
-        raw += tau * ref_space.integrate(rule, dsn ** pprime)
+        raw += grid.tau * ref_space.integrate(rule, dsn ** pprime)
 
-    return dict(sq_linfty_l2=linfty, sq_l2_v=sq_v, sq_l2_v_avg=sq_v,
-                raw_lp_sum=raw, sq_lp_s=raw ** (2.0 / pprime))
-
-
-def _dispatch(traj, ref, grid, params, quad_degree):
-    if isinstance(ref, ExactSolution):
-        return _exact_errors(traj, ref, grid, params, quad_degree)
-    if isinstance(ref, DiscreteReference):
-        return _discrete_errors(traj, ref, grid, params, quad_degree)
-    raise TypeError(f"unknown reference type {type(ref)!r}")
+    return dict(sq_linfty_l2=linfty, sq_l2_v=sq_v, sq_l2_v_avg=sq_v, raw_lp_sum=raw)
 
 
 # ----------------------------------------------------------------------
 # public operations
 # ----------------------------------------------------------------------
 
-def err_linfty_l2(traj, ref, grid, params=None, quad_degree=ERROR_QUADRATURE_DEGREE):
-    """max_m || u_(h,m) - <u_ref>_(J_m) ||_L2^2 (squared, as reported)."""
-    from .constitutive import PLaplaceParams
-
-    params = params or PLaplaceParams(p=2.0)
-    return _dispatch(traj, ref, grid, params, quad_degree)["sq_linfty_l2"]
-
-
-def err_l2_v(traj, ref, grid, params, quad_degree=ERROR_QUADRATURE_DEGREE):
-    """(sq_l2_v, sq_l2_v_avg); both equal the averaged form for discrete refs."""
-    d = _dispatch(traj, ref, grid, params, quad_degree)
-    return d["sq_l2_v"], d["sq_l2_v_avg"]
-
-
-def err_lp_s(traj, ref, grid, params, quad_degree=ERROR_QUADRATURE_DEGREE):
-    """Squared p'-type flux error (the 2/p' power applied to the raw sum)."""
-    return _dispatch(traj, ref, grid, params, quad_degree)["sq_lp_s"]
-
-
 def v_error_breakdown(traj, ref, grid, params, quad_degree=ERROR_QUADRATURE_DEGREE):
     """Window decomposition of sq_l2_v (exact references only)."""
     if not isinstance(ref, ExactSolution):
         raise TypeError("breakdown requires an exact reference")
     d = _exact_errors(traj, ref, grid, params, quad_degree)
-    return VErrorBreakdown(sq_l2_v=d["sq_l2_v"], sq_l2_v_avg=d["sq_l2_v_avg"],
-                           per_window_avg_sq=d["per_window_avg_sq"],
-                           window_lengths=d["window_lengths"],
-                           fluctuation=d["fluctuation"])
+    return VErrorBreakdown(**{f.name: d[f.name] for f in fields(VErrorBreakdown)})
 
 
 def compute_error_report(traj, ref, grid, params, quad_degree=ERROR_QUADRATURE_DEGREE):
-    d = _dispatch(traj, ref, grid, params, quad_degree)
+    """Every error quantity of `traj` against an ExactSolution or a
+    DiscreteReference, in one pass over the steps."""
+    if isinstance(ref, ExactSolution):
+        d = _exact_errors(traj, ref, grid, params, quad_degree)
+    elif isinstance(ref, DiscreteReference):
+        d = _discrete_errors(traj, ref, grid, params, quad_degree)
+    else:
+        raise TypeError(f"unknown reference type {type(ref)!r}")
     return ErrorReport(ndof=traj.space.ndof, M=grid.M,
                        h=mesh_quality(traj.space.mesh).h_max, tau=grid.tau,
                        sq_linfty_l2=d["sq_linfty_l2"], sq_l2_v=d["sq_l2_v"],
-                       sq_l2_v_avg=d["sq_l2_v_avg"], sq_lp_s=d["sq_lp_s"],
-                       raw_lp_sum=d["raw_lp_sum"])
+                       sq_l2_v_avg=d["sq_l2_v_avg"], raw_lp_sum=d["raw_lp_sum"],
+                       sq_lp_s=d["raw_lp_sum"] ** (2.0 / params.p_conjugate))
 
 
 # ----------------------------------------------------------------------

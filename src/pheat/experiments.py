@@ -178,8 +178,8 @@ def validate_config(cfg):
         raise ConfigError(f"p must be finite and exceed 1, got {cfg.p}")
     if not 0.0 <= cfg.kappa < math.inf:
         raise ConfigError(f"kappa must be finite and nonnegative, got {cfg.kappa}")
-    if cfg.experiment == "rough_in_time" and not cfg.beta < 1.0:
-        raise ConfigError(f"beta must be < 1 (integrability), got {cfg.beta}")
+    if cfg.experiment == "rough_in_time" and not -math.inf < cfg.beta < 1.0:
+        raise ConfigError(f"beta must be finite and < 1 (integrability), got {cfg.beta}")
     if not 0.0 < cfg.tol < math.inf:
         raise ConfigError(f"tol must be finite and positive, got {cfg.tol}")
     if not 1 <= cfg.quad_degree <= MAX_QUADRATURE_DEGREE:
@@ -207,8 +207,9 @@ def validate_config(cfg):
         if STUDIES[cfg.experiment].reference is None:
             raise ConfigError(f"{cfg.experiment} has an exact reference; drop `reference`")
         ref_level, ref_m, ref_deg = cfg.reference
-        if ref_deg not in (1, 2, 3):
-            raise ConfigError(f"reference degree must be 1, 2 or 3, got {ref_deg}")
+        if not cfg.r <= ref_deg <= 3:
+            raise ConfigError(f"reference degree must be at least r = {cfg.r} and at "
+                              f"most 3, got {ref_deg}")
         for lvl, m in cfg.levels:
             if lvl >= ref_level:
                 raise ConfigError(f"compared level {lvl} must be below the "
@@ -217,6 +218,8 @@ def validate_config(cfg):
                 raise ConfigError(f"M = {m} does not divide the reference M = {ref_m}")
     if cfg.sweep not in ("spatial", "temporal"):
         raise ConfigError(f"sweep must be spatial or temporal, got {cfg.sweep!r}")
+    if cfg.emit_dat and os.path.splitext(cfg.output_path)[1] == ".dat":
+        raise ConfigError(f"the .dat copy would overwrite output_path {cfg.output_path!r}")
 
 
 # ----------------------------------------------------------------------

@@ -19,13 +19,15 @@ and the weights w, applied matrix-free from the reference basis and the cell
 Jacobians.  `FeSpace.operators` keeps only the step rule's set, whose dense
 gradient tensor the matrix kernels contract, and `FeSpace.step_points` the
 step rule's point coordinates; other rules' sets are transient, so no
-per-point data of the error quadrature stays cached.
+per-point data of the error quadrature stays cached.  `prolongation` is the
+one coarse-to-fine map, a sparse matrix onto a nested finer space.
 """
 
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sparse
 from numpy.polynomial.legendre import leggauss
 from scipy.special import roots_jacobi
 
@@ -166,60 +168,52 @@ def step_rule(space):
 # ----------------------------------------------------------------------
 
 class PointOperators:
-    """Values and gradients at all quadrature points of one rule.
+    """Values and gradients at all quadrature points of one rule on one space.
 
     At point q of cell t a function with coefficients c has
 
-        value     (P c)[t, q]    = values[t, q] . c[cell_dofs[t]]
-        gradient  (B c)[t, q, :] = inv_jac_t[t] @ ref_grads[t, q] @ c[cell_dofs[t]]
+        value     (P c)[t, q]    = values[q] . c[cell_dofs[t]]
+        gradient  (B c)[t, q, :] = inv_jac_t[t] @ ref_grads[q] @ c[cell_dofs[t]]
 
-    with values (nt | 1, nq, nloc) and ref_grads (nt | 1, nq, 2, nloc) the
-    reference basis: shared by all cells of a space, or one set per cell for
-    the coarse-to-fine transfer of error_metrics.  w (nt, nq) holds rule
-    weights times cell areas.
+    with values (nq, nloc) and ref_grads (nq, 2, nloc) the reference basis at
+    the rule's points, shared by all cells.  w (nt, nq) holds rule weights
+    times cell areas.
     """
 
-    def __init__(self, cell_dofs, ndof, w, values, ref_grads, inv_jac_t):
-        self.cell_dofs, self.ndof, self.w = cell_dofs, ndof, w
-        self.nt, self.nloc = cell_dofs.shape
-        self.nq = w.shape[1]
-        self.values = values
-        self.ref_grads = ref_grads.reshape(ref_grads.shape[0], 2 * self.nq, self.nloc)
-        self.inv_jac_t = inv_jac_t
-        self._inv_jac = np.ascontiguousarray(inv_jac_t.swapaxes(1, 2))
-
-    def _apply(self, basis, coeffs):
-        """basis[t] @ coeffs[cell_dofs[t]] for every cell, (nt, k); one GEMM if shared."""
-        local = coeffs[self.cell_dofs]
-        return local @ basis[0].T if basis.shape[0] == 1 else (basis @ local[:, :, None])[..., 0]
-
-    def _apply_t(self, basis, values):
-        """values[t] @ basis[t] for every cell, (nt, nloc)."""
-        return values @ basis[0] if basis.shape[0] == 1 else (values[:, None] @ basis)[:, 0]
+    def __init__(self, space, rule):
+        ref = _reference_bases[space.degree]
+        self.cell_dofs, self.ndof = space.cell_dofs, space.ndof
+        self.w = space.areas[:, None] * rule.weights
+        self.nt, self.nloc = space.cell_dofs.shape
+        self.nq = rule.num_points
+        self.values = ref.values(rule.points)
+        self.ref_grads = ref.gradients(rule.points).reshape(2 * self.nq, self.nloc)
+        self.inv_jac_t = space.inv_jac_t
+        self._inv_jac = np.ascontiguousarray(space.inv_jac_t.swapaxes(1, 2))
 
     def eval(self, coeffs):
         """P c: values at every point, shape (nt, nq)."""
-        return self._apply(self.values, coeffs)
+        return coeffs[self.cell_dofs] @ self.values.T
 
     def grad(self, coeffs):
         """B c: gradients at every point, shape (nt, nq, 2)."""
-        return self._apply(self.ref_grads, coeffs).reshape(self.nt, self.nq, 2) @ self._inv_jac
+        ref = coeffs[self.cell_dofs] @ self.ref_grads.T
+        return ref.reshape(self.nt, self.nq, 2) @ self._inv_jac
 
     def load(self, values, vectors=None):
         """P^T (w f) + B^T (w g): the vector of int f phi_i + g . grad phi_i dx
         for per-point values f (nt, nq) and optional vectors g (nt, nq, 2)."""
-        local = self._apply_t(self.values, self.w * values)
+        local = (self.w * values) @ self.values
         if vectors is not None:
             ref = (self.w[:, :, None] * vectors) @ self.inv_jac_t
-            local += self._apply_t(self.ref_grads, ref.reshape(self.nt, 2 * self.nq))
+            local += ref.reshape(self.nt, 2 * self.nq) @ self.ref_grads
         return np.bincount(self.cell_dofs.reshape(-1), weights=local.reshape(-1),
                            minlength=self.ndof)
 
     @cached_property
     def gradient_tensor(self):
         """Physical basis gradients, shape (nt, nq, 2, nloc)."""
-        ref = self.ref_grads.reshape(-1, self.nq, 2, self.nloc)
-        return self.inv_jac_t[:, None] @ ref
+        return self.inv_jac_t[:, None] @ self.ref_grads.reshape(self.nq, 2, self.nloc)
 
 
 # ----------------------------------------------------------------------
@@ -238,17 +232,8 @@ class FeSpace:
     boundary_dofs: np.ndarray        # sorted DOF indices on Dirichlet edges
     inv_jac_t: np.ndarray = field(repr=False, default=None)  # (nt, 2, 2), J^-T per cell
     areas: np.ndarray = field(repr=False, default=None)      # (nt,)
-    _basis_cache: dict = field(default_factory=dict, repr=False)
     _step_operators: PointOperators = field(default=None, repr=False)
     _pattern: tuple = field(default=None, repr=False)  # matrix pattern, see assembly
-
-    # -- cached reference basis data per quadrature rule -----------------
-    def basis_at(self, rule):
-        key = id(rule)
-        if key not in self._basis_cache:
-            ref = _reference_bases[self.degree]
-            self._basis_cache[key] = (ref.values(rule.points), ref.gradients(rule.points))
-        return self._basis_cache[key]
 
     @property
     def interior_dofs(self):
@@ -260,15 +245,11 @@ class FeSpace:
     def operators(self, rule):
         """PointOperators of `rule`; only the step rule's set is kept on the space,
         any other rule gets a fresh set that lives as long as its caller holds it."""
-        keep = rule is step_rule(self)
-        if keep and self._step_operators is not None:
-            return self._step_operators
-        phi, gref = self.basis_at(rule)
-        ops = PointOperators(self.cell_dofs, self.ndof, self.areas[:, None] * rule.weights,
-                             phi[None], gref[None], self.inv_jac_t)
-        if keep:
-            self._step_operators = ops
-        return ops
+        if rule is not step_rule(self):
+            return PointOperators(self, rule)
+        if self._step_operators is None:
+            self._step_operators = PointOperators(self, rule)
+        return self._step_operators
 
     def eval_at(self, rule, coeffs):
         """Function values at all quadrature points, shape (nt, nq)."""
@@ -377,6 +358,28 @@ def build_space(mesh, degree):
     return FeSpace(mesh=mesh, degree=degree, ndof=ndof, cell_dofs=cell_dofs,
                    dof_coords=dof_coords, boundary_dofs=boundary_dofs,
                    inv_jac_t=inv_jac_t, areas=areas)
+
+
+def prolongation(coarse, fine):
+    """Sparse (fine.ndof, coarse.ndof) matrix taking the coefficients of a
+    coarse function to the fine coefficients of the same function.
+
+    Row i holds the coarse ancestor's basis at fine DOF node i, so the map is
+    exact when `fine`'s mesh descends from `coarse`'s and
+    `fine.degree >= coarse.degree`; otherwise it raises ValueError.
+    """
+    if fine.degree < coarse.degree:
+        raise ValueError(f"fine degree {fine.degree} is below coarse degree {coarse.degree}")
+    # the coarse ancestor of the first fine cell that has each fine DOF
+    _, first = np.unique(fine.cell_dofs, return_index=True)
+    a = fine.mesh.ancestor_triangles(coarse.mesh)[first // fine.cell_dofs.shape[1]]
+    origin = coarse.mesh.triangle_coords()[a, 0]
+    lam = np.einsum("nba,nb->na", coarse.inv_jac_t[a], fine.dof_coords - origin)  # J^-1 (x - a0)
+    vals = _reference_bases[coarse.degree].values(np.column_stack([1.0 - lam.sum(axis=1), lam]))
+    nloc = coarse.cell_dofs.shape[1]
+    return sparse.csr_matrix((vals.ravel(), coarse.cell_dofs[a].ravel(),
+                              np.arange(0, nloc * fine.ndof + 1, nloc)),
+                             shape=(fine.ndof, coarse.ndof))
 
 
 def eval_function(f, tri_index, bary):

@@ -230,8 +230,8 @@ def ConstantForce(value):
 
 def PowerTimeForce(beta):
     """f(t) = sgn(t) |t|^(-beta), spatially constant; needs beta < 1."""
-    if beta >= 1.0:
-        raise NonIntegrableForce(f"beta must be < 1, got {beta}")
+    if not -np.inf < beta < 1.0:
+        raise NonIntegrableForce(f"beta must be finite and < 1, got {beta}")
     return SeparableForce(terms=((1.0, -beta, True),))
 
 
@@ -315,10 +315,14 @@ class Trajectory:
     newton_reports: list = field(default_factory=list)
 
     def dump(self, directory):
-        """Per-snapshot coefficient dumps plus a manifest of step diagnostics."""
+        """Per-snapshot coefficient dumps plus a manifest of step diagnostics;
+        snapshots of an earlier dump into the same directory are removed."""
+        import glob
         import os
 
         os.makedirs(directory, exist_ok=True)
+        for stale in glob.glob(os.path.join(glob.escape(directory), "snapshot_*.txt")):
+            os.remove(stale)
         with open(os.path.join(directory, "trajectory.manifest"), "w") as mf:
             for m, snap in enumerate(self.snapshots):
                 fname = f"snapshot_{m:05d}.txt"

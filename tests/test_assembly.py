@@ -30,7 +30,6 @@ def test_mass_row_sums_and_total(degree):
     space = build_space(refine_to_level("unit_square", 2), degree)
     M = assemble_mass(space)
     rule = quadrature(2 * degree)
-    phi_vals, _ = space.basis_at(rule)
     loads = assemble_load(space, np.ones((space.mesh.num_triangles, rule.num_points)),
                           rule)
     row_sums = np.asarray(M.sum(axis=1)).ravel()

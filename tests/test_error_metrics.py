@@ -5,10 +5,9 @@ from pheat.constitutive import PLaplaceParams, s_flux
 from pheat.error_metrics import (CSV_HEADER, DiscreteReference, ErrorReport,
                                  ExactSolution, IncompatibleHierarchy,
                                  InsufficientData, compute_error_report,
-                                 empirical_order, err_l2_v, err_linfty_l2,
-                                 err_lp_s, read_csv, v_error_breakdown, write_csv,
-                                 write_dat)
-from pheat.fespace import FeFunction, build_space, quadrature
+                                 empirical_order, read_csv, v_error_breakdown,
+                                 write_csv, write_dat)
+from pheat.fespace import FeFunction, build_space, gauss_segments, quadrature
 from pheat.mesh import make_initial_mesh, refine_to_level
 from pheat.timestepper import (ConstantForce, ProblemSpec, TimeGrid, Trajectory,
                                solve_evolution)
@@ -26,10 +25,10 @@ def test_reference_equals_run_degenerate_config():
     traj, params = _zero_traj(1, 4)
     ref = DiscreteReference(traj)
     grid = traj.grid
-    assert err_linfty_l2(traj, ref, grid, params) == 0.0
-    v, v_avg = err_l2_v(traj, ref, grid, params)
-    assert v == 0.0 and v_avg == 0.0
-    assert err_lp_s(traj, ref, grid, params) == 0.0
+    rep = compute_error_report(traj, ref, grid, params)
+    assert rep.sq_linfty_l2 == 0.0
+    assert rep.sq_l2_v == 0.0 and rep.sq_l2_v_avg == 0.0
+    assert rep.sq_lp_s == 0.0
 
 
 def test_exact_constant_reference_zero_error():
@@ -40,9 +39,9 @@ def test_exact_constant_reference_zero_error():
     traj = Trajectory(space=space, grid=grid, snapshots=snaps, newton_reports=[])
     ref = ExactSolution(u=lambda pts, t: np.full(len(pts), 2.5),
                         grad_u=lambda pts, t: np.zeros((len(pts), 2)))
-    assert err_linfty_l2(traj, ref, grid, params) < 1e-24
-    v, v_avg = err_l2_v(traj, ref, grid, params)
-    assert v < 1e-24 and v_avg < 1e-24
+    rep = compute_error_report(traj, ref, grid, params)
+    assert rep.sq_linfty_l2 < 1e-24
+    assert rep.sq_l2_v < 1e-24 and rep.sq_l2_v_avg < 1e-24
 
 
 def test_one_versus_zero_unit_square():
@@ -53,7 +52,8 @@ def test_one_versus_zero_unit_square():
     traj = Trajectory(space=space, grid=grid, snapshots=snaps, newton_reports=[])
     ref = ExactSolution(u=lambda pts, t: np.zeros(len(pts)),
                         grad_u=lambda pts, t: np.zeros((len(pts), 2)))
-    assert err_linfty_l2(traj, ref, grid, params) == pytest.approx(1.0, abs=1e-13)
+    assert compute_error_report(traj, ref, grid, params).sq_linfty_l2 == pytest.approx(
+        1.0, abs=1e-13)
 
 
 def _smooth_run(level=2, M=4):
@@ -72,16 +72,15 @@ def test_p2_v_error_equals_gradient_error():
     # coded H1-seminorm error accumulation
     traj, exact, grid, params = _smooth_run()
     space = traj.space
-    v, v_avg = err_l2_v(traj, exact, grid, params)
+    v = compute_error_report(traj, exact, grid, params).sq_l2_v
 
-    from pheat.error_metrics import _window_time_nodes
     rule = quadrature(8)
     pts = space.physical_points(rule)
     flat = pts.reshape(-1, 2)
     total = 0.0
     for m in range(1, grid.M + 1):
         grad_h = space.grad_at(rule, traj.snapshots[m].coeffs)
-        nodes, weights = _window_time_nodes(grid, m, None)
+        nodes, weights = gauss_segments(grid.window_subintervals(m))
         for s, w in zip(nodes, weights):
             d = grad_h - np.asarray(exact.grad_u(flat, s)).reshape(grad_h.shape)
             total += w * space.integrate(rule, np.sum(d * d, axis=-1))
@@ -172,9 +171,8 @@ def test_orthogonal_window_decomposition():
 
 def test_lp_s_reduces_to_v_avg_at_p2():
     traj, exact, grid, params = _smooth_run()
-    _, v_avg = err_l2_v(traj, exact, grid, params)
-    s_err = err_lp_s(traj, exact, grid, params)
-    assert s_err == pytest.approx(v_avg, rel=1e-10)
+    rep = compute_error_report(traj, exact, grid, params)
+    assert rep.sq_lp_s == pytest.approx(rep.sq_l2_v_avg, rel=1e-10)
 
 
 def test_lp_s_constant_field_closed_form():
@@ -194,7 +192,7 @@ def test_lp_s_constant_field_closed_form():
     raw_expected = 0.0
     dS = np.linalg.norm(s_flux(P, params) - s_flux(Q, params)) ** pprime  # |Omega| = 1
     raw_expected = grid.tau * grid.M * dS
-    got = err_lp_s(traj, ref, grid, params)
+    got = compute_error_report(traj, ref, grid, params).sq_lp_s
     assert got == pytest.approx(raw_expected ** (2.0 / pprime), rel=1e-12)
 
 
@@ -202,10 +200,16 @@ def test_incompatible_hierarchy_raises():
     traj, params = _zero_traj(2, 4)
     other, _ = _zero_traj(1, 8, domain="centered_square")
     with pytest.raises(IncompatibleHierarchy):
-        err_linfty_l2(traj, DiscreteReference(other), traj.grid, params)
+        compute_error_report(traj, DiscreteReference(other), traj.grid, params)
     bad_m, _ = _zero_traj(3, 3)  # 3 not a multiple of 4
     with pytest.raises(IncompatibleHierarchy):
-        err_linfty_l2(traj, DiscreteReference(bad_m), traj.grid, params)
+        compute_error_report(traj, DiscreteReference(bad_m), traj.grid, params)
+    # nested, but the run's degree is above the reference's
+    p2_space = build_space(traj.space.mesh, 2)
+    p2 = Trajectory(space=p2_space, grid=traj.grid, newton_reports=[],
+                    snapshots=[FeFunction(p2_space, np.zeros(p2_space.ndof))] * 5)
+    with pytest.raises(IncompatibleHierarchy):
+        compute_error_report(p2, DiscreteReference(traj), traj.grid, params)
 
 
 def test_discrete_reference_nested_consistency():

@@ -63,8 +63,9 @@ def test_bad_values_rejected():
                 "kappa = nan", "p = inf", "p = nan"):
         with pytest.raises(ConfigError):
             parse_config(f"experiment = slit_constant_force\n{bad}\n")
-    with pytest.raises(ConfigError):
-        parse_config("experiment = rough_in_time\nbeta = nan\n")
+    for beta in ("nan", "-inf"):  # -inf ran and wrote a row of zeros
+        with pytest.raises(ConfigError):
+            parse_config(f"experiment = rough_in_time\nbeta = {beta}\n")
     with pytest.raises(ConfigError):
         parse_config("experiment = p2_validation\np = 3\n")
     # an exact-reference study would refine up to L for nothing and record
@@ -81,6 +82,17 @@ def test_schedule_constraints():
     with pytest.raises(ConfigError):  # M does not divide M_ref
         parse_config("experiment = slit_constant_force\nlevels = 1:3\n"
                      "reference = 2:8:2\n")
+
+
+def test_reference_degree_below_r_rejected():
+    # a coarse function of degree r is exact on the reference space only if
+    # the reference degree is at least r
+    with pytest.raises(ConfigError):
+        parse_config("experiment = slit_constant_force\nr = 3\nlevels = 1:4\n"
+                     "reference = 2:8:2\n")
+    cfg = parse_config("experiment = slit_constant_force\nr = 2\nlevels = 1:4\n"
+                       "reference = 2:8:2\n")
+    assert cfg.reference == (2, 8, 2)
 
 
 def test_levels_parse_error_is_config_error():
@@ -247,6 +259,19 @@ def test_emit_dat(tmp_path):
     assert (tmp_path / "run.dat").exists()
 
 
+def test_emit_dat_onto_the_csv_rejected(tmp_path):
+    # the .dat copy of out.dat is out.dat itself: it replaced the CSV
+    text = ("experiment = p2_validation\nlevels = 1:2, 2:4\n"
+            f"output_path = {tmp_path / 'out.dat'}\nemit_dat = true\n")
+    with pytest.raises(ConfigError):
+        parse_config(text)
+    cfgfile = tmp_path / "dat.cfg"
+    cfgfile.write_text(text)
+    r = _cli("run", "p2_validation", "--config", str(cfgfile))
+    assert r.returncode == 2 and "config error" in r.stderr
+    assert not (tmp_path / "out.dat").exists()
+
+
 def test_known_solution_point_value_finite_at_t0(tmp_path):
     # an even M puts a grid node on t = 0, where the force's signed term
     # sgn(t)|t|^(-1/2) takes its odd value 0 and the other term vanishes
@@ -405,6 +430,19 @@ def test_cli_dump_solution(tmp_path):
     assert r.returncode == 0, r.stderr
     assert (outdir / "trajectory.manifest").exists()
     assert (outdir / "snapshot_00002.txt").exists()
+
+
+def test_cli_dump_solution_clears_earlier_snapshots(tmp_path):
+    from pheat.cli import main
+
+    outdir = tmp_path / "traj"
+    for levels in ("1:4", "1:2"):
+        cfgfile = tmp_path / "p2.cfg"
+        cfgfile.write_text(f"experiment = p2_validation\nlevels = {levels}\n")
+        assert main(["dump-solution", "--config", str(cfgfile), "--out", str(outdir)]) == 0
+    snapshots = sorted(p.name for p in outdir.glob("snapshot_*.txt"))
+    assert snapshots == [f"snapshot_{m:05d}.txt" for m in range(3)]
+    assert len((outdir / "trajectory.manifest").read_text().splitlines()) == 3
 
 
 def test_cli_dump_solution_solves_the_runner_spec(tmp_path):

@@ -13,10 +13,9 @@ from pheat.assembly import (assemble_load, assemble_step_jacobian,
                             assemble_step_residual, pin_rows_cols, step_energy,
                             step_rule)
 from pheat.constitutive import PLaplaceParams, ds_jacobian, phi, s_flux
-from pheat.error_metrics import _transfer_operators
 from pheat.experiments import parse_config, run_experiment
 from pheat.fespace import (FeFunction, _reference_bases, build_space, eval_function,
-                           eval_gradient, quadrature)
+                           eval_gradient, prolongation, quadrature)
 from pheat.mesh import refine_to_level, refine_uniform
 
 TOL = 1e-13
@@ -99,16 +98,12 @@ def test_jacobian_exactly_symmetric_with_unit_pinned_rows(domain, level, degree,
     assert not np.any(J.data == 0.0)  # pinned couplings are dropped, not stored as zeros
 
 
-@pytest.mark.parametrize("coarse_degree", [1, 2, 3])
-def test_transfer_matches_pointwise_evaluation(coarse_degree, rng):
-    coarse = build_space(refine_to_level("slit", 1), coarse_degree)
-    fine = build_space(refine_uniform(refine_uniform(coarse.mesh)), 2)
-    rule = quadrature(4)
-    f = FeFunction(coarse, rng.standard_normal(coarse.ndof))
-    ops = _transfer_operators(coarse, fine, rule)
-    anc = fine.mesh.ancestor_triangles(coarse.mesh)
+def _coarse_at_fine_points(f, fine, rule):
+    """Values and gradients of the coarse function f at the quadrature points
+    of a nested finer space, one point at a time in the coarse ancestor."""
+    anc = fine.mesh.ancestor_triangles(f.space.mesh)
     pts = fine.physical_points(rule)
-    corners = coarse.mesh.triangle_coords()
+    corners = f.space.mesh.triangle_coords()
     vals = np.empty(pts.shape[:2])
     grads = np.empty(pts.shape)
     for t in range(pts.shape[0]):
@@ -119,8 +114,41 @@ def test_transfer_matches_pointwise_evaluation(coarse_degree, rng):
             bary = np.array([1.0 - lam.sum(), lam[0], lam[1]])
             vals[t, q] = eval_function(f, a, bary)
             grads[t, q] = eval_gradient(f, a, bary)
-    assert _close(ops.eval(f.coeffs), vals)
-    assert _close(ops.grad(f.coeffs), grads)
+    return vals, grads
+
+
+@pytest.mark.parametrize("coarse_degree,fine_degree,refinements", [
+    (1, 2, 2), (2, 2, 2), (3, 3, 2),      # across the slit's cut
+    (1, 1, 0), (1, 3, 0), (2, 3, 0),      # degree elevation on one mesh
+])
+def test_prolongation_matches_pointwise_evaluation(coarse_degree, fine_degree,
+                                                   refinements, rng):
+    coarse = build_space(refine_to_level("slit", 1), coarse_degree)
+    fine_mesh = coarse.mesh
+    for _ in range(refinements):
+        fine_mesh = refine_uniform(fine_mesh)
+    fine = build_space(fine_mesh, fine_degree)
+    rule = quadrature(4)
+    f = FeFunction(coarse, rng.standard_normal(coarse.ndof))
+    P = prolongation(coarse, fine)
+    assert P.shape == (fine.ndof, coarse.ndof)
+    vals, grads = _coarse_at_fine_points(f, fine, rule)
+    ops = fine.operators(rule)
+    assert _close(ops.eval(P @ f.coeffs), vals)
+    assert _close(ops.grad(P @ f.coeffs), grads)
+    if refinements == 0 and fine_degree == coarse_degree:
+        assert _close(P.toarray(), np.eye(coarse.ndof))
+
+
+def test_prolongation_rejects_unnested_meshes_and_degree_drop():
+    coarse = build_space(refine_to_level("slit", 1), 1)
+    with pytest.raises(ValueError):  # same level, but not on coarse's parent chain
+        prolongation(build_space(refine_to_level("slit", 1), 1),
+                     build_space(refine_to_level("slit", 2), 1))
+    with pytest.raises(ValueError):  # coarse and fine swapped
+        prolongation(build_space(refine_uniform(coarse.mesh), 1), coarse)
+    with pytest.raises(ValueError):
+        prolongation(build_space(coarse.mesh, 2), build_space(refine_uniform(coarse.mesh), 1))
 
 
 def test_pin_rows_cols_general_matrix(rng):
@@ -143,7 +171,6 @@ def test_pin_rows_cols_general_matrix(rng):
 def test_build_space_builds_no_operator(rng):
     space = build_space(refine_to_level("slit", 2), 2)
     assert space._step_operators is None and space._pattern is None
-    assert not space._basis_cache
     rule = step_rule(space)
     u = FeFunction(space, rng.standard_normal(space.ndof))
     assemble_step_jacobian(space, u, TAU, PLaplaceParams(p=3.0))
@@ -157,7 +184,7 @@ def test_build_space_builds_no_operator(rng):
 
 
 def test_identical_configs_give_identical_csvs(tmp_path):
-    # discrete reference: Jacobian pattern, pinning and the transfer all run
+    # discrete reference: Jacobian pattern, pinning and the prolongation all run
     def run(name):
         cfg = parse_config("experiment = slit_constant_force\np = 3.0\nlevels = 1:2, 2:4\n"
                            f"reference = 3:4:2\noutput_path = {tmp_path / name}\n")

@@ -107,8 +107,9 @@ def test_theta_average_power_vs_quadrature_oracle():
 
 
 def test_nonintegrable_force_rejected():
-    with pytest.raises(NonIntegrableForce):
-        PowerTimeForce(beta=1.0)
+    for beta in (1.0, -np.inf, np.nan):
+        with pytest.raises(NonIntegrableForce):
+            PowerTimeForce(beta=beta)
     grid = TimeGrid(-0.1, 0.1, 4)
     with pytest.raises(NonIntegrableForce):
         theta_average_power(2, grid, -1.5, signed=True)
