@@ -17,16 +17,15 @@ from .assembly import (LinearSolveReport, SpaceMismatch, MaxIterations,
                        assemble_mass, assemble_load, assemble_stiffness,
                        assemble_step_residual, assemble_step_jacobian,
                        step_energy, solve_spd)
-from .projection import (BoundaryData, NonFiniteValue, l2_project,
-                         nodal_interpolate, averaged_boundary_values,
-                         verify_l2_decay, verify_v_stability)
+from .projection import (NonFiniteValue, l2_project, nodal_interpolate,
+                         averaged_boundary_values, verify_l2_decay, verify_v_stability)
 from .timestepper import (TimeGrid, ProblemSpec, Trajectory, NewtonReport,
                           NonConvergence, NonIntegrableForce, ConstantForce,
-                          PowerTimeForce, SeparableForce, CallableForce,
+                          PowerTimeForce, SeparableForce,
                           theta_density, theta_pieces, average_force,
                           step, solve_evolution)
-from .error_metrics import (ErrorReport, ExactSolution, DiscreteReference,
-                            IncompatibleHierarchy, InsufficientData,
+from .error_metrics import (ErrorReport, ExactSolution, IncompatibleHierarchy,
+                            InsufficientData,
                             compute_error_report, v_error_breakdown,
                             empirical_order, write_csv, write_manifest)
 from .experiments import (ExperimentConfig, ConfigError, parse_config,

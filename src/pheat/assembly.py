@@ -138,7 +138,7 @@ def assemble_step_residual(space, u, u_prev, tau, f_quad, params, bc_values=None
     return res
 
 
-def assemble_step_jacobian(space, u, tau, params, eps_reg=JACOBIAN_EPS_REG):
+def assemble_step_jacobian(space, u, tau, params):
     """J = M/tau + K(u), K_ij = int grad phi_i . DS(grad u) grad phi_j dx.
 
     Dirichlet rows and columns are pinned (unit diagonal).  SPD for p > 1.
@@ -146,7 +146,7 @@ def assemble_step_jacobian(space, u, tau, params, eps_reg=JACOBIAN_EPS_REG):
     _check_same_space(space, u)
     rule = step_rule(space)
     ops = space.operators(rule)
-    ds = ds_jacobian(ops.grad(u.coeffs), params, eps_reg=eps_reg)
+    ds = ds_jacobian(ops.grad(u.coeffs), params, eps_reg=JACOBIAN_EPS_REG)
     local = _local_stiffness(ops, ds) + _local_mass(space, rule, 1.0 / tau)
     return pin_rows_cols(_sum_into_pattern(space, local), space.boundary_dofs)
 

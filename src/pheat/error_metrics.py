@@ -7,12 +7,12 @@ Against an exact (closed-form) reference:
     sq_l2_v_avg  = tau sum_m || V(grad u_(h,m)) - <V(grad u)>_(J_m) ||_L2^2
     sq_lp_s      = ( tau sum_m || S(grad u_(h,m)) - <S(grad u)>_(J_m) ||_Lp'^p' )^(2/p')
 
-Against a discrete reference (a refinement of the run's mesh, a degree at
-least the run's, a finer grid) the time average acts on the reference
-snapshots (trapezoidal rule), the run is prolongated to the reference space
-(`fespace.prolongation`), and the V / S errors compare against the
-transformed gradient of the averaged reference; the two V columns then
-coincide.
+Against a discrete reference, which is the reference's own Trajectory (on a
+refinement of the run's mesh, at a degree at least the run's, on a finer
+grid), the time average acts on the reference snapshots (trapezoidal rule),
+the run is prolongated to the reference space (`fespace.prolongation`), and
+the V / S errors compare against the transformed gradient of the averaged
+reference; the two V columns then coincide.
 
 `compute_error_report` computes every quantity in one pass over the steps.
 
@@ -27,6 +27,7 @@ import numpy as np
 from .constitutive import magnitude, s_flux, sq_magnitude, v_transform
 from .fespace import gauss_segments, prolongation, quadrature
 from .mesh import mesh_quality
+from .timestepper import Trajectory
 
 ERROR_QUADRATURE_DEGREE = 8
 
@@ -68,13 +69,6 @@ class ExactSolution:
         s = (s_flux(grad, params) if self.s_of_grad is None
              else np.asarray(self.s_of_grad(pts, t), dtype=float))
         return v, s
-
-
-@dataclass(frozen=True)
-class DiscreteReference:
-    """Trajectory on a nested finer mesh with a refining time grid."""
-
-    trajectory: object
 
 
 @dataclass(frozen=True)
@@ -192,9 +186,8 @@ def _check_discrete_compat(traj, ref_traj, grid):
         raise IncompatibleHierarchy(str(exc)) from exc
 
 
-def _discrete_errors(traj, ref, grid, params, quad_degree):
+def _discrete_errors(traj, ref_traj, grid, params, quad_degree):
     """The run, prolongated to the reference space, against the reference."""
-    ref_traj = ref.trajectory
     prolong = _check_discrete_compat(traj, ref_traj, grid)
     ref_space = ref_traj.space
     rule = quadrature(quad_degree)
@@ -231,11 +224,11 @@ def v_error_breakdown(traj, ref, grid, params, quad_degree=ERROR_QUADRATURE_DEGR
 
 
 def compute_error_report(traj, ref, grid, params, quad_degree=ERROR_QUADRATURE_DEGREE):
-    """Every error quantity of `traj` against an ExactSolution or a
-    DiscreteReference, in one pass over the steps."""
+    """Every error quantity of `traj` against an ExactSolution or a reference
+    Trajectory on a nested finer mesh and grid, in one pass over the steps."""
     if isinstance(ref, ExactSolution):
         d = _exact_errors(traj, ref, grid, params, quad_degree)
-    elif isinstance(ref, DiscreteReference):
+    elif isinstance(ref, Trajectory):
         d = _discrete_errors(traj, ref, grid, params, quad_degree)
     else:
         raise TypeError(f"unknown reference type {type(ref)!r}")

@@ -25,13 +25,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .constitutive import PLaplaceParams, magnitude
-from .error_metrics import (DiscreteReference, ExactSolution, InsufficientData,
-                            compute_error_report, empirical_order, write_csv,
-                            write_dat, write_manifest)
+from .error_metrics import (ExactSolution, InsufficientData, compute_error_report,
+                            empirical_order, write_csv, write_dat, write_manifest)
 from .fespace import MAX_QUADRATURE_DEGREE, build_space
 from .mesh import make_initial_mesh, refine_uniform
-from .timestepper import (CallableForce, ConstantForce, PowerTimeForce,
-                          SeparableForce, ProblemSpec, TimeGrid, solve_evolution)
+from .timestepper import (ConstantForce, PowerTimeForce, SeparableForce, ProblemSpec,
+                          TimeGrid, solve_evolution)
 
 _DOMAIN_VARIANTS = {"omega1": "centered_square", "omega2": "shifted_square"}
 _FORCE_MODES = ("theta_average", "point_value")
@@ -166,8 +165,11 @@ def parse_config(text, base=None):
 
 
 def parse_config_file(path, base=None):
-    with open(path) as fh:
-        return parse_config(fh.read(), base=base)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return parse_config(fh.read(), base=base)
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not valid UTF-8: {exc}") from exc
 
 
 def validate_config(cfg):
@@ -304,8 +306,7 @@ def manufactured_p2_fields():
     def f(pts, t):
         return (2.0 * np.pi ** 2 - 1.0) * u(pts, t)
 
-    exact = ExactSolution(u=u, grad_u=grad_u)
-    return exact, CallableForce(f)
+    return ExactSolution(u=u, grad_u=grad_u), f
 
 
 # ----------------------------------------------------------------------
@@ -322,15 +323,16 @@ def build_spec(cfg):
     if cfg.experiment == "rough_in_time":
         return ProblemSpec(params=params, domain="unit_square",
                            force=PowerTimeForce(cfg.beta), force_mode=mode), None
+    t0 = STUDIES[cfg.experiment].interval[0]
     if cfg.experiment == "known_solution":
         exact, force = known_solution_fields(params)
-        domain, boundary = _DOMAIN_VARIANTS[cfg.domain_variant], "averaged_nodal"
+        domain, boundary = _DOMAIN_VARIANTS[cfg.domain_variant], exact.u
     else:
         exact, force = manufactured_p2_fields()
-        domain, boundary = "unit_square", "homogeneous"
-    return ProblemSpec(params=params, domain=domain, force=force, initial="exact_at_t0",
-                       boundary_mode=boundary, force_mode=mode,
-                       exact_solution=exact.u), exact
+        domain, boundary = "unit_square", None
+    return ProblemSpec(params=params, domain=domain, force=force,
+                       initial=lambda pts: exact.u(pts, t0), boundary=boundary,
+                       force_mode=mode), exact
 
 
 def _manifest(cfg, domain):
@@ -386,9 +388,9 @@ def run_experiment(cfg):
         traj = solve_evolution(spec, lvl, cfg.r, grid, tol=cfg.tol, space=spaces[lvl])
         if reference is None:
             ref_level, ref_m, ref_deg = cfg.reference
-            reference = DiscreteReference(solve_evolution(
+            reference = solve_evolution(
                 spec, ref_level, ref_deg, TimeGrid(t0, t_end, ref_m), tol=cfg.tol,
-                space=build_space(meshes[ref_level], ref_deg)))
+                space=build_space(meshes[ref_level], ref_deg))
         reports.append(compute_error_report(traj, reference, grid, cfg.params,
                                             quad_degree=cfg.quad_degree))
     write_csv(reports, cfg.output_path)

@@ -10,7 +10,8 @@ refinement, the conformity check and the edge DOFs of `fespace` number by it.
 The slit domain (-1,1)^2 \\ (-1,0]x{0} is represented by duplicating every
 vertex that lies on the open cut.  Triangles above and below the cut then
 share no degrees of freedom across it, which is exactly the conformity the
-continuous problem requires; both copies carry the Dirichlet tag.
+continuous problem requires.  Every listed boundary edge, the two sides of
+the cut included, is a Dirichlet edge.
 """
 
 from dataclasses import dataclass
@@ -19,8 +20,6 @@ from functools import cached_property
 import numpy as np
 
 DOMAINS = ("unit_square", "centered_square", "shifted_square", "slit")
-
-DIRICHLET = "dirichlet"
 
 _EPS_ON_CUT = 1e-12
 
@@ -56,7 +55,6 @@ class Mesh:
     boundary_edges : (nb, 2) int array
         Vertex index pairs lying on the boundary (slit cut edges included,
         once per side).
-    boundary_tags : tuple of str, one tag per boundary edge
     level : int, refinement depth
     parent : Mesh or None
         The mesh this one refines.  The children of parent triangle t are
@@ -67,7 +65,6 @@ class Mesh:
     vertices: np.ndarray
     triangles: np.ndarray
     boundary_edges: np.ndarray
-    boundary_tags: tuple = ()
     level: int = 0
     parent: "Mesh | None" = None
 
@@ -75,9 +72,6 @@ class Mesh:
         object.__setattr__(self, "vertices", np.asarray(self.vertices, dtype=float))
         object.__setattr__(self, "triangles", np.asarray(self.triangles, dtype=np.int64))
         object.__setattr__(self, "boundary_edges", np.asarray(self.boundary_edges, dtype=np.int64))
-        if not self.boundary_tags:
-            object.__setattr__(self, "boundary_tags",
-                               tuple(DIRICHLET for _ in range(len(self.boundary_edges))))
 
     # ------------------------------------------------------------------
     @property
@@ -277,9 +271,7 @@ def refine_uniform(mesh):
     i, j = mesh.boundary_edges.T
     m = mid[mesh.boundary_edge_ids]
     bnd = np.stack([i, m, m, j], axis=1).reshape(-1, 2)
-    tags = tuple(tag for tag in mesh.boundary_tags for _ in range(2))
-
-    return Mesh(mesh.domain, verts, tris, bnd, tags, level=mesh.level + 1, parent=mesh)
+    return Mesh(mesh.domain, verts, tris, bnd, level=mesh.level + 1, parent=mesh)
 
 
 def refine_to_level(domain, level):

@@ -23,21 +23,6 @@ class NonFiniteValue(Exception):
     """Nodal interpolation hit a non-finite value at a DOF node."""
 
 
-@dataclass
-class BoundaryData:
-    """Per-step Dirichlet values.
-
-    mode is 'homogeneous' or 'averaged_nodal'; values[m-1] holds the
-    boundary-DOF values of step m (aligned with space.boundary_dofs).
-    """
-
-    mode: str
-    values: list
-
-    def step_values(self, m):
-        return self.values[m - 1]
-
-
 def l2_project(space, g, quad_degree=LOAD_QUADRATURE_DEGREE):
     """Best L2 approximation of g in the (unconstrained) space.
 
@@ -83,17 +68,12 @@ def averaged_boundary_values(space, u_exact, m, grid):
     return total / sum(hi - lo for lo, hi in subs)
 
 
-def build_boundary_data(space, grid, mode, u_exact=None):
-    if mode == "homogeneous":
-        zero = np.zeros(space.boundary_dofs.shape[0])
-        return BoundaryData("homogeneous", [zero] * grid.M)
-    if mode != "averaged_nodal":
-        raise ValueError(f"unknown boundary mode {mode!r}")
-    if u_exact is None:
-        raise ValueError("averaged_nodal boundary data needs the exact solution")
-    return BoundaryData("averaged_nodal",
-                        [averaged_boundary_values(space, u_exact, m, grid)
-                         for m in range(1, grid.M + 1)])
+def build_boundary_data(space, grid, u=None):
+    """Dirichlet values of steps 1..M, one array per step aligned with
+    space.boundary_dofs: zero for u = None, else the J_m averages of u(pts, t)."""
+    if u is None:
+        return [np.zeros(space.boundary_dofs.shape[0])] * grid.M
+    return [averaged_boundary_values(space, u, m, grid) for m in range(1, grid.M + 1)]
 
 
 # ----------------------------------------------------------------------

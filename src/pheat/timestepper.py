@@ -22,6 +22,10 @@ the piecewise linear densities obtained by averaging the running tau-mean of
 the equation over the window J_m = [t_(m-1), t_(m+1)]; the last window is
 truncated to [t_(M-1), t_M] and its weight renormalized to mass one.  Grids
 may start at t0 != 0; all weight formulas act in grid-local coordinates.
+
+A ProblemSpec holds plain callables: the force (a SeparableForce or any
+f(pts, t)), the initial datum u0(pts) and the Dirichlet data u(pts, t), whose
+J_m averages at the boundary DOFs are step m's values; a missing datum is zero.
 """
 
 from dataclasses import dataclass, field
@@ -235,43 +239,32 @@ def PowerTimeForce(beta):
     return SeparableForce(terms=((1.0, -beta, True),))
 
 
-@dataclass(frozen=True)
-class CallableForce:
-    fn: object  # callable (pts (n,2), t) -> (n,)
-
-    def __call__(self, pts, t):
-        return np.asarray(self.fn(pts, t), dtype=float)
-
-
 def average_force(force, m, grid, space, force_mode="theta_average"):
     """Discrete force f_m at the step quadrature points, shape (nt, nq).
 
+    A force is a SeparableForce or any callable f(pts (n, 2), t) -> (n,).
     theta_average mode returns <f>_theta_m (mass-one window weights): the
-    time factors of a SeparableForce are integrated analytically, a
-    CallableForce by 5-point Gauss per theta piece split at t = 0.
-    point_value mode returns f(t_m).  Space-dependent forces are evaluated
-    at `space.step_points`, the same array at every step.
+    time factors of a SeparableForce are integrated analytically, any other
+    callable by 5-point Gauss per theta piece split at t = 0.  point_value
+    mode returns f(t_m).  Forces are evaluated at `space.step_points`, the
+    same array at every step.
     """
     shape = (space.mesh.num_triangles, assembly.step_rule(space).num_points)
+    if force_mode == "point_value":
+        return np.asarray(force(space.step_points, grid.t(m)), dtype=float).reshape(shape)
 
     if isinstance(force, SeparableForce):
-        if force_mode == "point_value":
-            factors = [time_power(grid.t(m), gamma, signed) for _, gamma, signed in force.terms]
-        else:
-            factors = [theta_average_power(m, grid, gamma, signed)
-                       for _, gamma, signed in force.terms]
+        factors = [theta_average_power(m, grid, gamma, signed)
+                   for _, gamma, signed in force.terms]
         return force.combine(factors, lambda: space.step_points, shape)
 
     pts = space.step_points
-    if force_mode == "point_value":
-        return force(pts, grid.t(m)).reshape(shape)
-
     nodes, weights = gauss_segments([piece[:2] for piece in theta_pieces(m, grid)], split=0.0)
     # Gauss nodes lie strictly inside their piece, where theta is its A + B s
     weights = weights * theta_density(m, nodes, grid)
     total = np.zeros(pts.shape[0])
     for s, w in zip(nodes, weights):
-        total += w * force(pts, s)
+        total += w * np.asarray(force(pts, s), dtype=float)
     return total.reshape(shape)
 
 
@@ -285,11 +278,10 @@ class ProblemSpec:
 
     params: object                 # PLaplaceParams
     domain: str
-    force: object
-    initial: object = "zero"       # "zero" | "exact_at_t0" | callable u0(pts)
-    boundary_mode: str = "homogeneous"
+    force: object                  # SeparableForce or callable f(pts, t)
+    initial: object = None         # callable u0(pts), L2-projected; None: zero
+    boundary: object = None        # callable u(pts, t), J_m-averaged; None: zero
     force_mode: str = "theta_average"
-    exact_solution: object = None  # callable u(pts, t), for boundary/initial data
 
 
 @dataclass(frozen=True)
@@ -297,7 +289,6 @@ class NewtonReport:
     iterations: int
     final_residual_norm: float
     energy_values: tuple
-    fallback_used: bool
     converged: bool
     # iterations that solved for the lagged-coefficient (Kacanov) direction,
     # and moves, along either direction, accepted on residual decrease alone
@@ -305,6 +296,10 @@ class NewtonReport:
     endgame_iterations: int = 0
     start: str = "previous"  # "previous" | "linear" | "quadratic" initial guess
     stalled: bool = False    # ended by endgame moves that stopped halving the residual
+
+    @property
+    def fallback_used(self):
+        return self.kacanov_iterations > 0
 
 
 @dataclass
@@ -460,7 +455,6 @@ def step(space, u_prev, m, grid, spec, tol=DEFAULT_TOL, bc_values=None, f_quad=N
             u, energy = cand, e_cand
 
     energies = [energy]
-    fallback_used = False
     use_fallback = False
     dead_ends = 0
     kacanov_iterations = endgame_iterations = 0
@@ -470,8 +464,8 @@ def step(space, u_prev, m, grid, spec, tol=DEFAULT_TOL, bc_values=None, f_quad=N
 
     def report(iterations, converged, stalled=False):
         return NewtonReport(iterations=iterations, final_residual_norm=rnorm,
-                            energy_values=tuple(energies), fallback_used=fallback_used,
-                            converged=converged, kacanov_iterations=kacanov_iterations,
+                            energy_values=tuple(energies), converged=converged,
+                            kacanov_iterations=kacanov_iterations,
                             endgame_iterations=endgame_iterations, start=start,
                             stalled=stalled)
 
@@ -488,7 +482,6 @@ def step(space, u_prev, m, grid, spec, tol=DEFAULT_TOL, bc_values=None, f_quad=N
             raise NonConvergence(report(it - 1, False, stalled=True), m=m)
 
         if use_fallback:
-            fallback_used = True
             kacanov_iterations += 1
             mat = kacanov_matrix(space, u, tau, params)
             A, b = assembly.apply_dirichlet(mat, rhs.copy(), bdofs, g)
@@ -561,32 +554,22 @@ def step(space, u_prev, m, grid, spec, tol=DEFAULT_TOL, bc_values=None, f_quad=N
 def solve_evolution(spec, level, degree, grid, tol=DEFAULT_TOL, space=None):
     """Run the implicit Euler scheme; returns the Trajectory.
 
-    The initial snapshot is the L2-projection of the initial datum (boundary
-    DOFs overwritten with the first step's Dirichlet data); each subsequent
+    The initial snapshot is the L2-projection of the initial datum or zero,
+    with the first step's Dirichlet data on the boundary DOFs; each later
     snapshot solves the discrete weak form to the Newton tolerance.
     """
     if space is None:
         space = build_space(refine_to_level(spec.domain, level), degree)
 
-    bdata = build_boundary_data(space, grid, spec.boundary_mode, spec.exact_solution)
-
-    if spec.initial == "zero":
-        u0 = np.zeros(space.ndof)
-    else:
-        if spec.initial == "exact_at_t0":
-            if spec.exact_solution is None:
-                raise ValueError("exact_at_t0 initial data needs exact_solution")
-            g0 = lambda pts: spec.exact_solution(pts, grid.t0)
-        else:
-            g0 = spec.initial
-        u0 = l2_project(space, g0).coeffs
-    u0[space.boundary_dofs] = bdata.step_values(1)
+    boundary = build_boundary_data(space, grid, spec.boundary)
+    u0 = np.zeros(space.ndof) if spec.initial is None else l2_project(space, spec.initial).coeffs
+    u0[space.boundary_dofs] = boundary[0]
 
     traj = Trajectory(space=space, grid=grid, snapshots=[FeFunction(space, u0)],
                       newton_reports=[])
     for m in range(1, grid.M + 1):
         u, rep = step(space, traj.snapshots[-1], m, grid, spec, tol=tol,
-                      bc_values=bdata.step_values(m), history=traj.snapshots[-3:-1][::-1])
+                      bc_values=boundary[m - 1], history=traj.snapshots[-3:-1][::-1])
         traj.snapshots.append(u)
         traj.newton_reports.append(rep)
     return traj

@@ -269,8 +269,7 @@ def test_accept_07_omega2_optimal_averaged_rate(tmp_path):
     params = PLaplaceParams(p=1.5, kappa=0.0)
     exact, force = known_solution_fields(params)
     spec = ProblemSpec(params=params, domain="shifted_square", force=force,
-                       initial="exact_at_t0", boundary_mode="averaged_nodal",
-                       exact_solution=exact.u)
+                       initial=lambda pts: exact.u(pts, -1.0), boundary=exact.u)
     fine_few = solve_evolution(spec, 5, 1, TimeGrid(-1.0, 1.0, 4))
     coarse_many = solve_evolution(spec, 1, 1, TimeGrid(-1.0, 1.0, 512))
     extremes_ok = (all(r.converged for r in fine_few.newton_reports)

@@ -1,5 +1,6 @@
-"""The demos and the README's examples are not run by the tests; their
-imports from pheat are checked."""
+"""The demos are not run by the tests; their imports from pheat are checked.
+The README's python blocks have their imports checked, and its library
+example is run."""
 
 import ast
 import importlib
@@ -35,9 +36,22 @@ def test_demo_imports_from_pheat_exist():
         _check_pheat_imports(demo.read_text(), demo.name)
 
 
+def _readme_blocks(text):
+    return re.findall(r"^```python\n(.*?)^```", text, flags=re.MULTILINE | re.DOTALL)
+
+
 def test_readme_imports_from_pheat_exist():
-    blocks = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(),
-                        flags=re.MULTILINE | re.DOTALL)
+    blocks = _readme_blocks((ROOT / "README.md").read_text())
     assert blocks
     for i, block in enumerate(blocks):
         _check_pheat_imports(block, f"README.md python block {i}")
+
+
+def test_readme_library_example_runs():
+    # catches keyword and API drift that an import check cannot see
+    section = (ROOT / "README.md").read_text().split("## Library use", 1)[1]
+    example = _readme_blocks(section)[0]
+    namespace = {}
+    exec(compile(example, "README.md library example", "exec"), namespace)
+    report = namespace["report"]
+    assert 0.0 < report.sq_l2_v < float("inf") and 0.0 < report.sq_linfty_l2 < float("inf")

@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from pheat.constitutive import PLaplaceParams, s_flux
-from pheat.error_metrics import (CSV_HEADER, DiscreteReference, ErrorReport,
-                                 ExactSolution, IncompatibleHierarchy,
-                                 InsufficientData, compute_error_report,
-                                 empirical_order, read_csv, v_error_breakdown,
-                                 write_csv, write_dat)
+from pheat.error_metrics import (CSV_HEADER, ErrorReport, ExactSolution,
+                                 IncompatibleHierarchy, InsufficientData,
+                                 compute_error_report, empirical_order, read_csv,
+                                 v_error_breakdown, write_csv, write_dat)
 from pheat.fespace import FeFunction, build_space, gauss_segments, quadrature
 from pheat.mesh import make_initial_mesh, refine_to_level
 from pheat.timestepper import (ConstantForce, ProblemSpec, TimeGrid, Trajectory,
@@ -23,9 +22,7 @@ def test_reference_equals_run_degenerate_config():
     # zero force, zero data: the trajectory is identically zero; comparing the
     # run against itself as a discrete reference gives zero for every metric
     traj, params = _zero_traj(1, 4)
-    ref = DiscreteReference(traj)
-    grid = traj.grid
-    rep = compute_error_report(traj, ref, grid, params)
+    rep = compute_error_report(traj, traj, traj.grid, params)
     assert rep.sq_linfty_l2 == 0.0
     assert rep.sq_l2_v == 0.0 and rep.sq_l2_v_avg == 0.0
     assert rep.sq_lp_s == 0.0
@@ -62,7 +59,7 @@ def _smooth_run(level=2, M=4):
     exact, force = manufactured_p2_fields()
     params = PLaplaceParams(p=2.0, kappa=0.0)
     spec = ProblemSpec(params=params, domain="unit_square", force=force,
-                       initial="exact_at_t0", exact_solution=exact.u)
+                       initial=lambda pts: exact.u(pts, 0.0))
     grid = TimeGrid(0.0, 1.0, M)
     return solve_evolution(spec, level, 1, grid), exact, grid, params
 
@@ -200,16 +197,16 @@ def test_incompatible_hierarchy_raises():
     traj, params = _zero_traj(2, 4)
     other, _ = _zero_traj(1, 8, domain="centered_square")
     with pytest.raises(IncompatibleHierarchy):
-        compute_error_report(traj, DiscreteReference(other), traj.grid, params)
+        compute_error_report(traj, other, traj.grid, params)
     bad_m, _ = _zero_traj(3, 3)  # 3 not a multiple of 4
     with pytest.raises(IncompatibleHierarchy):
-        compute_error_report(traj, DiscreteReference(bad_m), traj.grid, params)
+        compute_error_report(traj, bad_m, traj.grid, params)
     # nested, but the run's degree is above the reference's
     p2_space = build_space(traj.space.mesh, 2)
     p2 = Trajectory(space=p2_space, grid=traj.grid, newton_reports=[],
                     snapshots=[FeFunction(p2_space, np.zeros(p2_space.ndof))] * 5)
     with pytest.raises(IncompatibleHierarchy):
-        compute_error_report(p2, DiscreteReference(traj), traj.grid, params)
+        compute_error_report(p2, traj, traj.grid, params)
 
 
 def test_discrete_reference_nested_consistency():
@@ -224,7 +221,7 @@ def test_discrete_reference_nested_consistency():
     fine_mesh = refine_uniform(refine_uniform(coarse.space.mesh))
     fine = solve_evolution(spec, 3, 2, TimeGrid(0.0, 1.0, 8),
                            space=bs(fine_mesh, 2))
-    rep = compute_error_report(coarse, DiscreteReference(fine), coarse.grid, params)
+    rep = compute_error_report(coarse, fine, coarse.grid, params)
     assert rep.sq_linfty_l2 > 0 and np.isfinite(rep.sq_linfty_l2)
     assert rep.sq_l2_v == rep.sq_l2_v_avg  # single averaged variant
 
@@ -294,8 +291,7 @@ def test_quadrature_robustness_omega2():
     params = PLaplaceParams(p=1.5, kappa=0.0)
     exact, force = known_solution_fields(params)
     spec = ProblemSpec(params=params, domain="shifted_square", force=force,
-                       initial="exact_at_t0", boundary_mode="averaged_nodal",
-                       exact_solution=exact.u)
+                       initial=lambda pts: exact.u(pts, -1.0), boundary=exact.u)
     grid = TimeGrid(-1.0, 1.0, 8)
     traj = solve_evolution(spec, 3, 1, grid)
     r8 = compute_error_report(traj, exact, grid, params, quad_degree=8)

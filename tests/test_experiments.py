@@ -347,6 +347,15 @@ def test_cli_bad_config_exit_2(tmp_path):
     assert r.returncode == 2
 
 
+def test_cli_non_utf8_config_exit_2(tmp_path):
+    cfgfile = tmp_path / "latin.cfg"
+    cfgfile.write_bytes(b"experiment = known_solution\n\xff\xfe = 1\n")
+    for args in (("run", "known_solution"), ("dump-solution", "--out", str(tmp_path / "t"))):
+        r = _cli(*args, "--config", str(cfgfile))
+        assert r.returncode == 2, args
+        assert "config error" in r.stderr and "Traceback" not in r.stderr, args
+
+
 def test_cli_unwritable_output_exit_2_before_any_solve(tmp_path, monkeypatch, capsys):
     from pheat.cli import main
 

@@ -41,24 +41,22 @@ def _refine_by_dict(mesh):
     for t, (a, b, c) in enumerate(mesh.triangles):
         mab, mbc, mca = mid(a, b), mid(b, c), mid(c, a)
         tris[4 * t:4 * t + 4] = ((a, mab, mca), (b, mbc, mab), (c, mca, mbc), (mab, mbc, mca))
-    bnd, tags = [], []
-    for (i, j), tag in zip(mesh.boundary_edges, mesh.boundary_tags):
+    bnd = []
+    for i, j in mesh.boundary_edges:
         m = mid(i, j)
         bnd += [(i, m), (m, j)]
-        tags += [tag, tag]
-    return np.array(verts), tris, np.array(bnd, dtype=np.int64), tuple(tags)
+    return np.array(verts), tris, np.array(bnd, dtype=np.int64)
 
 
 @pytest.mark.parametrize("domain", DOMAINS)
 def test_refinement_matches_dict_oracle(domain):
     mesh = make_initial_mesh(domain)
     for _ in range(5):
-        verts, tris, bnd, tags = _refine_by_dict(mesh)
+        verts, tris, bnd = _refine_by_dict(mesh)
         mesh = refine_uniform(mesh)
         for got, want in ((mesh.vertices, verts), (mesh.triangles, tris),
                           (mesh.boundary_edges, bnd)):
             assert got.dtype == want.dtype and np.array_equal(got, want)
-        assert mesh.boundary_tags == tags
 
 
 def test_ancestors_chain_geometric_parents():

@@ -10,10 +10,10 @@ from pheat.assembly import apply_dirichlet, assemble_step_residual, solve_spd, s
 from pheat.constitutive import PLaplaceParams, s_flux
 from pheat.fespace import FeFunction, build_space, quadrature
 from pheat.mesh import refine_to_level
-from pheat.projection import build_boundary_data
-from pheat.timestepper import (CallableForce, ConstantForce, NonConvergence,
-                               NonIntegrableForce, PowerTimeForce, ProblemSpec,
-                               SeparableForce, TimeGrid, average_force, kacanov_matrix,
+from pheat.projection import averaged_boundary_values, build_boundary_data
+from pheat.timestepper import (ConstantForce, NonConvergence, NonIntegrableForce,
+                               PowerTimeForce, ProblemSpec, SeparableForce,
+                               TimeGrid, average_force, kacanov_matrix,
                                solve_evolution, step, theta_average_power,
                                theta_density, theta_pieces)
 
@@ -140,7 +140,7 @@ def test_average_force_odd_symmetry():
 def test_average_force_point_value_mode():
     space = build_space(refine_to_level("unit_square", 1), 1)
     grid = TimeGrid(0.0, 1.0, 4)
-    f = CallableForce(lambda pts, t: (1.0 + pts[:, 0]) * t)
+    f = lambda pts, t: (1.0 + pts[:, 0]) * t
     vals = average_force(f, 2, grid, space, force_mode="point_value")
     rule = assembly.step_rule(space)
     pts = space.physical_points(rule).reshape(-1, 2)
@@ -162,7 +162,7 @@ def test_average_force_separable_matches_callable():
     space = build_space(refine_to_level("unit_square", 1), 1)
     grid = TimeGrid(0.5, 1.5, 4)  # away from 0: the callable path uses plain Gauss
     sep = SeparableForce(terms=((lambda pts: 1.0 + pts[:, 1], 2.0, False),))
-    gen = CallableForce(lambda pts, t: (1.0 + pts[:, 1]) * t * t)
+    gen = lambda pts, t: (1.0 + pts[:, 1]) * t * t
     for m in (1, 2, 4):
         a = average_force(sep, m, grid, space)
         b = average_force(gen, m, grid, space)
@@ -354,8 +354,7 @@ def test_evolution_stationary_fixed_point():
     assert np.max(np.abs(steady - warm.snapshots[-2].coeffs)) < 1e-9
 
     spec2 = ProblemSpec(params=params, domain="unit_square", force=ConstantForce(1.0),
-                        initial=lambda pts: None)  # replaced below
-    spec2.initial = "zero"
+                        initial=None)
     traj = solve_evolution(spec2, 2, 1, TimeGrid(0.0, 0.5, 3), space=space)
     # restart from the steady state: snapshots stay constant
     from pheat.timestepper import Trajectory
@@ -396,7 +395,7 @@ def test_evolution_p2_manufactured_error_decreases():
     exact, force = manufactured_p2_fields()
     params = PLaplaceParams(p=2.0, kappa=0.0)
     spec = ProblemSpec(params=params, domain="unit_square", force=force,
-                       initial="exact_at_t0", exact_solution=exact.u)
+                       initial=lambda pts: exact.u(pts, 0.0))
     errs = []
     for level, M in ((1, 2), (2, 4), (3, 8)):
         grid = TimeGrid(0.0, 1.0, M)
@@ -423,6 +422,29 @@ def test_nonconvergence_carries_step_index():
     assert rep.iterations < timestepper.MAX_COMBINED_ITERATIONS // 10
 
 
+def test_boundary_data_paths():
+    # boundary = None: every snapshot is exactly zero on the boundary DOFs;
+    # a callable: snapshot m carries the J_m averages of step m, and the
+    # initial snapshot those of step 1
+    from pheat.experiments import known_solution_fields
+
+    params = PLaplaceParams(p=1.5, kappa=0.0)
+    exact, force = known_solution_fields(params)
+    grid = TimeGrid(-1.0, 1.0, 4)
+    space = build_space(refine_to_level("shifted_square", 2), 1)
+    bdofs = space.boundary_dofs
+    zero = ProblemSpec(params=params, domain="shifted_square", force=force,
+                       initial=lambda pts: exact.u(pts, grid.t0))
+    for snap in solve_evolution(zero, 2, 1, grid, space=space).snapshots:
+        assert np.all(snap.coeffs[bdofs] == 0.0)
+    spec = ProblemSpec(params=params, domain="shifted_square", force=force,
+                       initial=zero.initial, boundary=exact.u)
+    traj = solve_evolution(spec, 2, 1, grid, space=space)
+    for m, snap in enumerate(traj.snapshots):
+        want = averaged_boundary_values(space, exact.u, max(m, 1), grid)
+        assert np.any(want != 0.0) and np.array_equal(snap.coeffs[bdofs], want), m
+
+
 @functools.lru_cache(maxsize=None)
 def _known_trajectory(p):
     from pheat.experiments import build_spec, default_config
@@ -432,7 +454,7 @@ def _known_trajectory(p):
     spec, _ = build_spec(cfg)
     grid = TimeGrid(-1.0, 1.0, 16)
     traj = solve_evolution(spec, 3, 1, grid)
-    bdata = build_boundary_data(traj.space, grid, spec.boundary_mode, spec.exact_solution)
+    bdata = build_boundary_data(traj.space, grid, spec.boundary)
     return spec, traj, bdata
 
 
@@ -445,7 +467,7 @@ def test_start_energy_not_above_previous_snapshot(p):
     for m, rep in enumerate(traj.newton_reports, start=1):
         prev = traj.snapshots[m - 1]
         start = prev.coeffs.copy()
-        start[space.boundary_dofs] = bdata.step_values(m)
+        start[space.boundary_dofs] = bdata[m - 1]
         f_quad = average_force(spec.force, m, grid, space, spec.force_mode)
         e_prev = step_energy(space, FeFunction(space, start), prev, grid.tau, f_quad,
                              spec.params)
@@ -468,7 +490,7 @@ def test_extrapolated_start_converges_to_the_same_step(p):
     iterations = 0
     for m in range(1, traj.grid.M + 1):
         u, rep = step(traj.space, traj.snapshots[m - 1], m, traj.grid, spec,
-                      bc_values=bdata.step_values(m))
+                      bc_values=bdata[m - 1])
         assert rep.start == "previous"
         iterations += rep.iterations
         ref = np.max(np.abs(u.coeffs))
@@ -495,7 +517,7 @@ def test_p2_step_ignores_history(monkeypatch):
     exact, force = manufactured_p2_fields()
     space = build_space(refine_to_level("unit_square", 2), 1)
     spec = ProblemSpec(params=PLaplaceParams(p=2.0, kappa=0.0), domain="unit_square",
-                       force=force, initial="exact_at_t0", exact_solution=exact.u)
+                       force=force, initial=lambda pts: exact.u(pts, 0.0))
     grid = TimeGrid(0.0, 1.0, 4)
     calls = []
     energy = assembly.step_energy
