@@ -8,7 +8,7 @@ coupling between the mesh size h and the time step tau.
 from .mesh import (Mesh, MeshQuality, PointOutsideDomain, make_initial_mesh,
                    refine_uniform, refine_to_level, mesh_quality, locate_point)
 from .constitutive import (PLaplaceParams, SingularJacobian, DegenerateInput,
-                           s_flux, v_transform, ds_jacobian, phi, phi_prime,
+                           s_flux, v_transform, ds_jacobian, ds_split, phi, phi_prime,
                            phi_second, phi_shifted, equivalence_ratios)
 from .fespace import (FeSpace, FeFunction, QuadratureRule, UnsupportedDegree,
                       build_space, quadrature, prolongation, eval_function,

@@ -2,8 +2,15 @@
 
 The kernels work through the space's quadrature-point operators
 (`FeSpace.operators`): vectors are products with P, B and their transposes;
-matrices contract B's dense gradient tensor over the quadrature axis in one
-batched matmul and are summed into a CSR pattern built once per space.
+matrices contract the per-point coefficient, pulled back to the reference
+cell, with the reference gradient products in one matmul and are summed
+into a CSR pattern built once per space.  DS enters as an isotropic plus a
+rank-one part (`ds_split`), so no 2 x 2 matrix per point is formed.  The
+step kernels integrate their value terms (mass, load, force) with the step
+rule and their gradient terms (S, DS, phi) with the gradient rule, one point
+per cell for r = 1; all of them move together, so the interior residual
+stays the exact gradient of the step energy.
+
 Element matrices are made exactly symmetric and `np.bincount` adds them in
 element order, so every assembled matrix is exactly symmetric and repeated
 assembly of identical inputs is bitwise reproducible.  Dirichlet conditions
@@ -18,8 +25,10 @@ import numpy as np
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 
-from .constitutive import s_flux, ds_jacobian, phi, magnitude
-from .fespace import quadrature, step_rule
+from .constitutive import s_flux, ds_split, phi, magnitude
+# not called here: re-exported because perfbench/tracer.py wraps it at this name
+from .constitutive import ds_jacobian  # noqa: F401
+from .fespace import grad_rule, quadrature, step_rule
 
 DIRECT_SOLVE_LIMIT = 40000  # unknowns; above this solve_spd falls back to CG
 CG_TOL_DEFAULT = 1e-11
@@ -76,20 +85,32 @@ def _local_mass(space, rule, scale=1.0):
     return (scale * space.areas)[:, None, None] * (0.5 * (ref + ref.T))
 
 
-def _local_stiffness(ops, coeff):
+def _local_stiffness(ops, coeff=None, rank_one=None):
     """Element matrices int grad phi_i . C grad phi_j dx, (nt, nloc, nloc).
 
-    C is given per point: None (identity), scalar (nt, nq) or a matrix
-    (nt, nq, 2, 2).
+    C = c I + b (d ox d) per point: c is None (one) or (nt, nq), and
+    rank_one is None or the pair (b (nt, nq), d (nt, nq, 2)).  The physical
+    gradients are J^-T times the reference ones, with J^-T constant on a
+    cell, so the integrand is the reference gradients contracted with
+    K = J^-1 (w C) J^-T; the three entries of this symmetric 2 x 2 matrix per
+    point meet the reference gradient products in one matmul, and no
+    per-point gradient or 2 x 2 array is formed.
     """
-    grads = ops.gradient_tensor                       # (nt, nq, 2, nloc)
-    w = ops.w[:, :, None, None]
-    if coeff is not None and coeff.ndim == 4:
-        weighted = (w * coeff) @ grads
-    else:
-        weighted = (w if coeff is None else w * coeff[:, :, None, None]) * grads
-    flat = (ops.nt, 2 * ops.nq, ops.nloc)
-    local = grads.reshape(flat).swapaxes(1, 2) @ weighted.reshape(flat)
+    jt = ops.inv_jac_t[:, None]                       # J^-T, (nt, 1, 2, 2)
+    w = ops.w if coeff is None else ops.w * coeff
+    k = np.empty((ops.nt, 3, ops.nq))
+    k[:, 0] = w * (jt[..., 0, 0] ** 2 + jt[..., 1, 0] ** 2)
+    k[:, 1] = w * (jt[..., 0, 0] * jt[..., 0, 1] + jt[..., 1, 0] * jt[..., 1, 1])
+    k[:, 2] = w * (jt[..., 0, 1] ** 2 + jt[..., 1, 1] ** 2)
+    if rank_one is not None:
+        b, d = rank_one
+        wb = ops.w * b
+        e0 = d[..., 0] * jt[..., 0, 0] + d[..., 1] * jt[..., 1, 0]   # J^-1 d
+        e1 = d[..., 0] * jt[..., 0, 1] + d[..., 1] * jt[..., 1, 1]
+        k[:, 0] += wb * e0 * e0
+        k[:, 1] += wb * e0 * e1
+        k[:, 2] += wb * e1 * e1
+    local = (k.reshape(ops.nt, -1) @ ops.gradient_products).reshape(ops.nt, ops.nloc, ops.nloc)
     return 0.5 * (local + local.swapaxes(1, 2))
 
 
@@ -98,12 +119,12 @@ def assemble_mass(space, rule=None):
     return _sum_into_pattern(space, _local_mass(space, rule or quadrature(2 * space.degree)))
 
 
-def assemble_stiffness(space, coeff=None, rule=None):
+def assemble_stiffness(space, coeff=None):
     """K_ij = int c(x) grad phi_i . grad phi_j dx with scalar coefficient c.
 
-    coeff is a per-quadrature-point array (nt, nq) or None for c = 1.
+    coeff is an array (nt, nq) at the gradient rule's points or None for c = 1.
     """
-    ops = space.operators(rule or step_rule(space))
+    ops = space.operators(grad_rule(space))
     return _sum_into_pattern(space, _local_stiffness(ops, coeff))
 
 
@@ -128,9 +149,9 @@ def assemble_step_residual(space, u, u_prev, tau, f_quad, params, bc_values=None
     _check_same_space(space, u, u_prev)
     if tau <= 0.0:
         raise ValueError("tau must be positive")
-    ops = space.operators(step_rule(space))
+    ops, gops = space.operators(step_rule(space)), space.operators(grad_rule(space))
     diff = ops.eval(u.coeffs - u_prev.coeffs)
-    res = ops.load(diff / tau - f_quad, s_flux(ops.grad(u.coeffs), params))
+    res = ops.load(diff / tau - f_quad) + gops.load(vectors=s_flux(gops.grad(u.coeffs), params))
 
     b = space.boundary_dofs
     g = np.zeros(b.shape[0]) if bc_values is None else np.asarray(bc_values, dtype=float)
@@ -144,10 +165,10 @@ def assemble_step_jacobian(space, u, tau, params):
     Dirichlet rows and columns are pinned (unit diagonal).  SPD for p > 1.
     """
     _check_same_space(space, u)
-    rule = step_rule(space)
-    ops = space.operators(rule)
-    ds = ds_jacobian(ops.grad(u.coeffs), params, eps_reg=JACOBIAN_EPS_REG)
-    local = _local_stiffness(ops, ds) + _local_mass(space, rule, 1.0 / tau)
+    gops = space.operators(grad_rule(space))
+    iso, rank, d = ds_split(gops.grad(u.coeffs), params, eps_reg=JACOBIAN_EPS_REG)
+    local = _local_stiffness(gops, iso, (rank, d))
+    local += _local_mass(space, step_rule(space), 1.0 / tau)
     return pin_rows_cols(_sum_into_pattern(space, local), space.boundary_dofs)
 
 
@@ -181,14 +202,15 @@ def step_energy(space, v, u_prev, tau, f_quad, params):
 
     E(v) = 1/(2 tau) ||v - u_prev||_L2^2 + int phi(|grad v|) dx - int f v dx
 
-    evaluated with the step quadrature rule (consistent with the residual:
-    the interior residual is the exact gradient of this function).
+    evaluated with the step rule and, for the phi term, the gradient rule
+    (consistent with the residual: the interior residual is the exact
+    gradient of this function).
     """
-    ops = space.operators(step_rule(space))
+    ops, gops = space.operators(step_rule(space)), space.operators(grad_rule(space))
     diff = ops.eval(v.coeffs - u_prev.coeffs)
-    density = (diff * diff / (2.0 * tau) + phi(magnitude(ops.grad(v.coeffs)), params)
-               - f_quad * ops.eval(v.coeffs))
-    return float(np.vdot(ops.w, density))
+    density = diff * diff / (2.0 * tau) - f_quad * ops.eval(v.coeffs)
+    return float(np.vdot(ops.w, density)
+                 + np.vdot(gops.w, phi(magnitude(gops.grad(v.coeffs)), params)))
 
 
 def solve_spd(A, b, tol=CG_TOL_DEFAULT, method=None):

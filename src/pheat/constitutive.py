@@ -98,6 +98,28 @@ def v_transform(xi, params):
     return out
 
 
+def ds_split(xi, params, eps_reg=1e-10):
+    """DS(xi) as an isotropic and a rank-one part: DS = iso I + rank (d ox d).
+
+    With a = kappa + max(|xi|, eps_reg):
+
+        iso = a^(p-2),  rank = (p-2) a^(p-3) |xi|,  d = xi / |xi|  (d = 0 at xi = 0).
+
+    Returns (iso (...), rank (...), d (..., 2)) for batched input (..., 2);
+    a contraction with these builds no (..., 2, 2) array.
+    """
+    xi = np.asarray(xi, dtype=float)
+    p, kappa = params.p, params.kappa
+    r = magnitude(xi)
+    if kappa == 0.0 and p < 2.0 and eps_reg == 0.0 and np.any(r == 0.0):
+        raise SingularJacobian("DS undefined at xi = 0 for kappa = 0, p < 2 without regularization")
+    a = kappa + np.maximum(r, eps_reg)
+    iso = a ** (p - 2.0)
+    rank = (p - 2.0) * iso * (r / np.where(a == 0.0, 1.0, a))  # a = 0 only at r = 0
+    d = xi / np.where(r == 0.0, 1.0, r)[..., None]
+    return iso, rank, d
+
+
 def ds_jacobian(xi, params, eps_reg=1e-10):
     """Derivative of S at xi, regularized near the degenerate point.
 
@@ -106,25 +128,21 @@ def ds_jacobian(xi, params, eps_reg=1e-10):
         DS(xi) = a^(p-2) I + (p-2) a^(p-3) |xi| (xi ox xi)/|xi|^2
 
     (second term zero at xi = 0).  Symmetric positive definite for p > 1
-    whenever a > 0.  Works on batched input (..., 2) -> (..., 2, 2).
+    whenever a > 0.  Works on batched input (..., 2) -> (..., 2, 2); the
+    parts come from `ds_split`.
     """
-    xi = np.asarray(xi, dtype=float)
-    p, kappa = params.p, params.kappa
-    r = magnitude(xi)
-    if kappa == 0.0 and p < 2.0 and eps_reg == 0.0 and np.any(r == 0.0):
-        raise SingularJacobian("DS undefined at xi = 0 for kappa = 0, p < 2 without regularization")
-    a = kappa + np.maximum(r, eps_reg)
-    eye = np.eye(2)
-    iso = a[..., None, None] ** (p - 2.0) * eye
-    rs = np.where(r == 0.0, 1.0, r)
-    outer = xi[..., :, None] * xi[..., None, :] / rs[..., None, None] ** 2
-    aniso = (p - 2.0) * a[..., None, None] ** (p - 3.0) * r[..., None, None] * outer
-    return iso + aniso
+    iso, rank, d = ds_split(xi, params, eps_reg)
+    return (iso[..., None, None] * np.eye(2)
+            + rank[..., None, None] * d[..., :, None] * d[..., None, :])
 
 
 def phi(t, params):
-    """phi(t) = int_0^t (kappa + s)^(p-2) s ds (t >= 0)."""
-    return phi_shifted(0.0, t, params)
+    """phi(t) = int_0^t (kappa + s)^(p-2) s ds (t >= 0); t^p / p for kappa = 0,
+    bitwise equal to phi_shifted(0, t) there."""
+    if params.kappa != 0.0 or params.p == 2.0:
+        return phi_shifted(0.0, t, params)
+    val = np.asarray(t, dtype=float) ** params.p / params.p
+    return val if val.shape else float(val)
 
 
 def phi_prime(t, params):

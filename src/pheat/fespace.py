@@ -16,11 +16,14 @@ triangle area.  `gauss_segments` is the one 5-point Gauss rule in time.
 Every evaluation at quadrature points goes through `PointOperators`: the
 value operator P (nt*nq x ndof), the gradient operator B (2*nt*nq x ndof)
 and the weights w, applied matrix-free from the reference basis and the cell
-Jacobians.  `FeSpace.operators` keeps only the step rule's set, whose dense
-gradient tensor the matrix kernels contract, and `FeSpace.step_points` the
-step rule's point coordinates; other rules' sets are transient, so no
-per-point data of the error quadrature stays cached.  `prolongation` is the
-one coarse-to-fine map, a sparse matrix onto a nested finer space.
+Jacobians.  The step kernels take values from the step rule and gradient
+terms from the gradient rule (`grad_rule`): for r = 1 the gradient is
+constant on each cell and the centroid alone integrates S, DS and phi
+exactly; for r >= 2 the two rules are one.  `FeSpace.operators` keeps the
+sets of these two rules, and `FeSpace.step_points` the step rule's point
+coordinates; other rules' sets are transient, so no per-point data of the
+error quadrature stays cached.  `prolongation` is the one coarse-to-fine
+map, a sparse matrix onto a nested finer space.
 """
 
 from dataclasses import dataclass, field
@@ -163,6 +166,13 @@ def step_rule(space):
     return quadrature(2 * space.degree + 2)
 
 
+def grad_rule(space):
+    """Quadrature of the step kernels' gradient terms (S, DS, phi): the
+    centroid for r = 1, where the gradient is constant on each cell, and the
+    step rule for r >= 2."""
+    return quadrature(1) if space.degree == 1 else step_rule(space)
+
+
 # ----------------------------------------------------------------------
 # quadrature-point operators
 # ----------------------------------------------------------------------
@@ -200,10 +210,14 @@ class PointOperators:
         ref = coeffs[self.cell_dofs] @ self.ref_grads.T
         return ref.reshape(self.nt, self.nq, 2) @ self._inv_jac
 
-    def load(self, values, vectors=None):
+    def load(self, values=None, vectors=None):
         """P^T (w f) + B^T (w g): the vector of int f phi_i + g . grad phi_i dx
-        for per-point values f (nt, nq) and optional vectors g (nt, nq, 2)."""
-        local = (self.w * values) @ self.values
+        for per-point values f (nt, nq) and vectors g (nt, nq, 2), either
+        one optional."""
+        if values is None:
+            local = np.zeros((self.nt, self.nloc))
+        else:
+            local = (self.w * values) @ self.values
         if vectors is not None:
             ref = (self.w[:, :, None] * vectors) @ self.inv_jac_t
             local += ref.reshape(self.nt, 2 * self.nq) @ self.ref_grads
@@ -211,9 +225,14 @@ class PointOperators:
                            minlength=self.ndof)
 
     @cached_property
-    def gradient_tensor(self):
-        """Physical basis gradients, shape (nt, nq, 2, nloc)."""
-        return self.inv_jac_t[:, None] @ self.ref_grads.reshape(self.nq, 2, self.nloc)
+    def gradient_products(self):
+        """Products of reference basis gradients at each point, shape
+        (3 nq, nloc * nloc): the blocks d_0 phi_i d_0 phi_j,
+        d_0 phi_i d_1 phi_j + d_1 phi_i d_0 phi_j and d_1 phi_i d_1 phi_j."""
+        g = self.ref_grads.reshape(self.nq, 2, self.nloc)
+        prod = g[:, :, None, :, None] * g[:, None, :, None, :]   # (nq, 2, 2, nloc, nloc)
+        blocks = [prod[:, 0, 0], prod[:, 0, 1] + prod[:, 1, 0], prod[:, 1, 1]]
+        return np.stack(blocks).reshape(3 * self.nq, self.nloc * self.nloc)
 
 
 # ----------------------------------------------------------------------
@@ -232,7 +251,7 @@ class FeSpace:
     boundary_dofs: np.ndarray        # sorted DOF indices on Dirichlet edges
     inv_jac_t: np.ndarray = field(repr=False, default=None)  # (nt, 2, 2), J^-T per cell
     areas: np.ndarray = field(repr=False, default=None)      # (nt,)
-    _step_operators: PointOperators = field(default=None, repr=False)
+    _operators: dict = field(default_factory=dict, repr=False)  # exactness -> PointOperators
     _pattern: tuple = field(default=None, repr=False)  # matrix pattern, see assembly
 
     @property
@@ -243,13 +262,15 @@ class FeSpace:
 
     # -- vectorized evaluation over all triangles ------------------------
     def operators(self, rule):
-        """PointOperators of `rule`; only the step rule's set is kept on the space,
-        any other rule gets a fresh set that lives as long as its caller holds it."""
-        if rule is not step_rule(self):
+        """PointOperators of `rule`; only the step and gradient rules' sets are
+        kept on the space (one set for r >= 2, where the rules are one), any
+        other rule gets a fresh set that lives as long as its caller holds it."""
+        if rule is not step_rule(self) and rule is not grad_rule(self):
             return PointOperators(self, rule)
-        if self._step_operators is None:
-            self._step_operators = PointOperators(self, rule)
-        return self._step_operators
+        ops = self._operators.get(rule.exactness_degree)
+        if ops is None:
+            ops = self._operators[rule.exactness_degree] = PointOperators(self, rule)
+        return ops
 
     def eval_at(self, rule, coeffs):
         """Function values at all quadrature points, shape (nt, nq)."""

@@ -372,22 +372,22 @@ def _armijo(space, u, u_prev_fn, tau, f_quad, params, delta, slope, energy):
 
 
 def kacanov_matrix(space, u_coeffs, tau, params, clamp=None):
-    """M/tau + lagged-coefficient stiffness (kappa + |grad u|)^(p-2), unpinned.
+    """M/tau + lagged-coefficient stiffness (kappa + |grad u|)^(p-2), unpinned;
+    the coefficient lives on the gradient rule, like the step Jacobian's DS.
 
     The lagged magnitude is clamped from below to keep the coefficient range
     bounded; the default clamp scales with the current gradient field so the
     iteration remains effective down to arbitrarily small (extinction-stage)
     states.
     """
-    rule = assembly.step_rule(space)
-    grad = space.grad_at(rule, u_coeffs)
+    grad = space.grad_at(assembly.grad_rule(space), u_coeffs)
     mag = magnitude(grad)
     if clamp is None:
         clamp = max(1e-4 * float(mag.max()), KACANOV_CLAMP)
     a = params.kappa + np.maximum(mag, clamp)
     coeff = a ** (params.p - 2.0)
-    mat = assembly.assemble_mass(space, rule) / tau + assembly.assemble_stiffness(
-        space, coeff=coeff, rule=rule)
+    mat = (assembly.assemble_mass(space, assembly.step_rule(space)) / tau
+           + assembly.assemble_stiffness(space, coeff=coeff))
     return mat.tocsr()
 
 
@@ -444,9 +444,8 @@ def step(space, u_prev, m, grid, spec, tol=DEFAULT_TOL, bc_values=None, f_quad=N
 
     # Degenerate warm start (zero gradient field, nonlinear case): try one
     # linear-diffusion solve; kept only if it lowers the step energy.
-    if params.p != 2.0 and np.max(np.abs(space.grad_at(rule, u))) == 0.0:
-        lin = assembly.assemble_mass(space, rule) / tau + assembly.assemble_stiffness(
-            space, rule=rule)
+    if params.p != 2.0 and np.max(np.abs(space.grad_at(assembly.grad_rule(space), u))) == 0.0:
+        lin = assembly.assemble_mass(space, rule) / tau + assembly.assemble_stiffness(space)
         lin, b = assembly.apply_dirichlet(lin.tocsr(), rhs.copy(), bdofs, g)
         cand, _ = assembly.solve_spd(lin, b)
         e_cand = assembly.step_energy(space, FeFunction(space, cand), u_prev, tau,

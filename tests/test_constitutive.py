@@ -158,6 +158,13 @@ def test_ds_jacobian_singular_raise():
         ds_jacobian(np.zeros(2), params, eps_reg=0.0)
 
 
+def test_ds_jacobian_limit_at_zero_without_regularization():
+    # DS(0) = I at p = 2 and 0 for p > 2; no 0/0 between the split's parts
+    for p in (2.0, 2.5, 3.0, 4.0):
+        J = ds_jacobian(np.zeros(2), PLaplaceParams(p=p), eps_reg=0.0)
+        assert np.array_equal(J, np.eye(2) if p == 2.0 else np.zeros((2, 2)))
+
+
 def test_phi_shifted_closed_forms():
     p2 = PLaplaceParams(p=2.0, kappa=0.7)
     for a in (0.0, 1.3):
@@ -166,6 +173,17 @@ def test_phi_shifted_closed_forms():
     p3 = PLaplaceParams(p=3.0, kappa=0.0)
     for t in (0.1, 1.0, 4.0):
         assert phi_shifted(0.0, t, p3) == pytest.approx(t ** 3 / 3, rel=1e-14)
+
+
+def test_phi_direct_path_equals_shifted_at_zero_kappa(rng):
+    # kappa = 0 takes t^p / p directly; the shifted form's second term is
+    # exactly zero there, so the two agree bitwise, zeros included
+    t = np.concatenate([np.zeros(7), 10.0 ** rng.uniform(-8, 3, 5000), [0.0, 1.0]])
+    for p in (1.2, 1.5, 3.0, 4.5):
+        params = PLaplaceParams(p=p, kappa=0.0)
+        assert np.array_equal(phi(t, params), phi_shifted(0.0, t, params))
+        assert phi(0.7, params) == phi_shifted(0.0, 0.7, params)
+        assert phi(0.0, params) == 0.0
 
 
 def test_phi_shifted_quadrature_oracle(rng):

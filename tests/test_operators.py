@@ -2,7 +2,9 @@
 
 Each kernel is recomputed here one triangle and one quadrature point at a
 time, from the reference basis and the triangle's Jacobian, and scattered
-into dense arrays; the vectorized kernels must agree to 1e-13 relative.
+into dense arrays; the vectorized kernels must agree to 1e-13 relative.  The
+P1 kernels, which take their gradient terms from the one-point gradient
+rule, must also agree with the same terms evaluated on the step rule.
 """
 
 import numpy as np
@@ -12,11 +14,12 @@ import scipy.sparse as sparse
 from pheat.assembly import (assemble_load, assemble_step_jacobian,
                             assemble_step_residual, pin_rows_cols, step_energy,
                             step_rule)
-from pheat.constitutive import PLaplaceParams, ds_jacobian, phi, s_flux
+from pheat.constitutive import PLaplaceParams, ds_jacobian, magnitude, phi, s_flux
 from pheat.experiments import parse_config, run_experiment
 from pheat.fespace import (FeFunction, _reference_bases, build_space, eval_function,
-                           eval_gradient, prolongation, quadrature)
+                           eval_gradient, grad_rule, prolongation, quadrature)
 from pheat.mesh import refine_to_level, refine_uniform
+from pheat.timestepper import kacanov_matrix
 
 TOL = 1e-13
 TAU = 0.3
@@ -168,19 +171,75 @@ def test_pin_rows_cols_general_matrix(rng):
     assert np.array_equal(pin_rows_cols(A, dofs).toarray(), dense)
 
 
+def _summed(space, local):
+    """Element matrices (nt, nloc, nloc) summed into one sparse matrix."""
+    cd = space.cell_dofs
+    rows = np.repeat(cd, cd.shape[1], axis=1).ravel()
+    cols = np.tile(cd, (1, cd.shape[1])).ravel()
+    return sparse.coo_matrix((local.ravel(), (rows, cols)), shape=(space.ndof, space.ndof))
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_p1_gradient_rule_matches_step_rule(p, rng):
+    # for r = 1 the gradient is constant per cell, so the one-point gradient
+    # rule and the nine-point step rule give the same S, DS and phi terms
+    space, rule, params, u, u_prev, f = _setup("shifted_square", 3, 1, p, rng)
+    assert grad_rule(space).num_points == 1 and rule.num_points == 9
+    ops = space.operators(rule)                 # the step rule's set
+    diff = ops.eval(u.coeffs - u_prev.coeffs)
+    grad = ops.grad(u.coeffs)
+    G = ops.inv_jac_t[:, None] @ ops.ref_grads.reshape(9, 2, 3)  # (nt, 9, 2, 3)
+    mass = np.einsum("tq,qi,qj->tij", ops.w, ops.values, ops.values)
+
+    res = ops.load(diff / TAU - f, s_flux(grad, params))
+    res[space.boundary_dofs] = u.coeffs[space.boundary_dofs]
+    assert _close(assemble_step_residual(space, u, u_prev, TAU, f, params), res)
+
+    ds = ds_jacobian(grad, params)
+    local = mass / TAU + np.einsum("tq,tqai,tqab,tqbj->tij", ops.w, G, ds, G)
+    assert _close(assemble_step_jacobian(space, u, TAU, params).toarray(),
+                  pin_rows_cols(_summed(space, local), space.boundary_dofs).toarray())
+
+    energy = float(np.vdot(ops.w, diff * diff / (2 * TAU) + phi(magnitude(grad), params)
+                           - f * ops.eval(u.coeffs)))
+    assert abs(step_energy(space, u, u_prev, TAU, f, params) - energy) <= TOL * abs(energy)
+
+    clamp = 1e-3
+    coeff = (params.kappa + np.maximum(magnitude(grad), clamp)) ** (p - 2.0)
+    local = mass / TAU + np.einsum("tq,tqai,tqaj->tij", ops.w * coeff, G, G)
+    assert _close(kacanov_matrix(space, u.coeffs, TAU, params, clamp=clamp).toarray(),
+                  _summed(space, local).toarray())
+
+
+@pytest.mark.parametrize("degree", [2, 3])
+def test_gradient_rule_is_step_rule_above_p1(degree):
+    space = build_space(refine_to_level("slit", 1), degree)
+    assert grad_rule(space) is step_rule(space)
+    assert space.operators(grad_rule(space)) is space.operators(step_rule(space))
+
+
 def test_build_space_builds_no_operator(rng):
-    space = build_space(refine_to_level("slit", 2), 2)
-    assert space._step_operators is None and space._pattern is None
-    rule = step_rule(space)
-    u = FeFunction(space, rng.standard_normal(space.ndof))
-    assemble_step_jacobian(space, u, TAU, PLaplaceParams(p=3.0))
-    ops = space._step_operators
-    assert ops is not None and space.operators(rule) is ops
-    # operators of any other rule are never kept on the space
-    error_rule = quadrature(8)
-    space.eval_at(error_rule, u.coeffs)
-    assert space.operators(error_rule) is not space.operators(error_rule)
-    assert space._step_operators is ops
+    params = PLaplaceParams(p=3.0)
+    for degree in (1, 2):
+        space = build_space(refine_to_level("slit", 2), degree)
+        assert space._operators == {} and space._pattern is None
+        u = FeFunction(space, rng.standard_normal(space.ndof))
+        f = np.zeros((space.mesh.num_triangles, step_rule(space).num_points))
+        assemble_step_residual(space, u, u, TAU, f, params)
+        assemble_step_jacobian(space, u, TAU, params)
+        kacanov_matrix(space, u.coeffs, TAU, params)
+        # the step and gradient rules' sets are kept, one set for r >= 2
+        rules = (step_rule(space), grad_rule(space))
+        kept = [space.operators(rule) for rule in rules]
+        assert len(space._operators) == (2 if degree == 1 else 1)
+        assert all(any(k is ops for ops in space._operators.values()) for k in kept)
+        if degree == 1:  # the matrices contract P1 gradients at the centroid only
+            assert "gradient_products" not in kept[0].__dict__
+        # operators of any other rule are never kept on the space
+        error_rule = quadrature(8)
+        space.eval_at(error_rule, u.coeffs)
+        assert space.operators(error_rule) is not space.operators(error_rule)
+        assert all(space.operators(rule) is k for rule, k in zip(rules, kept))
 
 
 def test_identical_configs_give_identical_csvs(tmp_path):
