@@ -16,7 +16,10 @@ element order, so every assembled matrix is exactly symmetric and repeated
 assembly of identical inputs is bitwise reproducible.  Dirichlet conditions
 are imposed by symmetric elimination (rows and columns zeroed, unit
 diagonal), which keeps mass and Jacobian matrices symmetric positive
-definite.
+definite.  The step Jacobian is written pinned: the slots that survive
+pinning and the pinned pattern are computed once per space, next to the
+full pattern, and the result is bitwise what `pin_rows_cols` makes of the
+unpinned matrix.  `pin_rows_cols` and `apply_dirichlet` pin any other matrix.
 """
 
 from dataclasses import dataclass
@@ -59,12 +62,9 @@ class LinearSolveReport:
     method: str
 
 
-def _sum_into_pattern(space, local):
-    """Sum element matrices (nt, nloc, nloc) into the space's CSR pattern.
-
-    The pattern and the slot of every local entry (t, i, j) in its data
-    array are computed once per space, on first use.
-    """
+def _pattern(space):
+    """The space's CSR pattern (indptr, indices) and the slot of every local
+    entry (t, i, j) in its data array, computed once per space."""
     if space._pattern is None:
         cd = space.cell_dofs
         n, nloc = space.ndof, cd.shape[1]
@@ -73,8 +73,47 @@ def _sum_into_pattern(space, local):
         rows, cols = np.divmod(keys, n)
         indptr = np.searchsorted(rows, np.arange(n + 1))
         space._pattern = (indptr.astype(np.int32), cols.astype(np.int32), scatter)
-    indptr, indices, scatter = space._pattern
+    return space._pattern
+
+
+def _pinned_pattern(space):
+    """The pattern with the Dirichlet rows and columns pinned, computed once
+    per space: (indptr, indices, kept, diagonal).  `kept` masks the slots of
+    the full pattern that survive pinning, the entries of unpinned rows and
+    columns and the pinned diagonal; `diagonal` are the pinned diagonal's
+    slots in the pinned data array."""
+    if space._pinned_pattern is None:
+        indptr, indices, _ = _pattern(space)
+        pinned = np.zeros(space.ndof, dtype=bool)
+        pinned[space.boundary_dofs] = True
+        rows = np.repeat(np.arange(space.ndof), np.diff(indptr))
+        diagonal = pinned[rows] & (indices == rows)
+        kept = ~(pinned[rows] | pinned[indices]) | diagonal
+        pinned_indptr = np.zeros(space.ndof + 1, dtype=np.int32)
+        np.cumsum(np.bincount(rows[kept], minlength=space.ndof), out=pinned_indptr[1:])
+        space._pinned_pattern = (pinned_indptr, indices[kept], kept,
+                                 np.flatnonzero(diagonal[kept]))
+    return space._pinned_pattern
+
+
+def _sum_into_pattern(space, local, pinned=False):
+    """Sum element matrices (nt, nloc, nloc) into the space's CSR pattern.
+
+    With `pinned` the Dirichlet rows and columns are written pinned, exactly
+    as `pin_rows_cols` leaves them: zeroed and dropped, with a unit diagonal,
+    and every other entry that sums to zero dropped too.
+    """
+    indptr, indices, scatter = _pattern(space)
     data = np.bincount(scatter, weights=local.reshape(-1), minlength=indices.shape[0])
+    if pinned:
+        indptr, indices, kept, diagonal = _pinned_pattern(space)
+        data = data[kept]
+        data[diagonal] = 1.0
+        if not data.all():
+            A = sparse.csr_matrix((data, indices.copy(), indptr.copy()),
+                                  shape=(space.ndof, space.ndof))
+            A.eliminate_zeros()
+            return A
     return sparse.csr_matrix((data, indices, indptr), shape=(space.ndof, space.ndof))
 
 
@@ -169,7 +208,7 @@ def assemble_step_jacobian(space, u, tau, params):
     iso, rank, d = ds_split(gops.grad(u.coeffs), params, eps_reg=JACOBIAN_EPS_REG)
     local = _local_stiffness(gops, iso, (rank, d))
     local += _local_mass(space, step_rule(space), 1.0 / tau)
-    return pin_rows_cols(_sum_into_pattern(space, local), space.boundary_dofs)
+    return _sum_into_pattern(space, local, pinned=True)
 
 
 def pin_rows_cols(A, dofs):
@@ -213,33 +252,45 @@ def step_energy(space, v, u_prev, tau, f_quad, params):
                  + np.vdot(gops.w, phi(magnitude(gops.grad(v.coeffs)), params)))
 
 
-def solve_spd(A, b, tol=CG_TOL_DEFAULT, method=None):
+def factor_spd(A):
+    """Sparse LU of an SPD matrix, as the direct path of `solve_spd` makes it.
+
+    SuperLU in symmetric mode: a minimum-degree ordering of A + A^T and
+    pivots taken from the diagonal (threshold 0), which is stable for an SPD
+    matrix and roughly halves the fill of the general COLAMD ordering with
+    partial pivoting.  Supernodes are not relaxed and panels are one column
+    wide: with SuperLU's defaults (relax 5, panel 10) this ordering factors
+    P1 step Jacobians of 4k DOFs 2.5x and of 16k DOFs 20-30x slower than
+    COLAMD; with these settings it is faster than COLAMD on every step
+    Jacobian measured (slit, shifted and unit square, P1 to P3, 289 to
+    16 705 DOFs).
+    """
+    return spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                     relax=1, panel_size=1, options=dict(SymmetricMode=True))
+
+
+def solve_spd(A, b, tol=CG_TOL_DEFAULT, method=None, lu=None):
     """Solve SPD system: sparse direct below DIRECT_SOLVE_LIMIT, else Jacobi-CG.
 
-    The direct path is SuperLU in symmetric mode: a minimum-degree ordering
-    of A + A^T and pivots taken from the diagonal (threshold 0), which is
-    stable for an SPD matrix and roughly halves the fill of the general
-    COLAMD ordering with partial pivoting.  Supernodes are not relaxed and
-    panels are one column wide: with SuperLU's defaults (relax 5, panel 10)
-    this ordering factors P1 step Jacobians of 4k DOFs 2.5x and of 16k DOFs
-    20-30x slower than COLAMD; with these settings it is faster than COLAMD
-    on every step Jacobian measured (slit, shifted and unit square, P1 to
-    P3, 289 to 16 705 DOFs).  At most REFINE_PASSES passes of iterative
-    refinement follow, taken only while the relative residual exceeds
-    REFINE_TARGET and each pass lowers it.  The reported relative residual
-    is that of the returned x.
+    The direct path factors A with `factor_spd`, or uses `lu`, a factorization
+    of A from it, which a caller solving many systems with one matrix passes.
+    At most REFINE_PASSES passes of iterative refinement follow, taken only
+    while the relative residual exceeds REFINE_TARGET and each pass lowers
+    it.  The reported relative residual is that of the returned x.
 
     Returns (x, LinearSolveReport).  Raises MaxIterations if CG does not reach
     the tolerance within 10 n iterations.
     """
     n = A.shape[0]
-    if method is None:
+    if lu is not None:
+        method = "direct"
+    elif method is None:
         method = "direct" if n <= DIRECT_SOLVE_LIMIT else "cg"
     b = np.asarray(b, dtype=float)
     bnorm = np.linalg.norm(b)
     if method == "direct":
-        lu = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                       relax=1, panel_size=1, options=dict(SymmetricMode=True))
+        if lu is None:
+            lu = factor_spd(A)
         scale = bnorm if bnorm > 0 else 1.0
         x = lu.solve(b)
         r = b - A @ x

@@ -77,7 +77,13 @@ def _power_factor(r, params, exponent):
 
 
 def s_flux(xi, params):
-    """S(xi) = (kappa + |xi|)^(p-2) xi, continuous at xi = 0 for p > 1."""
+    """S(xi) = (kappa + |xi|)^(p-2) xi, continuous at xi = 0 for p > 1.
+
+    At p = 2 the factor is pow(kappa + |xi|, 0) = 1 everywhere, also at 0,
+    inf and nan, so S is a copy of xi, bitwise.
+    """
+    if params.p == 2.0:
+        return np.array(xi, dtype=float)
     xi = np.asarray(xi, dtype=float)
     r = _norm(xi)
     fac = _power_factor(r, params, params.p - 2.0)
@@ -88,7 +94,10 @@ def s_flux(xi, params):
 
 
 def v_transform(xi, params):
-    """V(xi) = (kappa + |xi|)^((p-2)/2) xi; |V(xi)|^2 = S(xi).xi exactly."""
+    """V(xi) = (kappa + |xi|)^((p-2)/2) xi; |V(xi)|^2 = S(xi).xi exactly.
+    A copy of xi at p = 2, like `s_flux`."""
+    if params.p == 2.0:
+        return np.array(xi, dtype=float)
     xi = np.asarray(xi, dtype=float)
     r = _norm(xi)
     fac = _power_factor(r, params, (params.p - 2.0) / 2.0)

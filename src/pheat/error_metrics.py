@@ -14,7 +14,10 @@ the run is prolongated to the reference space (`fespace.prolongation`), and
 the V / S errors compare against the transformed gradient of the averaged
 reference; the two V columns then coincide.
 
-`compute_error_report` computes every quantity in one pass over the steps.
+`compute_error_report` computes every quantity in one pass: over the
+subintervals I_k = [t_(k-1), t_k] for an exact reference, whose time nodes
+each serve the one or two windows that contain them, and over the steps for
+a discrete reference.
 
 The raw p'-power sum (before the 2/p' exponent) is kept alongside, because
 the CSV files store it under the column sqAerr.
@@ -104,8 +107,28 @@ class VErrorBreakdown:
 # exact references
 # ----------------------------------------------------------------------
 
+class _Window:
+    """The running sums of one open window J_m: its run-side V field, the
+    weighted sums of the reference's u, V and S, its time weights, and its
+    nodes' V-error terms, which enter sq_v when the window closes."""
+
+    def __init__(self, m, vh):
+        self.m, self.vh = m, vh
+        self.acc = [np.zeros(vh.shape[:-1]), np.zeros_like(vh), np.zeros_like(vh)]
+        self.weights, self.sq_v_terms = [], []
+        self.int_vsq = 0.0        # int_(J_m) ||V(s)||^2 ds
+
+
 def _exact_errors(traj, ref, grid, params, quad_degree):
-    """Every windowed quantity in one sweep over the steps."""
+    """Every windowed quantity in one sweep over the subintervals.
+
+    The Gauss nodes of I_k = [t_(k-1), t_k] close window k - 1 and open
+    window k, so the closed forms are evaluated once per node.  Each window
+    adds its nodes in the order I_m, I_(m+1), and the flat sum sq_v takes a
+    window's terms when it closes: every sum runs in the order of a loop
+    over windows.  An open window keeps its V field and three running sums;
+    u_h and S(grad u_h) are built from the snapshot when it closes.
+    """
     space = traj.space
     rule = quadrature(quad_degree)
     ops = space.operators(rule)
@@ -114,39 +137,54 @@ def _exact_errors(traj, ref, grid, params, quad_degree):
     linfty = sq_v = fluct = raw = 0.0
     per_window, lengths = [], []
 
-    for m in range(1, grid.M + 1):
-        u_m = traj.snapshots[m].coeffs
-        uh = ops.eval(u_m)
-        grad_h = ops.grad(u_m)
-        vh = v_transform(grad_h, params)
-        sh = s_flux(grad_h, params)
-
-        s_nodes, s_weights = gauss_segments(grid.window_subintervals(m), ref.t_singular)
-        length = s_weights.sum()
-        u_acc = np.zeros_like(uh)
-        v_acc = np.zeros_like(vh)
-        s_acc = np.zeros_like(sh)
-        int_vsq = 0.0        # int_(J_m) ||V(s)||^2 ds
-        for sk, wk in zip(s_nodes, s_weights):
-            u_ex = np.asarray(ref.u(flat, sk), dtype=float).reshape(uh.shape)
-            v_ex, s_ex = ref.v_and_s(flat, sk, params)
-            v_ex, s_ex = v_ex.reshape(vh.shape), s_ex.reshape(sh.shape)
-            sq_v += wk * space.integrate(rule, sq_magnitude(vh - v_ex))
-            int_vsq += wk * space.integrate(rule, sq_magnitude(v_ex))
-            u_acc += wk * u_ex
-            v_acc += wk * v_ex
-            s_acc += wk * s_ex
-            # release this node's fields before the next node builds its own
-            del u_ex, v_ex, s_ex
-
-        du = uh - u_acc / length
+    def close(win):
+        # the sums become averages, and the differences are taken, in place,
+        # so closing a window needs less memory than a node
+        nonlocal linfty, sq_v, fluct, raw
+        for term in win.sq_v_terms:
+            sq_v += term
+        length = np.concatenate(win.weights).sum()
+        u_bar, v_bar, s_bar = win.acc
+        for acc in win.acc:
+            acc /= length
+        u_m = traj.snapshots[win.m].coeffs
+        du = ops.eval(u_m)
+        du -= u_bar
         linfty = max(linfty, space.integrate(rule, du * du))
-        v_bar = v_acc / length
-        dv = vh - v_bar
-        per_window.append(space.integrate(rule, sq_magnitude(dv)))
+        del du
+        fluct += win.int_vsq - length * space.integrate(rule, sq_magnitude(v_bar))
+        win.vh -= v_bar
+        per_window.append(space.integrate(rule, sq_magnitude(win.vh)))
         lengths.append(length)
-        fluct += int_vsq - length * space.integrate(rule, sq_magnitude(v_bar))
-        raw += grid.tau * space.integrate(rule, magnitude(sh - s_acc / length) ** pprime)
+        ds = s_flux(ops.grad(u_m), params)
+        ds -= s_bar
+        raw += grid.tau * space.integrate(rule, magnitude(ds) ** pprime)
+
+    prev = None
+    for k in range(1, grid.M + 1):
+        win = _Window(k, v_transform(ops.grad(traj.snapshots[k].coeffs), params))
+        open_windows = (win,) if prev is None else (prev, win)
+        s_nodes, s_weights = gauss_segments([(grid.t(k - 1), grid.t(k))], ref.t_singular)
+        for w in open_windows:
+            w.weights.append(s_weights)
+        for sk, wk in zip(s_nodes, s_weights):
+            u_ex = np.asarray(ref.u(flat, sk), dtype=float).reshape(win.vh.shape[:-1])
+            v_ex, s_ex = ref.v_and_s(flat, sk, params)
+            v_ex, s_ex = v_ex.reshape(win.vh.shape), s_ex.reshape(win.vh.shape)
+            vsq = wk * space.integrate(rule, sq_magnitude(v_ex))
+            for w in open_windows:
+                w.sq_v_terms.append(wk * space.integrate(rule, sq_magnitude(w.vh - v_ex)))
+                w.int_vsq += vsq
+            for i, field in enumerate((u_ex, v_ex, s_ex)):
+                weighted = wk * field
+                for w in open_windows:
+                    w.acc[i] += weighted
+            # release this node's fields before the next node builds its own
+            del u_ex, v_ex, s_ex, weighted
+        if prev is not None:
+            close(prev)
+        prev = win
+    close(prev)
 
     per_window = np.array(per_window)
     return dict(sq_linfty_l2=linfty, sq_l2_v=sq_v,
@@ -225,7 +263,7 @@ def v_error_breakdown(traj, ref, grid, params, quad_degree=ERROR_QUADRATURE_DEGR
 
 def compute_error_report(traj, ref, grid, params, quad_degree=ERROR_QUADRATURE_DEGREE):
     """Every error quantity of `traj` against an ExactSolution or a reference
-    Trajectory on a nested finer mesh and grid, in one pass over the steps."""
+    Trajectory on a nested finer mesh and grid, in one pass."""
     if isinstance(ref, ExactSolution):
         d = _exact_errors(traj, ref, grid, params, quad_degree)
     elif isinstance(ref, Trajectory):

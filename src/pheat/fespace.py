@@ -253,6 +253,7 @@ class FeSpace:
     areas: np.ndarray = field(repr=False, default=None)      # (nt,)
     _operators: dict = field(default_factory=dict, repr=False)  # exactness -> PointOperators
     _pattern: tuple = field(default=None, repr=False)  # matrix pattern, see assembly
+    _pinned_pattern: tuple = field(default=None, repr=False)  # its Dirichlet-pinned form
 
     @property
     def interior_dofs(self):

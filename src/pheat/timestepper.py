@@ -397,13 +397,16 @@ def _energy_resolution(energy):
 
 
 def step(space, u_prev, m, grid, spec, tol=DEFAULT_TOL, bc_values=None, f_quad=None,
-         history=()):
+         history=(), jacobian=None):
     """One implicit Euler step: returns (u_m, NewtonReport).
 
     `history` holds the snapshots before u_prev, newest first; for p != 2
     their extrapolations with u_prev are candidate starts, and the solve
-    starts from the lowest-energy candidate.  Convergence when the Euclidean
-    residual norm drops below tol * (1 + ||rhs||) with rhs the step load vector.
+    starts from the lowest-energy candidate.  `jacobian` is None or a pair
+    (pinned step Jacobian, its `assembly.factor_spd` factorization) that
+    holds at every state, as at p = 2; Newton then solves with it instead of
+    assembling and factoring.  Convergence when the Euclidean residual norm
+    drops below tol * (1 + ||rhs||) with rhs the step load vector.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -487,8 +490,9 @@ def step(space, u_prev, m, grid, spec, tol=DEFAULT_TOL, bc_values=None, f_quad=N
             target, _ = assembly.solve_spd(A, b)
             delta = target - u
         else:
-            jac = assembly.assemble_step_jacobian(space, FeFunction(space, u), tau, params)
-            delta, _ = assembly.solve_spd(jac, -residual)
+            jac, lu = jacobian or (assembly.assemble_step_jacobian(
+                space, FeFunction(space, u), tau, params), None)
+            delta, _ = assembly.solve_spd(jac, -residual, lu=lu)
 
         slope = float(residual @ delta)
 
@@ -555,7 +559,10 @@ def solve_evolution(spec, level, degree, grid, tol=DEFAULT_TOL, space=None):
 
     The initial snapshot is the L2-projection of the initial datum or zero,
     with the first step's Dirichlet data on the boundary DOFs; each later
-    snapshot solves the discrete weak form to the Newton tolerance.
+    snapshot solves the discrete weak form to the Newton tolerance.  At p = 2
+    the step Jacobian M/tau + K does not depend on the state (DS is exactly
+    the identity), so a system small enough for the direct solver is
+    assembled and factored once and serves every step.
     """
     if space is None:
         space = build_space(refine_to_level(spec.domain, level), degree)
@@ -566,9 +573,14 @@ def solve_evolution(spec, level, degree, grid, tol=DEFAULT_TOL, space=None):
 
     traj = Trajectory(space=space, grid=grid, snapshots=[FeFunction(space, u0)],
                       newton_reports=[])
+    jacobian = None
+    if spec.params.p == 2.0 and space.ndof <= assembly.DIRECT_SOLVE_LIMIT:
+        jac = assembly.assemble_step_jacobian(space, traj.snapshots[0], grid.tau, spec.params)
+        jacobian = (jac, assembly.factor_spd(jac))
     for m in range(1, grid.M + 1):
         u, rep = step(space, traj.snapshots[-1], m, grid, spec, tol=tol,
-                      bc_values=boundary[m - 1], history=traj.snapshots[-3:-1][::-1])
+                      bc_values=boundary[m - 1], history=traj.snapshots[-3:-1][::-1],
+                      jacobian=jacobian)
         traj.snapshots.append(u)
         traj.newton_reports.append(rep)
     return traj

@@ -121,6 +121,29 @@ def test_p2_jacobian_is_mass_plus_stiffness():
     assert abs(J - expected).max() < 1e-12
 
 
+def _same_csr(A, B):
+    return (np.array_equal(A.indptr, B.indptr) and np.array_equal(A.indices, B.indices)
+            and np.array_equal(A.data, B.data))
+
+
+@pytest.mark.parametrize("domain, degree", [("unit_square", 1), ("slit", 2), ("slit", 3)])
+def test_pinned_write_equals_pin_rows_cols(domain, degree, rng):
+    # integer-valued element matrices make many entries sum to exactly zero;
+    # pin_rows_cols drops those, and so must the direct pinned write
+    space = build_space(refine_to_level(domain, 1), degree)
+    nt, nloc = space.cell_dofs.shape
+    ints = rng.integers(-1, 2, size=(nt, nloc, nloc)).astype(float)
+    mass = assembly._local_mass(space, quadrature(2 * degree))
+    for local in (ints + ints.swapaxes(1, 2), mass, np.zeros_like(mass)):
+        expected = assembly.pin_rows_cols(assembly._sum_into_pattern(space, local),
+                                          space.boundary_dofs)
+        for _ in range(2):  # the cached pattern is not changed by a write
+            assert _same_csr(assembly._sum_into_pattern(space, local, pinned=True), expected)
+    u = FeFunction(space, rng.standard_normal(space.ndof))
+    J = assemble_step_jacobian(space, u, 0.1, PLaplaceParams(p=3.0))
+    assert _same_csr(J, assembly.pin_rows_cols(J, space.boundary_dofs))
+
+
 def test_jacobian_directional_consistency(rng):
     space = build_space(refine_to_level("unit_square", 1), 1)
     params = PLaplaceParams(p=3.0, kappa=0.0)

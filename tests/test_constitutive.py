@@ -69,6 +69,24 @@ def test_v_transform_examples():
     assert np.allclose(v_transform(xi, p2), xi)
 
 
+@pytest.mark.parametrize("kappa", [0.0, 0.5])
+def test_p2_flux_and_transform_are_copies_of_the_generic_power(kappa, rng):
+    # (kappa + |xi|)^0 is exactly 1, also at 0, inf and nan, so the p = 2
+    # shortcut is bitwise the generic (kappa + |xi|)^(p-2) xi
+    from pheat.constitutive import _power_factor
+
+    params = PLaplaceParams(p=2.0, kappa=kappa)
+    xi = np.vstack([sample_vectors(rng, 20), [[0.0, 0.0], [-0.0, 0.0], [np.inf, 1.0],
+                                             [-np.inf, np.inf], [np.nan, 2.0],
+                                             [np.nan, np.nan]]])
+    generic = _power_factor(np.linalg.norm(xi, axis=-1)[:, None], params, 0.0) * xi
+    for fn in (s_flux, v_transform):
+        out = fn(xi, params)
+        assert np.array_equal(out, generic, equal_nan=True)
+        assert np.array_equal(np.signbit(out), np.signbit(generic))
+        assert not np.shares_memory(out, xi)
+
+
 def test_v_squared_equals_s_dot_xi(rng):
     xi = sample_vectors(rng, 10_000)
     for p in P_VALUES:

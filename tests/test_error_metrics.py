@@ -154,6 +154,28 @@ def test_exact_pass_matches_per_node_loop(experiment, grid, closed_forms):
         assert getattr(report, field) == pytest.approx(value, rel=1e-12, abs=0.0), field
 
 
+@pytest.mark.parametrize("experiment, grid, split", [
+    ("known_solution", TimeGrid(-1.0, 1.0, 5), 1),   # [-0.2, 0.2] is split at t = 0
+    ("p2_validation", TimeGrid(0.0, 1.0, 4), 0),
+])
+def test_exact_pass_evaluates_each_time_node_once(experiment, grid, split):
+    # neighbouring windows share a subinterval; its 5 Gauss nodes (10 where
+    # t_singular splits it) are evaluated once, not once per window
+    from dataclasses import replace
+
+    from pheat.experiments import build_spec, default_config
+
+    cfg = default_config(experiment)
+    spec, exact = build_spec(cfg)
+    traj = solve_evolution(spec, 1, 1, grid)
+    times = []
+    counting = replace(exact, u=lambda pts, t: times.append(t) or exact.u(pts, t))
+    report = compute_error_report(traj, counting, grid, cfg.params)
+    assert len(times) == 5 * (grid.M + split)
+    assert len(set(times)) == len(times)
+    assert report == compute_error_report(traj, exact, grid, cfg.params)
+
+
 def test_orthogonal_window_decomposition():
     traj, exact, grid, params = _smooth_run(level=2, M=5)
     br = v_error_breakdown(traj, exact, grid, params)

@@ -533,6 +533,44 @@ def test_p2_step_ignores_history(monkeypatch):
     assert all(rep.start == "previous" for rep in traj.newton_reports)
 
 
+def test_p2_row_factors_its_step_matrix_once(monkeypatch):
+    # DS is the identity at p = 2: one pinned M/tau + K and one factorization
+    # serve every Newton solve of the row, and the matrix is bitwise the
+    # Jacobian assembled at the iterate each solve starts from
+    from pheat.experiments import manufactured_p2_fields
+
+    exact, force = manufactured_p2_fields()
+    space = build_space(refine_to_level("unit_square", 3), 1)
+    params = PLaplaceParams(p=2.0, kappa=0.0)
+    # no initial datum, so no L2 projection factors a mass matrix
+    spec = ProblemSpec(params=params, domain="unit_square", force=force, boundary=exact.u)
+    grid = TimeGrid(0.0, 1.0, 6)
+    factored, iterates, solved = [], [], []
+    factor, residual, solve = assembly.factor_spd, assembly.assemble_step_residual, \
+        assembly.solve_spd
+    monkeypatch.setattr(assembly, "factor_spd", lambda A: factored.append(A) or factor(A))
+
+    def record_residual(space, u, *args, **kwargs):
+        iterates.append(u.coeffs.copy())
+        return residual(space, u, *args, **kwargs)
+
+    def check_solve(A, b, **kwargs):
+        if kwargs.get("lu") is not None:  # a Newton solve, not the L2 projection
+            J = assembly.assemble_step_jacobian(space, FeFunction(space, iterates[-1]),
+                                                grid.tau, params)
+            solved.append(np.array_equal(A.indptr, J.indptr)
+                          and np.array_equal(A.indices, J.indices)
+                          and np.array_equal(A.data, J.data))
+        return solve(A, b, **kwargs)
+
+    monkeypatch.setattr(assembly, "assemble_step_residual", record_residual)
+    monkeypatch.setattr(assembly, "solve_spd", check_solve)
+    traj = solve_evolution(spec, 3, 1, grid, space=space)
+    assert len(factored) == 1
+    assert len(solved) == sum(rep.iterations for rep in traj.newton_reports) >= grid.M
+    assert all(solved)
+
+
 def test_nonconvergence_reports_iterations_done(monkeypatch):
     space = build_space(refine_to_level("unit_square", 2), 1)
     params = PLaplaceParams(p=1.5, kappa=0.0)
