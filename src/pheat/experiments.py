@@ -27,7 +27,7 @@ import numpy as np
 from .constitutive import PLaplaceParams, magnitude
 from .error_metrics import (ExactSolution, InsufficientData, compute_error_report,
                             empirical_order, write_csv, write_dat, write_manifest)
-from .fespace import MAX_QUADRATURE_DEGREE, build_space
+from .fespace import MAX_QUADRATURE_DEGREE, build_space, quadrature
 from .mesh import make_initial_mesh, refine_uniform
 from .timestepper import (ConstantForce, PowerTimeForce, SeparableForce, ProblemSpec,
                           TimeGrid, solve_evolution)
@@ -352,6 +352,7 @@ def _manifest(cfg, domain):
         "force_mode": cfg.force_mode,
         "newton_tol": cfg.tol,
         "error_quadrature_degree": cfg.quad_degree,
+        "error_quadrature_points": quadrature(cfg.quad_degree).num_points,
         "force": study.force.format(beta=cfg.beta),
         "initial": study.initial,
     }

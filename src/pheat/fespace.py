@@ -7,11 +7,15 @@ endpoint), then one interior DOF per triangle for cubics.  Slit-duplicated
 vertices produce duplicated edges and hence independent DOFs on either side
 of the cut.
 
-Quadrature rules are collapsed Gauss(-Jacobi) product rules on the reference
-triangle: positive weights, exact for all polynomials up to the requested
-degree, and the degree-1 rule degenerates to the centroid rule.  Weights are
-normalized to the reference measure, so integrals scale with the physical
-triangle area.  `gauss_segments` is the one 5-point Gauss rule in time.
+Quadrature rules on the reference triangle have positive weights, points
+inside the triangle, and are exact for all polynomials up to the requested
+degree.  Degrees 2, 4, 6 and 8 use Dunavant's fully symmetric rules with 3,
+6, 12 and 16 points (Int. J. Numer. Meth. Eng. 21, 1985); every other degree
+uses the collapsed Gauss-Jacobi product rule with ((d + 2) // 2)^2 points,
+whose degree-1 rule is the centroid.  Weights are normalized to the reference
+measure, so integrals scale with the physical triangle area.  Cached rules
+are shared and read-only.  `gauss_segments` is the one 5-point Gauss rule in
+time.
 
 Every evaluation at quadrature points goes through `PointOperators`: the
 value operator P (nt*nq x ndof), the gradient operator B (2*nt*nq x ndof)
@@ -60,14 +64,44 @@ class QuadratureRule:
 
 _rule_cache = {}
 
+# Fully symmetric rules by degree, as orbits of barycentric points with the
+# weight of each point: (w,) is the centroid, (w, a) the 3 permutations of
+# (a, a, 1 - 2a) and (w, a, b) the 6 permutations of (a, b, 1 - a - b).
+# Dunavant's values, polished by Newton on the moment equations.
+_SYMMETRIC_ORBITS = {
+    2: ((1.0 / 3.0, 1.0 / 6.0),),
+    4: ((0.22338158967801147, 0.4459484909159649),
+        (0.10995174365532187, 0.09157621350977074)),
+    6: ((0.11678627572637937, 0.24928674517091043),
+        (0.05084490637020682, 0.06308901449150223),
+        (0.08285107561837357, 0.053145049844816945, 0.3103524510337844)),
+    8: ((0.14431560767778717,),
+        (0.09509163426728462, 0.4592925882927232),
+        (0.10321737053471824, 0.1705693077517602),
+        (0.03245849762319808, 0.05054722831703098),
+        (0.027230314174434993, 0.008394777409957605, 0.2631128296346381)),
+}
 
-def quadrature(exactness_degree):
-    """Quadrature on the reference triangle, exact up to `exactness_degree`."""
-    d = int(exactness_degree)
-    if not 1 <= d <= MAX_QUADRATURE_DEGREE:
-        raise UnsupportedDegree(f"quadrature degree must be in [1, {MAX_QUADRATURE_DEGREE}], got {d}")
-    if d in _rule_cache:
-        return _rule_cache[d]
+
+def _symmetric_rule(orbits):
+    points, weights = [], []
+    for w, *coords in orbits:
+        if not coords:
+            orbit = [(1.0 / 3.0,) * 3]
+        elif len(coords) == 1:
+            a, c = coords[0], 1.0 - 2.0 * coords[0]
+            orbit = [(a, a, c), (a, c, a), (c, a, a)]
+        else:
+            a, b = coords
+            c = 1.0 - a - b
+            orbit = [(a, b, c), (a, c, b), (b, a, c), (b, c, a), (c, a, b), (c, b, a)]
+        points += orbit
+        weights += [w] * len(orbit)
+    return np.array(points), np.array(weights)
+
+
+def _product_rule(d):
+    """Collapsed Gauss-Jacobi product rule with ((d + 2) // 2)^2 points."""
     n = (d + 2) // 2  # 2n - 1 >= d
     gx, gw = leggauss(n)
     xi = 0.5 * (gx + 1.0)          # Gauss-Legendre on [0,1]
@@ -79,9 +113,26 @@ def quadrature(exactness_degree):
     Y = np.broadcast_to(eta, X.shape)
     W = np.outer(wxi, weta)
     x, y, w = X.ravel(), Y.ravel(), W.ravel()
-    bary = np.column_stack([1.0 - x - y, x, y])
     # product weights sum to the reference area 1/2; normalize to mass one
-    rule = QuadratureRule(points=bary, weights=2.0 * w, exactness_degree=d)
+    return np.column_stack([1.0 - x - y, x, y]), 2.0 * w
+
+
+def quadrature(exactness_degree):
+    """Quadrature on the reference triangle, exact up to `exactness_degree`:
+    the fully symmetric rule for degree 2, 4, 6 or 8 and the product rule
+    otherwise.  The rule is cached and its arrays are read-only."""
+    d = int(exactness_degree)
+    if not 1 <= d <= MAX_QUADRATURE_DEGREE:
+        raise UnsupportedDegree(f"quadrature degree must be in [1, {MAX_QUADRATURE_DEGREE}], got {d}")
+    if d in _rule_cache:
+        return _rule_cache[d]
+    if d in _SYMMETRIC_ORBITS:
+        points, weights = _symmetric_rule(_SYMMETRIC_ORBITS[d])
+    else:
+        points, weights = _product_rule(d)
+    points.flags.writeable = False
+    weights.flags.writeable = False
+    rule = QuadratureRule(points=points, weights=weights, exactness_degree=d)
     _rule_cache[d] = rule
     return rule
 

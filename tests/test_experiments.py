@@ -247,6 +247,9 @@ def test_manifest_written(tmp_path):
     manifest = (tmp_path / "run.csv.manifest").read_text()
     for key in ("experiment", "p", "kappa", "r", "levels", "initial", "newton_tol"):
         assert f"{key} = " in manifest
+    # the point count tells the symmetric degree-8 rule from the 25-point one
+    assert "error_quadrature_degree = 8\n" in manifest
+    assert "error_quadrature_points = 16\n" in manifest
     rows = read_csv(tmp_path / "run.csv")
     assert len(rows) == 2
     assert rows[0]["ndof"] < rows[1]["ndof"]

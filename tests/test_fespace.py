@@ -1,4 +1,5 @@
 import io
+from itertools import permutations
 from math import factorial
 
 import numpy as np
@@ -55,6 +56,44 @@ def test_quadrature_monomial_exactness(degree):
             exact = 2.0 * factorial(a) * factorial(b) / factorial(a + b + 2)
             got = float(np.sum(rule.weights * x ** a * y ** b))
             assert abs(got - exact) < 5e-15, (a, b)
+
+
+def _monomial_errors(rule, degree):
+    """|quadrature - exact| of every monomial x^a y^b with a + b == degree."""
+    x, y = rule.points[:, 1], rule.points[:, 2]
+    return [abs(float(np.sum(rule.weights * x ** a * y ** (degree - a)))
+                - 2.0 * factorial(a) * factorial(degree - a) / factorial(degree + 2))
+            for a in range(degree + 1)]
+
+
+@pytest.mark.parametrize("degree, npoints", [(2, 3), (4, 6), (6, 12), (8, 16)])
+def test_symmetric_rules(degree, npoints):
+    rule = quadrature(degree)
+    assert rule.num_points == npoints
+    assert max(max(_monomial_errors(rule, k)) for k in range(degree + 1)) <= 1e-15
+    # the claimed degree is the rule's exact degree
+    assert max(_monomial_errors(rule, degree + 1)) > 1e-6
+    assert np.all(rule.weights > 0)
+    assert np.all(rule.points > 0) and np.allclose(rule.points.sum(axis=1), 1.0, atol=1e-15)
+    # each vertex permutation maps the rule onto itself
+    key = sorted(zip(map(tuple, rule.points.round(14)), rule.weights.round(14)))
+    for perm in permutations(range(3)):
+        permuted = rule.points[:, perm].round(14)
+        assert sorted(zip(map(tuple, permuted), rule.weights.round(14))) == key
+
+
+@pytest.mark.parametrize("degree", [3, 5, 10])
+def test_untabled_degrees_keep_the_product_rule(degree):
+    assert quadrature(degree).num_points == ((degree + 2) // 2) ** 2
+
+
+def test_cached_rules_are_read_only():
+    rule = quadrature(8)
+    assert quadrature(8) is rule
+    with pytest.raises(ValueError):
+        rule.points[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        rule.weights[0] = 0.0
 
 
 def test_eval_constant_and_hat():
