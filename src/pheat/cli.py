@@ -31,9 +31,6 @@ def cmd_run(args):
         cfg = default_config(args.experiment)
         if args.config:
             cfg = parse_config_file(args.config, base=cfg)
-        if cfg.experiment != args.experiment:
-            raise ConfigError(f"config names experiment {cfg.experiment!r}, "
-                              f"command line says {args.experiment!r}")
     except (ConfigError, OSError) as exc:
         _log(f"config error: {exc}")
         return 2

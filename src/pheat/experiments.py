@@ -136,7 +136,8 @@ _KEY_PARSERS = {
 
 
 def parse_config(text, base=None):
-    """Parse the flat `key = value` config format; unknown keys are rejected."""
+    """Parse the flat `key = value` config format; unknown keys, and an
+    experiment other than `base`'s (before validation), are rejected."""
     entries = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -148,6 +149,9 @@ def parse_config(text, base=None):
         entries[key] = value
 
     experiment = entries.pop("experiment", None) or (base.experiment if base else None)
+    if base is not None and experiment != base.experiment:
+        raise ConfigError(f"config names experiment {experiment!r}, "
+                          f"expected {base.experiment!r}")
     if experiment is None:
         raise ConfigError("config must name an experiment")
     cfg = base if base is not None else default_config(experiment)
@@ -234,15 +238,19 @@ def _latest_array_memo():
     The error quadrature evaluates a closed form at one point array for every
     window and time node; its spatial factors are computed once per array,
     and only the latest array's are kept, so arrays of past steps are released.
+    The array and its dict are read and replaced as one tuple: callers on
+    several threads may recompute factors, never read another array's.
     """
-    latest = [None, {}]
+    latest = [(None, {})]
 
     def memo(pts, key, fn):
-        if latest[0] is not pts:
-            latest[:] = [pts, {}]
-        if key not in latest[1]:
-            latest[1][key] = fn(pts)
-        return latest[1][key]
+        held, cache = latest[0]
+        if held is not pts:
+            cache = {}
+            latest[0] = (pts, cache)
+        if key not in cache:
+            cache[key] = fn(pts)
+        return cache[key]
 
     return memo
 

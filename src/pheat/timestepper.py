@@ -15,7 +15,8 @@ data; an extrapolation must win by more than the energy's floating-point
 resolution), so no step starts from a higher energy than u_(m-1).  Near the
 solution the Armijo test is blind and the step accepts moves on residual
 decrease; a run of such moves that each fail to halve the residual ends the
-step with a stalled NonConvergence.
+step with a stalled NonConvergence; such a move first tries the row's held
+step-Jacobian factorization, made at an earlier iterate (see `step`).
 
 The discrete forces f_m are theta-weighted time averages.  The weights are
 the piecewise linear densities obtained by averaging the running tau-mean of
@@ -296,6 +297,9 @@ class NewtonReport:
     endgame_iterations: int = 0
     start: str = "previous"  # "previous" | "linear" | "quadratic" initial guess
     stalled: bool = False    # ended by endgame moves that stopped halving the residual
+    # fresh Jacobian factorizations; endgame moves along an earlier one
+    factorizations: int = 0
+    reused_moves: int = 0
 
     @property
     def fallback_used(self):
@@ -397,20 +401,24 @@ def _energy_resolution(energy):
 
 
 def step(space, u_prev, m, grid, spec, tol=DEFAULT_TOL, bc_values=None, f_quad=None,
-         history=(), jacobian=None):
+         history=(), factored=None):
     """One implicit Euler step: returns (u_m, NewtonReport).
 
     `history` holds the snapshots before u_prev, newest first; for p != 2
     their extrapolations with u_prev are candidate starts, and the solve
-    starts from the lowest-energy candidate.  `jacobian` is None or a pair
-    (pinned step Jacobian, its `assembly.factor_spd` factorization) that
-    holds at every state, as at p = 2; Newton then solves with it instead of
-    assembling and factoring.  Convergence when the Euclidean residual norm
+    starts from the lowest-energy candidate.  `factored` is the list a row
+    carries from step to step (None: the step's own): empty, or [pinned step
+    Jacobian, its `assembly.factor_spd` factorization, |r . delta| / |r|^2
+    of its last solve].  At p = 2 the Jacobian holds at every state and every
+    Newton solve uses it; for p != 2 each fresh factorization replaces it,
+    the old one released first.  Convergence when the Euclidean residual norm
     drops below tol * (1 + ||rhs||) with rhs the step load vector.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     params = spec.params
+    exact = params.p == 2.0  # DS is the identity: the step Jacobian is one matrix
+    factored = [] if factored is None else factored
     tau = grid.tau
     rule = assembly.step_rule(space)
     if f_quad is None:
@@ -433,7 +441,7 @@ def step(space, u_prev, m, grid, spec, tol=DEFAULT_TOL, bc_values=None, f_quad=N
     # from anywhere): each is kept only if it lowers the step energy by more
     # than its resolution.  In a quasi-steady regime the candidates tie with
     # u_(m-1) up to roundoff, and a start picked by noise can cost an iteration.
-    if params.p != 2.0:
+    if not exact:
         snaps = [u_prev.coeffs] + [h.coeffs for h in history]
         for name, weights in EXTRAPOLATIONS:
             if len(weights) > len(snaps):
@@ -447,9 +455,10 @@ def step(space, u_prev, m, grid, spec, tol=DEFAULT_TOL, bc_values=None, f_quad=N
 
     # Degenerate warm start (zero gradient field, nonlinear case): try one
     # linear-diffusion solve; kept only if it lowers the step energy.
-    if params.p != 2.0 and np.max(np.abs(space.grad_at(assembly.grad_rule(space), u))) == 0.0:
+    if not exact and np.max(np.abs(space.grad_at(assembly.grad_rule(space), u))) == 0.0:
         lin = assembly.assemble_mass(space, rule) / tau + assembly.assemble_stiffness(space)
         lin, b = assembly.apply_dirichlet(lin.tocsr(), rhs.copy(), bdofs, g)
+        factored.clear()
         cand, _ = assembly.solve_spd(lin, b)
         e_cand = assembly.step_energy(space, FeFunction(space, cand), u_prev, tau,
                                       f_quad, params)
@@ -459,7 +468,7 @@ def step(space, u_prev, m, grid, spec, tol=DEFAULT_TOL, bc_values=None, f_quad=N
     energies = [energy]
     use_fallback = False
     dead_ends = 0
-    kacanov_iterations = endgame_iterations = 0
+    kacanov_iterations = endgame_iterations = factorizations = reused_moves = 0
     creeping = 0  # endgame moves in a row that did not halve the residual
     residual = None  # residual at u; assembled again only after u moves
     rnorm = np.inf
@@ -469,12 +478,21 @@ def step(space, u_prev, m, grid, spec, tol=DEFAULT_TOL, bc_values=None, f_quad=N
                             energy_values=tuple(energies), converged=converged,
                             kacanov_iterations=kacanov_iterations,
                             endgame_iterations=endgame_iterations, start=start,
-                            stalled=stalled)
+                            stalled=stalled, factorizations=factorizations,
+                            reused_moves=reused_moves)
+
+    def residual_at(v):
+        return assembly.assemble_step_residual(space, FeFunction(space, v), u_prev, tau,
+                                               f_quad, params, bc_values=g)
+
+    def held_direction():  # Newton solve along the held factorization
+        delta, _ = assembly.solve_spd(factored[0], -residual, lu=factored[1])
+        factored[2] = abs(float(residual @ delta)) / rnorm ** 2
+        return delta
 
     for it in range(1, MAX_COMBINED_ITERATIONS + 1):
         if residual is None:
-            residual = assembly.assemble_step_residual(space, FeFunction(space, u), u_prev,
-                                                       tau, f_quad, params, bc_values=g)
+            residual = residual_at(u)
         rnorm = float(np.linalg.norm(residual))
         if rnorm <= tol * scale:
             return FeFunction(space, u), report(it - 1, True)
@@ -487,12 +505,33 @@ def step(space, u_prev, m, grid, spec, tol=DEFAULT_TOL, bc_values=None, f_quad=N
             kacanov_iterations += 1
             mat = kacanov_matrix(space, u, tau, params)
             A, b = assembly.apply_dirichlet(mat, rhs.copy(), bdofs, g)
+            factored.clear()  # one factor alive per row
             target, _ = assembly.solve_spd(A, b)
             delta = target - u
         else:
-            jac, lu = jacobian or (assembly.assemble_step_jacobian(
-                space, FeFunction(space, u), tau, params), None)
-            delta, _ = assembly.solve_spd(jac, -residual, lu=lu)
+            # Endgame chord move: |r . delta| / |r|^2 of the held factor's last
+            # solve predicts the slope along it; a state predicted in the
+            # endgame keeps the move along it if the slope passes the endgame
+            # test and the residual norm at least halves, else factors anew.
+            resolution = _energy_resolution(energies[-1])
+            if factored and not exact and factored[2] * rnorm ** 2 < resolution:
+                delta = held_direction()
+                if abs(float(residual @ delta)) < resolution:
+                    r_trial = residual_at(u + delta)
+                    if np.linalg.norm(r_trial) <= ENDGAME_PROGRESS * rnorm:
+                        u, residual = u + delta, r_trial
+                        energies.append(energies[-1])
+                        endgame_iterations += 1
+                        reused_moves += 1
+                        dead_ends = creeping = 0
+                        continue
+            if not (factored and exact):
+                factored.clear()  # released before the next factor is made
+                jac = assembly.assemble_step_jacobian(space, FeFunction(space, u), tau, params)
+                if space.ndof <= assembly.DIRECT_SOLVE_LIMIT:
+                    factored[:] = jac, assembly.factor_spd(jac), np.inf
+                    factorizations += 1
+            delta = held_direction() if factored else assembly.solve_spd(jac, -residual)[0]
 
         slope = float(residual @ delta)
 
@@ -506,9 +545,7 @@ def step(space, u_prev, m, grid, spec, tol=DEFAULT_TOL, bc_values=None, f_quad=N
             s = 1.0
             for _ in range(ENDGAME_HALVINGS):
                 trial = u + s * delta
-                r_trial = assembly.assemble_step_residual(
-                    space, FeFunction(space, trial), u_prev, tau, f_quad, params,
-                    bc_values=g)
+                r_trial = residual_at(trial)
                 r_trial_norm = float(np.linalg.norm(r_trial))
                 if r_trial_norm < rnorm:
                     creeping = creeping + 1 if r_trial_norm > ENDGAME_PROGRESS * rnorm else 0
@@ -559,10 +596,11 @@ def solve_evolution(spec, level, degree, grid, tol=DEFAULT_TOL, space=None):
 
     The initial snapshot is the L2-projection of the initial datum or zero,
     with the first step's Dirichlet data on the boundary DOFs; each later
-    snapshot solves the discrete weak form to the Newton tolerance.  At p = 2
-    the step Jacobian M/tau + K does not depend on the state (DS is exactly
-    the identity), so a system small enough for the direct solver is
-    assembled and factored once and serves every step.
+    snapshot solves the discrete weak form to the Newton tolerance.  The
+    steps share one factored step Jacobian (see `step`).  At p = 2 the
+    Jacobian M/tau + K does not depend on the state (DS is exactly the
+    identity), so a system small enough for the direct solver is assembled
+    and factored here, once, and serves every step.
     """
     if space is None:
         space = build_space(refine_to_level(spec.domain, level), degree)
@@ -573,14 +611,14 @@ def solve_evolution(spec, level, degree, grid, tol=DEFAULT_TOL, space=None):
 
     traj = Trajectory(space=space, grid=grid, snapshots=[FeFunction(space, u0)],
                       newton_reports=[])
-    jacobian = None
+    factored = []
     if spec.params.p == 2.0 and space.ndof <= assembly.DIRECT_SOLVE_LIMIT:
         jac = assembly.assemble_step_jacobian(space, traj.snapshots[0], grid.tau, spec.params)
-        jacobian = (jac, assembly.factor_spd(jac))
+        factored = [jac, assembly.factor_spd(jac), np.inf]
     for m in range(1, grid.M + 1):
         u, rep = step(space, traj.snapshots[-1], m, grid, spec, tol=tol,
                       bc_values=boundary[m - 1], history=traj.snapshots[-3:-1][::-1],
-                      jacobian=jacobian)
+                      factored=factored)
         traj.snapshots.append(u)
         traj.newton_reports.append(rep)
     return traj

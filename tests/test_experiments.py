@@ -172,6 +172,47 @@ def test_known_solution_cache_keeps_latest_array_only(rng):
         assert sum(ref() is not None for ref in refs) == 1
 
 
+def test_closed_form_memo_is_thread_safe(rng):
+    # two threads evaluate one closed form on two point arrays and get the
+    # serial values.  Thread A is held inside its memoized computation while
+    # thread B evaluates on its own array; a memo that then stored A's
+    # factors in B's entry would hand them to B's next evaluation
+    import threading
+
+    inside, b_done = threading.Event(), threading.Event()
+
+    class Held(np.ndarray):
+        # indexing A's points, inside the memoized computation, waits for B
+        def __getitem__(self, index):
+            inside.set()
+            b_done.wait(timeout=60.0)
+            return np.asarray(self)[index]
+
+    exact, force = manufactured_p2_fields()
+    pts_a, pts_b = rng.uniform(0.0, 1.0, (48, 2)), rng.uniform(0.0, 1.0, (80, 2))
+    serial = {"a": exact.u(pts_a, 0.5), "b": exact.u(pts_b, 0.5),
+              "b again": force(pts_b, 0.5)}
+    got = {}
+
+    def run(name, evaluate, pts):
+        thread = threading.Thread(target=lambda: got.update({name: evaluate(pts, 0.5)}))
+        thread.start()
+        return thread
+
+    a = run("a", exact.u, pts_a.view(Held))
+    assert inside.wait(timeout=60.0)
+    b = run("b", exact.u, pts_b)
+    b.join(timeout=60.0)
+    b_done.set()
+    a.join(timeout=60.0)
+    b_again = run("b again", force, pts_b)
+    b_again.join(timeout=60.0)
+    assert not any(t.is_alive() for t in (a, b, b_again))
+    assert sorted(got) == sorted(serial)
+    for name, values in serial.items():
+        assert np.array_equal(got[name], values), name
+
+
 def test_known_solution_force_divergence_oracle(rng):
     # f = du/dt - div S(grad u) checked by central finite differences at
     # random space-time points, for both exponents used in the studies
@@ -193,6 +234,59 @@ def test_known_solution_force_divergence_oracle(rng):
             fd = dudt - div_s
             val = float(force(pt, t)[0])
             assert val == pytest.approx(fd, rel=1e-5)
+
+
+def _smooth_fields(p):
+    """u = e^(-t) (sin(pi x/2) + 2y) on the unit square, kappa = 0: grad u =
+    e^(-t) (a, 2) with a = (pi/2) cos(pi x/2), so |grad u| >= 2/e and S is
+    smooth for every p; f = du/dt - div S(grad u)."""
+    from pheat.error_metrics import ExactSolution
+
+    def u(pts, t):
+        return math.exp(-t) * (np.sin(0.5 * np.pi * pts[:, 0]) + 2.0 * pts[:, 1])
+
+    def grad_u(pts, t):
+        a = 0.5 * np.pi * np.cos(0.5 * np.pi * pts[:, 0])
+        return math.exp(-t) * np.stack([a, np.full_like(a, 2.0)], axis=-1)
+
+    def f(pts, t):
+        a = 0.5 * np.pi * np.cos(0.5 * np.pi * pts[:, 0])
+        da = -(0.5 * np.pi) ** 2 * np.sin(0.5 * np.pi * pts[:, 0])
+        g2 = a ** 2 + 4.0
+        return (-u(pts, t) - math.exp(-(p - 1.0) * t) * da * g2 ** (0.5 * p - 2.0)
+                * (g2 + (p - 2.0) * a ** 2))
+
+    return ExactSolution(u=u, grad_u=grad_u), f
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_smooth_nonlinear_solution_converges_at_the_optimal_rate(p, rng):
+    # the V-errors of a smooth p != 2 solution fall like h + tau (squared:
+    # like ndof^-1 with tau ~ h); the max-in-time error is not asserted, as
+    # its last step, with time-dependent Dirichlet data, falls at half order
+    from pheat.error_metrics import compute_error_report, empirical_order
+    from pheat.timestepper import ProblemSpec, TimeGrid, solve_evolution
+
+    params = PLaplaceParams(p=p, kappa=0.0)
+    exact, force = _smooth_fields(p)
+    pts, t, h = rng.uniform(0.1, 0.9, (20, 2)), 0.3, 1e-5
+    flux = [exact.v_and_s(pts + d, t, params)[1] for d in ([h, 0], [-h, 0], [0, h], [0, -h])]
+    div_s = (flux[0][:, 0] - flux[1][:, 0] + flux[2][:, 1] - flux[3][:, 1]) / (2 * h)
+    dudt = (exact.u(pts, t + h) - exact.u(pts, t - h)) / (2 * h)
+    assert np.allclose(force(pts, t), dudt - div_s, rtol=1e-6, atol=1e-6)
+
+    spec = ProblemSpec(params=params, domain="unit_square", force=force,
+                       initial=lambda x: exact.u(x, 0.0), boundary=exact.u)
+    reports, reused = [], 0
+    for level, M in ((2, 4), (3, 8), (4, 16), (5, 32)):
+        grid = TimeGrid(0.0, 1.0, M)
+        traj = solve_evolution(spec, level, 1, grid)
+        assert all(rep.converged for rep in traj.newton_reports)
+        reused += sum(rep.reused_moves for rep in traj.newton_reports)
+        reports.append(compute_error_report(traj, exact, grid, params))
+    assert reused > 0
+    for field in ("sq_l2_v", "sq_l2_v_avg", "sq_lp_s"):
+        assert -1.25 <= empirical_order(reports, field).ls_slope <= -0.75, field
 
 
 def test_known_solution_gradient_consistency(rng):
@@ -357,6 +451,26 @@ def test_cli_non_utf8_config_exit_2(tmp_path):
         r = _cli(*args, "--config", str(cfgfile))
         assert r.returncode == 2, args
         assert "config error" in r.stderr and "Traceback" not in r.stderr, args
+
+
+def test_cli_run_reports_an_experiment_mismatch_first(tmp_path, capsys):
+    # a config naming another experiment than the command line is reported as
+    # such, before the merged config (the command line's study defaults plus
+    # the file) is validated, for every pair of experiments
+    from pheat.cli import main
+
+    cfgfile = tmp_path / "other.cfg"
+    for named in STUDIES:
+        cfgfile.write_text(f"experiment = {named}\n")
+        for run in STUDIES:
+            if run != named:
+                assert main(["run", run, "--config", str(cfgfile)]) == 2
+                err = capsys.readouterr().err
+                assert f"config names experiment {named!r}, expected {run!r}" in err
+    cfgfile.write_text("experiment = known_solution\n")
+    r = _cli("run", "slit_constant_force", "--config", str(cfgfile))
+    assert r.returncode == 2 and "Traceback" not in r.stderr
+    assert "names experiment 'known_solution'" in r.stderr and "reference" not in r.stderr
 
 
 def test_cli_unwritable_output_exit_2_before_any_solve(tmp_path, monkeypatch, capsys):

@@ -571,6 +571,61 @@ def test_p2_row_factors_its_step_matrix_once(monkeypatch):
     assert all(solved)
 
 
+def test_nonlinear_row_reuses_its_last_factorization(monkeypatch):
+    # p != 2: an endgame move first goes along the factorization held from an
+    # earlier iterate and is kept only if it halves the residual norm; the
+    # held factor is released before the next one is made
+    import weakref
+
+    space = build_space(refine_to_level("slit", 3), 1)
+    params = PLaplaceParams(p=3.0, kappa=0.0)
+    spec = ProblemSpec(params=params, domain="slit", force=ConstantForce(2.0))
+    grid = TimeGrid(0.0, 4.0, 32)
+    factor, solve, residual = assembly.factor_spd, assembly.solve_spd, \
+        assembly.assemble_step_residual
+    alive, alive_at_factor, events, fresh = [0], [], [], [lambda: None]
+
+    class Factor:  # SuperLU objects take no weak reference
+        def __init__(self, lu):
+            self.solve = lu.solve
+
+    def counted_factor(A):
+        alive_at_factor.append(alive[0])
+        lu = Factor(factor(A))
+        fresh[0] = weakref.ref(lu)
+        alive[0] += 1
+        weakref.finalize(lu, lambda: alive.__setitem__(0, alive[0] - 1))
+        return lu
+
+    def tagged_solve(A, b, **kwargs):
+        lu = kwargs.get("lu")
+        if lu is not None:  # "chord": along a factor an earlier solve used
+            events.append(("fresh" if lu is fresh[0]() else "chord", np.linalg.norm(b)))
+            fresh[0] = lambda: None
+        return solve(A, b, **kwargs)
+
+    def recorded_residual(*args, **kwargs):
+        r = residual(*args, **kwargs)
+        events.append(("residual", np.linalg.norm(r)))
+        return r
+
+    monkeypatch.setattr(assembly, "factor_spd", counted_factor)
+    monkeypatch.setattr(assembly, "solve_spd", tagged_solve)
+    monkeypatch.setattr(assembly, "assemble_step_residual", recorded_residual)
+    traj = solve_evolution(spec, 3, 1, grid, space=space)
+    reports = traj.newton_reports
+    assert all(rep.converged for rep in reports)
+    assert sum(rep.factorizations for rep in reports) < sum(rep.iterations for rep in reports)
+    reused = sum(rep.reused_moves for rep in reports)
+    assert reused > 0 and all(rep.reused_moves <= rep.endgame_iterations for rep in reports)
+    # a chord move's trial residual follows its solve; the halving ones are the
+    # moves taken, and no other
+    halving = [kind == "chord" and nxt[0] == "residual" and nxt[1] <= 0.5 * norm
+               for (kind, norm), nxt in zip(events, events[1:])]
+    assert sum(halving) == reused
+    assert alive_at_factor and max(alive_at_factor) == 0 and alive[0] <= 1
+
+
 def test_nonconvergence_reports_iterations_done(monkeypatch):
     space = build_space(refine_to_level("unit_square", 2), 1)
     params = PLaplaceParams(p=1.5, kappa=0.0)
