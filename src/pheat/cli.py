@@ -6,8 +6,8 @@ Subcommands:
   dump-mesh --domain D --level K --out FILE
   dump-solution --config FILE --out DIR
 
-Exit codes: 0 success, 1 invariant or solver failure, 2 bad configuration or
-unwritable output.
+Exit codes: 0 success, 1 invariant or solver failure (running out of memory
+included), 2 bad configuration or unwritable output.
 Diagnostics go to stderr; data goes to files.
 """
 
@@ -41,6 +41,9 @@ def cmd_run(args):
         return 2
     except NonConvergence as exc:
         _log(f"solver failure: {exc}")
+        return 1
+    except MemoryError:
+        _log("solver failure: out of memory")
         return 1
     except OSError as exc:
         _log(f"output error: {exc}")
@@ -100,6 +103,9 @@ def cmd_dump_solution(args):
         traj = solve_evolution(spec, level, cfg.r, TimeGrid(t0, t_end, M), tol=cfg.tol)
     except NonConvergence as exc:
         _log(f"solver failure: {exc}")
+        return 1
+    except MemoryError:
+        _log("solver failure: out of memory")
         return 1
     try:
         traj.dump(args.out)

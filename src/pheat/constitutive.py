@@ -76,35 +76,28 @@ def _power_factor(r, params, exponent):
     return out
 
 
-def s_flux(xi, params):
-    """S(xi) = (kappa + |xi|)^(p-2) xi, continuous at xi = 0 for p > 1.
-
-    At p = 2 the factor is pow(kappa + |xi|, 0) = 1 everywhere, also at 0,
-    inf and nan, so S is a copy of xi, bitwise.
-    """
+def _scaled(xi, params, exponent):
+    """(kappa + |xi|)^exponent xi, with the limit 0 at xi = 0 for kappa = 0,
+    p < 2; a copy of xi at p = 2, where the factor is pow(kappa + |xi|, 0) = 1
+    everywhere, also at 0, inf and nan."""
     if params.p == 2.0:
         return np.array(xi, dtype=float)
     xi = np.asarray(xi, dtype=float)
     r = _norm(xi)
-    fac = _power_factor(r, params, params.p - 2.0)
-    out = fac * xi
+    out = _power_factor(r, params, exponent) * xi
     if params.kappa == 0.0 and params.p < 2.0:
         out = np.where(r == 0.0, 0.0, out)
     return out
+
+
+def s_flux(xi, params):
+    """S(xi) = (kappa + |xi|)^(p-2) xi, continuous at xi = 0 for p > 1."""
+    return _scaled(xi, params, params.p - 2.0)
 
 
 def v_transform(xi, params):
-    """V(xi) = (kappa + |xi|)^((p-2)/2) xi; |V(xi)|^2 = S(xi).xi exactly.
-    A copy of xi at p = 2, like `s_flux`."""
-    if params.p == 2.0:
-        return np.array(xi, dtype=float)
-    xi = np.asarray(xi, dtype=float)
-    r = _norm(xi)
-    fac = _power_factor(r, params, (params.p - 2.0) / 2.0)
-    out = fac * xi
-    if params.kappa == 0.0 and params.p < 2.0:
-        out = np.where(r == 0.0, 0.0, out)
-    return out
+    """V(xi) = (kappa + |xi|)^((p-2)/2) xi; |V(xi)|^2 = S(xi).xi exactly."""
+    return _scaled(xi, params, (params.p - 2.0) / 2.0)
 
 
 def ds_split(xi, params, eps_reg=1e-10):

@@ -5,8 +5,10 @@ Each step minimizes the strictly convex energy
     E_m(v) = 1/(2 tau) ||v - u_prev||_L2^2 + int phi(|grad v|) dx - int f_m v dx
 
 over the affine set matching the Dirichlet data, via Newton directions with
-Armijo backtracking; if Newton stalls, a lagged-coefficient (Kacanov) step is
-taken (with the same energy safeguard) before Newton resumes.
+Armijo backtracking.  For p < 2 a Newton move that stalls (achieved energy
+decrease below STALL_RATIO of the predicted one) is followed by one
+lagged-coefficient (Kacanov) move, with the same energy safeguard, before
+Newton resumes; a line search that finds no decrease switches direction.
 
 For p != 2 the solve starts from the lowest-energy one of u_(m-1) and its
 linear and quadratic extrapolations 2u_(m-1) - u_(m-2) and
@@ -51,11 +53,9 @@ ENDGAME_STALL_MOVES = 3
 # candidate starts of a step: weights on (u_(m-1), u_(m-2), u_(m-3))
 EXTRAPOLATIONS = (("linear", (2.0, -1.0)), ("quadratic", (3.0, -3.0, 1.0)))
 KACANOV_CLAMP = 1e-12
-# achieved/predicted energy decrease below these = stalled; Newton bails out
-# eagerly (it crawls near degenerate gradients), the lagged-coefficient
-# iteration is kept as long as it makes any headway
-STALL_RATIO_NEWTON = 0.1
-STALL_RATIO_KACANOV = 1e-3
+# a p < 2 Newton move whose achieved/predicted energy decrease falls below
+# this has stalled, and one lagged-coefficient (Kacanov) move follows it
+STALL_RATIO = 0.1
 
 
 class NonIntegrableForce(Exception):
@@ -297,7 +297,8 @@ class NewtonReport:
     endgame_iterations: int = 0
     start: str = "previous"  # "previous" | "linear" | "quadratic" initial guess
     stalled: bool = False    # ended by endgame moves that stopped halving the residual
-    # fresh Jacobian factorizations; endgame moves along an earlier one
+    # fresh Jacobian factorizations (a p = 2 row makes its one on its first
+    # step); endgame moves along an earlier one
     factorizations: int = 0
     reused_moves: int = 0
 
@@ -409,10 +410,11 @@ def step(space, u_prev, m, grid, spec, tol=DEFAULT_TOL, bc_values=None, f_quad=N
     starts from the lowest-energy candidate.  `factored` is the list a row
     carries from step to step (None: the step's own): empty, or [pinned step
     Jacobian, its `assembly.factor_spd` factorization, |r . delta| / |r|^2
-    of its last solve].  At p = 2 the Jacobian holds at every state and every
-    Newton solve uses it; for p != 2 each fresh factorization replaces it,
-    the old one released first.  Convergence when the Euclidean residual norm
-    drops below tol * (1 + ||rhs||) with rhs the step load vector.
+    of its last solve].  At p = 2 the Jacobian holds at every state: the
+    row's first step makes it and every Newton solve uses it; for p != 2
+    each fresh factorization replaces it, the old one released first.
+    Convergence when the Euclidean residual norm drops below
+    tol * (1 + ||rhs||) with rhs the step load vector.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -541,6 +543,7 @@ def step(space, u_prev, m, grid, spec, tol=DEFAULT_TOL, bc_values=None, f_quad=N
         # the first candidate of the halving sequence that lowers the
         # residual norm, whose residual the next iteration starts from.
         # Moves that lower it by less than ENDGAME_PROGRESS are creeping.
+        # Newton takes the move after every accepted one.
         if abs(slope) < _energy_resolution(energies[-1]):
             s = 1.0
             for _ in range(ENDGAME_HALVINGS):
@@ -553,6 +556,7 @@ def step(space, u_prev, m, grid, spec, tol=DEFAULT_TOL, bc_values=None, f_quad=N
                     energies.append(energies[-1])
                     endgame_iterations += 1
                     dead_ends = 0
+                    use_fallback = False
                     break
                 s *= 0.5
             else:
@@ -572,21 +576,14 @@ def step(space, u_prev, m, grid, spec, tol=DEFAULT_TOL, bc_values=None, f_quad=N
         dead_ends = creeping = 0
         u, energy = accepted
         residual = None
-        # For p < 2, toggle between Newton and the lagged-coefficient
-        # direction whenever the achieved decrease collapses against the
-        # linear model: Newton crawls near degenerate gradients while Kacanov
-        # (monotone for p <= 2) grinds on; alternating rides whichever still
-        # makes progress.  For p >= 2 Kacanov is not a contraction and Newton
-        # with the line search is globally sound, so it stays in charge and
-        # the fallback only serves line-search dead ends.
+        # For p < 2 the Newton direction crawls near degenerate gradients:
+        # a Newton move whose achieved decrease collapses against the linear
+        # model is followed by one Kacanov move (monotone for p <= 2), and
+        # Newton resumes after it.  For p >= 2 Kacanov is not a contraction
+        # and only serves line-search dead ends.
         ratio = (energy - energies[-1]) / slope if slope < 0.0 else 0.0
         energies.append(energy)
-        if params.p < 2.0:
-            stall = STALL_RATIO_KACANOV if use_fallback else STALL_RATIO_NEWTON
-            if ratio < stall:
-                use_fallback = not use_fallback
-        elif use_fallback:
-            use_fallback = False
+        use_fallback = params.p < 2.0 and not use_fallback and ratio < STALL_RATIO
 
     raise NonConvergence(report(it, False), m=m)
 
@@ -597,10 +594,8 @@ def solve_evolution(spec, level, degree, grid, tol=DEFAULT_TOL, space=None):
     The initial snapshot is the L2-projection of the initial datum or zero,
     with the first step's Dirichlet data on the boundary DOFs; each later
     snapshot solves the discrete weak form to the Newton tolerance.  The
-    steps share one factored step Jacobian (see `step`).  At p = 2 the
-    Jacobian M/tau + K does not depend on the state (DS is exactly the
-    identity), so a system small enough for the direct solver is assembled
-    and factored here, once, and serves every step.
+    steps share one factored step Jacobian (see `step`); at p = 2 it is made
+    on the first step and serves every later one.
     """
     if space is None:
         space = build_space(refine_to_level(spec.domain, level), degree)
@@ -612,9 +607,6 @@ def solve_evolution(spec, level, degree, grid, tol=DEFAULT_TOL, space=None):
     traj = Trajectory(space=space, grid=grid, snapshots=[FeFunction(space, u0)],
                       newton_reports=[])
     factored = []
-    if spec.params.p == 2.0 and space.ndof <= assembly.DIRECT_SOLVE_LIMIT:
-        jac = assembly.assemble_step_jacobian(space, traj.snapshots[0], grid.tau, spec.params)
-        factored = [jac, assembly.factor_spd(jac), np.inf]
     for m in range(1, grid.M + 1):
         u, rep = step(space, traj.snapshots[-1], m, grid, spec, tol=tol,
                       bc_values=boundary[m - 1], history=traj.snapshots[-3:-1][::-1],

@@ -390,6 +390,34 @@ def test_eoc_summary_format(tmp_path):
     assert "sq_l2_v" in text and "LS" in text
 
 
+def test_every_step_converges_across_the_solver_matrix():
+    # P1 rows of the default schedules up to level 3, without the discrete
+    # references, and a decay towards zero gradients: the implicit Euler step
+    # is solved for every p > 1 in the matrix
+    from pheat.timestepper import (ConstantForce, NonConvergence, ProblemSpec, TimeGrid,
+                                   solve_evolution)
+
+    runs = []
+    for p in (1.2, 1.5, 3.0, 4.5):
+        for name, variant in (("slit_constant_force", ""), ("rough_in_time", ""),
+                              ("known_solution", "omega1"), ("known_solution", "omega2")):
+            cfg = default_config(name)
+            cfg.p, cfg.domain_variant = p, variant or cfg.domain_variant
+            spec, _ = experiments.build_spec(cfg)
+            t0, t_end = STUDIES[name].interval
+            runs += [(f"p = {p}, {name} {variant}, L{level} M{M}", spec, level, t0, t_end, M)
+                     for level, M in cfg.levels if level <= 3]
+    decay = ProblemSpec(params=PLaplaceParams(p=1.5), domain="unit_square",
+                        force=ConstantForce(0.0),
+                        initial=lambda pts: np.sin(np.pi * pts[:, 0]) * np.sin(np.pi * pts[:, 1]))
+    runs.append(("decay, p = 1.5", decay, 2, 0.0, 0.5, 4))
+    for label, spec, level, t0, t_end, M in runs:
+        try:
+            solve_evolution(spec, level, 1, TimeGrid(t0, t_end, M))
+        except NonConvergence as exc:
+            pytest.fail(f"{label}: {exc}")
+
+
 # ----------------------------------------------------------------------
 # CLI
 # ----------------------------------------------------------------------
@@ -433,6 +461,35 @@ def test_cli_run_temporal_sweep_prints_finite_slopes(tmp_path, capsys):
         slopes = line.split(":", 1)[1]
         values = [float(v) for v in re.findall(r"[-+]?(?:\d+\.\d+|inf|nan)", slopes)]
         assert len(values) == 3 and all(math.isfinite(v) for v in values), line
+
+
+def test_cli_run_known_solution_at_p_1_2(tmp_path):
+    from pheat.cli import main
+
+    cfgfile = tmp_path / "p12.cfg"
+    cfgfile.write_text("experiment = known_solution\np = 1.2\nlevels = 1:4, 2:8\n"
+                       f"output_path = {tmp_path / 'p12.csv'}\n")
+    assert main(["run", "known_solution", "--config", str(cfgfile)]) == 0
+    assert len(read_csv(tmp_path / "p12.csv")) == 2
+
+
+def test_cli_out_of_memory_is_one_line_exit_1(tmp_path, monkeypatch, capsys):
+    # a schedule row too large for memory (levels = 1:1000000000000 fails on
+    # the boundary data) is reported like a solver failure, not a traceback;
+    # the solves are replaced, so nothing large is allocated here
+    from pheat import cli
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(experiments, "run_experiment", out_of_memory)
+    monkeypatch.setattr(cli, "solve_evolution", out_of_memory)
+    cfgfile = tmp_path / "p2.cfg"
+    cfgfile.write_text(f"experiment = p2_validation\nlevels = 1:2\n"
+                       f"output_path = {tmp_path / 'p2.csv'}\n")
+    for args in (["run", "p2_validation"], ["dump-solution", "--out", str(tmp_path / "t")]):
+        assert cli.main([*args, "--config", str(cfgfile)]) == 1, args
+        assert capsys.readouterr().err == "solver failure: out of memory\n", args
 
 
 def test_cli_bad_config_exit_2(tmp_path):

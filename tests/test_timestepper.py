@@ -298,25 +298,47 @@ def test_converged_step_satisfies_weak_form(monkeypatch):
 
 
 def test_report_counts_kacanov_iterations(monkeypatch):
-    # fast decay with p = 1.5: late steps alternate Newton and Kacanov
+    # fast decay with p = 1.5: near zero gradients Newton moves stall, and
+    # each stalled one is followed by one Kacanov move, then Newton again
     space = build_space(refine_to_level("unit_square", 2), 1)
     spec = ProblemSpec(params=PLaplaceParams(p=1.5, kappa=0.0), domain="unit_square",
                        force=ConstantForce(0.0),
                        initial=lambda pts: np.sin(np.pi * pts[:, 0]) * np.sin(np.pi * pts[:, 1]))
-    calls = []
-    matrix = timestepper.kacanov_matrix
+    calls, events = [], []  # events: "|" a step, "K"/"N" a direction, "D" a dead end
+    matrix, armijo, solve, one_step = (timestepper.kacanov_matrix, timestepper._armijo,
+                                       assembly.solve_spd, timestepper.step)
 
     def counting(*args, **kwargs):
         calls.append(1)
+        events.append("K")
         return matrix(*args, **kwargs)
 
+    def newton_solve(A, b, **kwargs):
+        if kwargs.get("lu") is not None:
+            events.append("N")
+        return solve(A, b, **kwargs)
+
+    def line_search(*args):
+        accepted = armijo(*args)
+        if accepted is None:
+            events.append("D")
+        return accepted
+
     monkeypatch.setattr(timestepper, "kacanov_matrix", counting)
+    monkeypatch.setattr(timestepper, "_armijo", line_search)
+    monkeypatch.setattr(assembly, "solve_spd", newton_solve)
+    monkeypatch.setattr(timestepper, "step",
+                        lambda *a, **k: events.append("|") or one_step(*a, **k))
     traj = solve_evolution(spec, 2, 1, TimeGrid(0.0, 0.5, 4), space=space)
     reports = traj.newton_reports
     assert sum(r.kacanov_iterations for r in reports) == len(calls) > 0
     for r in reports:
         assert r.fallback_used == (r.kacanov_iterations > 0)
         assert max(r.kacanov_iterations, r.endgame_iterations) <= r.iterations
+    # no Kacanov direction follows an accepted Kacanov move
+    steps = "".join(events).split("|")[1:]
+    assert len(steps) == 4 and "K" in "".join(steps)
+    assert all("KK" not in directions for directions in steps)
 
 
 def test_force_factors_computed_once_per_trajectory(monkeypatch):
@@ -534,9 +556,10 @@ def test_p2_step_ignores_history(monkeypatch):
 
 
 def test_p2_row_factors_its_step_matrix_once(monkeypatch):
-    # DS is the identity at p = 2: one pinned M/tau + K and one factorization
-    # serve every Newton solve of the row, and the matrix is bitwise the
-    # Jacobian assembled at the iterate each solve starts from
+    # DS is the identity at p = 2: one pinned M/tau + K and one factorization,
+    # made on the row's first step, serve every Newton solve of the row, and
+    # the matrix is bitwise the Jacobian assembled at the iterate each solve
+    # starts from
     from pheat.experiments import manufactured_p2_fields
 
     exact, force = manufactured_p2_fields()
@@ -567,6 +590,7 @@ def test_p2_row_factors_its_step_matrix_once(monkeypatch):
     monkeypatch.setattr(assembly, "solve_spd", check_solve)
     traj = solve_evolution(spec, 3, 1, grid, space=space)
     assert len(factored) == 1
+    assert [rep.factorizations for rep in traj.newton_reports] == [1] + [0] * (grid.M - 1)
     assert len(solved) == sum(rep.iterations for rep in traj.newton_reports) >= grid.M
     assert all(solved)
 
