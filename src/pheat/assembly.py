@@ -269,7 +269,7 @@ def factor_spd(A):
                      relax=1, panel_size=1, options=dict(SymmetricMode=True))
 
 
-def solve_spd(A, b, tol=CG_TOL_DEFAULT, method=None, lu=None):
+def solve_spd(A, b, tol=CG_TOL_DEFAULT, lu=None):
     """Solve SPD system: sparse direct below DIRECT_SOLVE_LIMIT, else Jacobi-CG.
 
     The direct path factors A with `factor_spd`, or uses `lu`, a factorization
@@ -282,13 +282,9 @@ def solve_spd(A, b, tol=CG_TOL_DEFAULT, method=None, lu=None):
     the tolerance within 10 n iterations.
     """
     n = A.shape[0]
-    if lu is not None:
-        method = "direct"
-    elif method is None:
-        method = "direct" if n <= DIRECT_SOLVE_LIMIT else "cg"
     b = np.asarray(b, dtype=float)
     bnorm = np.linalg.norm(b)
-    if method == "direct":
+    if lu is not None or n <= DIRECT_SOLVE_LIMIT:
         if lu is None:
             lu = factor_spd(A)
         scale = bnorm if bnorm > 0 else 1.0

@@ -7,7 +7,10 @@ Subcommands:
   dump-solution --config FILE --out DIR
 
 Exit codes: 0 success, 1 invariant or solver failure (running out of memory
-included), 2 bad configuration or unwritable output.
+included), 2 bad configuration or unwritable output.  The subcommands raise,
+and `main` maps each failure to one stderr line: ConfigError to "config
+error", NonConvergence and MemoryError to "solver failure", and a write
+OSError to "output error".
 Diagnostics go to stderr; data goes to files.
 """
 
@@ -27,27 +30,10 @@ def _log(msg):
 
 
 def cmd_run(args):
-    try:
-        cfg = default_config(args.experiment)
-        if args.config:
-            cfg = parse_config_file(args.config, base=cfg)
-    except (ConfigError, OSError) as exc:
-        _log(f"config error: {exc}")
-        return 2
-    try:
-        reports = experiments.run_experiment(cfg)
-    except ConfigError as exc:
-        _log(f"config error: {exc}")
-        return 2
-    except NonConvergence as exc:
-        _log(f"solver failure: {exc}")
-        return 1
-    except MemoryError:
-        _log("solver failure: out of memory")
-        return 1
-    except OSError as exc:
-        _log(f"output error: {exc}")
-        return 2
+    cfg = default_config(args.experiment)
+    if args.config:
+        cfg = parse_config_file(args.config, base=cfg)
+    reports = experiments.run_experiment(cfg)
     _log(f"wrote {cfg.output_path} ({len(reports)} rows)")
     _log(experiments.eoc_summary(reports))
     return 0
@@ -70,48 +56,24 @@ def cmd_eoc(args):
 def cmd_dump_mesh(args):
     try:
         mesh = refine_to_level(args.domain, args.level)
-    except ValueError as exc:
-        _log(f"config error: {exc}")
-        return 2
-    try:
-        with open(args.out, "w") as fh:
-            mesh.dump(fh)
-    except OSError as exc:
-        _log(f"output error: {exc}")
-        return 2
+    except ValueError as exc:  # an unknown domain or a negative level
+        raise ConfigError(str(exc)) from exc
+    with open(args.out, "w") as fh:
+        mesh.dump(fh)
     _log(f"wrote {args.out}: {mesh.num_vertices} vertices, "
          f"{mesh.num_triangles} triangles")
     return 0
 
 
 def cmd_dump_solution(args):
-    try:
-        cfg = parse_config_file(args.config)
-        spec, _ = experiments.build_spec(cfg)
-    except (ConfigError, OSError) as exc:
-        _log(f"config error: {exc}")
-        return 2
-    try:
-        os.makedirs(args.out, exist_ok=True)  # fail before the solve, not after
-    except OSError as exc:
-        _log(f"output error: {exc}")
-        return 2
+    cfg = parse_config_file(args.config)
+    spec, _ = experiments.build_spec(cfg)
+    os.makedirs(args.out, exist_ok=True)  # fail before the solve, not after
     # solve the first schedule row and dump its trajectory
     level, M = cfg.levels[0]
     t0, t_end = experiments.STUDIES[cfg.experiment].interval
-    try:
-        traj = solve_evolution(spec, level, cfg.r, TimeGrid(t0, t_end, M), tol=cfg.tol)
-    except NonConvergence as exc:
-        _log(f"solver failure: {exc}")
-        return 1
-    except MemoryError:
-        _log("solver failure: out of memory")
-        return 1
-    try:
-        traj.dump(args.out)
-    except OSError as exc:
-        _log(f"output error: {exc}")
-        return 2
+    traj = solve_evolution(spec, level, cfg.r, TimeGrid(t0, t_end, M), tol=cfg.tol)
+    traj.dump(args.out)
     _log(f"wrote trajectory ({M + 1} snapshots) to {args.out}")
     return 0
 
@@ -148,7 +110,20 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ConfigError as exc:
+        _log(f"config error: {exc}")
+        return 2
+    except NonConvergence as exc:
+        _log(f"solver failure: {exc}")
+        return 1
+    except MemoryError:
+        _log("solver failure: out of memory")
+        return 1
+    except OSError as exc:
+        _log(f"output error: {exc}")
+        return 2
 
 
 if __name__ == "__main__":

@@ -10,7 +10,10 @@ runs any of them:
                         shifted square over (-1, 1), exact reference,
                         time-averaged nodal boundary data
   p2_validation         linear regression anchor with a smooth manufactured
-                        solution (spatial or temporal sweep)
+                        solution; its `sweep` key changes nothing computed:
+                        the schedule makes the sweep, `eoc_summary` fits
+                        against tau when every row has the same ndof, and
+                        the key is only echoed into the manifest
 
 Every run writes the results CSV (columns ndof,M,h,tau,sqVerr,sqVerr1,
 sqLinftyError,sqAerr), a flat-text manifest of all parameters including the
@@ -171,9 +174,12 @@ def parse_config(text, base=None):
 def parse_config_file(path, base=None):
     try:
         with open(path, encoding="utf-8") as fh:
-            return parse_config(fh.read(), base=base)
+            text = fh.read()
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path} is not valid UTF-8: {exc}") from exc
+    except OSError as exc:
+        raise ConfigError(str(exc)) from exc
+    return parse_config(text, base=base)
 
 
 def validate_config(cfg):

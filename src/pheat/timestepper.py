@@ -4,21 +4,25 @@ Each step minimizes the strictly convex energy
 
     E_m(v) = 1/(2 tau) ||v - u_prev||_L2^2 + int phi(|grad v|) dx - int f_m v dx
 
-over the affine set matching the Dirichlet data, via Newton directions with
-Armijo backtracking.  For p < 2 a Newton move that stalls (achieved energy
-decrease below STALL_RATIO of the predicted one) is followed by one
-lagged-coefficient (Kacanov) move, with the same energy safeguard, before
-Newton resumes; a line search that finds no decrease switches direction.
+over the affine set matching the Dirichlet data.  For p != 2 the solve starts
+from the lowest-energy one of u_(m-1) and its linear and quadratic
+extrapolations 2u_(m-1) - u_(m-2) and 3u_(m-1) - 3u_(m-2) + u_(m-3) (boundary
+DOFs set to the step's Dirichlet data; an extrapolation must win by more than
+the energy's floating-point resolution), so no step starts from a higher
+energy than u_(m-1); a zero gradient field also tries one linear-diffusion
+solve.
 
-For p != 2 the solve starts from the lowest-energy one of u_(m-1) and its
-linear and quadratic extrapolations 2u_(m-1) - u_(m-2) and
-3u_(m-1) - 3u_(m-2) + u_(m-3) (boundary DOFs set to the step's Dirichlet
-data; an extrapolation must win by more than the energy's floating-point
-resolution), so no step starts from a higher energy than u_(m-1).  Near the
-solution the Armijo test is blind and the step accepts moves on residual
-decrease; a run of such moves that each fail to halve the residual ends the
-step with a stalled NonConvergence; such a move first tries the row's held
-step-Jacobian factorization, made at an earlier iterate (see `step`).
+The solve is one move loop.  Each iteration picks a direction: Newton; one
+lagged-coefficient (Kacanov) solve after a p < 2 Newton move that stalled
+(achieved energy decrease below STALL_RATIO of the predicted one); or a chord
+along the row's held step-Jacobian factorization, made at an earlier iterate,
+once the state is predicted to be in the endgame.  Along it the iteration
+looks for a move: an Armijo line search on the step energy, or, near the
+solution where the Armijo test is blind, a move on residual decrease (endgame
+and chord moves, which repeat the energy).  A move found is accepted in one
+place.  None found is a dead end, which switches direction; two in a row end
+the step, and so do ENDGAME_STALL_MOVES endgame moves in a row that each fail
+to halve the residual (a stalled NonConvergence).
 
 The discrete forces f_m are theta-weighted time averages.  The weights are
 the piecewise linear densities obtained by averaging the running tau-mean of
@@ -92,18 +96,11 @@ class TimeGrid:
     def t(self, m):
         return self.t0 + m * self.tau
 
-    def window(self, m):
-        """J_m = [t_(m-1), t_(m+1)], truncated to the grid at m = M."""
+    def window_subintervals(self, m):
+        """The I-subintervals composing J_m = [t_(m-1), t_(m+1)], truncated to
+        the grid at m = M."""
         if not 1 <= m <= self.M:
             raise ValueError(f"step index {m} outside 1..{self.M}")
-        return self.t(m - 1), min(self.t(m + 1), self.t_end)
-
-    def window_length(self, m):
-        a, b = self.window(m)
-        return b - a
-
-    def window_subintervals(self, m):
-        """The I-subintervals composing J_m."""
         subs = [(self.t(m - 1), self.t(m))]
         if m < self.M:
             subs.append((self.t(m), self.t(m + 1)))
@@ -340,7 +337,7 @@ class Trajectory:
 # the per-step solve
 # ----------------------------------------------------------------------
 
-def _armijo(space, u, u_prev_fn, tau, f_quad, params, delta, slope, energy):
+def _armijo(energy_at, u, delta, slope, energy):
     """Line search on the step energy; returns (new_coeffs, new_energy) or None.
 
     Armijo backtracking (factor 1/2, slope 1e-4, at most 40 halvings).  When
@@ -351,28 +348,22 @@ def _armijo(space, u, u_prev_fn, tau, f_quad, params, delta, slope, energy):
     keeping the energy sequence monotone.
     """
 
-    def energy_at(s):
-        trial = u + s * delta
-        return trial, assembly.step_energy(space, FeFunction(space, trial),
-                                           u_prev_fn, tau, f_quad, params)
+    def trial(s):
+        v = u + s * delta
+        return v, energy_at(v)
 
-    trial, e_trial = energy_at(1.0)
-    if e_trial <= energy + ARMIJO_SLOPE * slope:
-        best, best_e, s = trial, e_trial, 2.0
-        for _ in range(ARMIJO_MAX_HALVINGS):
-            cand, e_cand = energy_at(s)
-            if e_cand < best_e and e_cand <= energy + ARMIJO_SLOPE * s * slope:
-                best, best_e, s = cand, e_cand, 2.0 * s
-            else:
+    best, best_e = trial(1.0)
+    if best_e <= energy + ARMIJO_SLOPE * slope:
+        for k in range(1, ARMIJO_MAX_HALVINGS + 1):
+            cand, e_cand = trial(2.0 ** k)
+            if not (e_cand < best_e and e_cand <= energy + ARMIJO_SLOPE * 2.0 ** k * slope):
                 break
+            best, best_e = cand, e_cand
         return best, best_e
-
-    s = 0.5
-    for _ in range(ARMIJO_MAX_HALVINGS):
-        trial, e_trial = energy_at(s)
-        if e_trial <= energy + ARMIJO_SLOPE * s * slope:
-            return trial, e_trial
-        s *= 0.5
+    for k in range(1, ARMIJO_MAX_HALVINGS + 1):
+        cand, e_cand = trial(0.5 ** k)
+        if e_cand <= energy + ARMIJO_SLOPE * 0.5 ** k * slope:
+            return cand, e_cand
     return None
 
 
@@ -425,24 +416,39 @@ def step(space, u_prev, m, grid, spec, tol=DEFAULT_TOL, bc_values=None, f_quad=N
     rule = assembly.step_rule(space)
     if f_quad is None:
         f_quad = average_force(spec.force, m, grid, space, spec.force_mode)
-
     bdofs = space.boundary_dofs
     g = np.zeros(bdofs.shape[0]) if bc_values is None else np.asarray(bc_values, float)
-
-    rhs = assembly.assemble_load(space, f_quad + space.eval_at(rule, u_prev.coeffs) / tau,
-                                 rule)
+    rhs = assembly.assemble_load(space, f_quad + space.eval_at(rule, u_prev.coeffs) / tau, rule)
     rhs[bdofs] = g
     scale = 1.0 + np.linalg.norm(rhs)
 
+    def energy_at(v):
+        return assembly.step_energy(space, FeFunction(space, v), u_prev, tau, f_quad, params)
+
+    def residual_at(v):
+        return assembly.assemble_step_residual(space, FeFunction(space, v), u_prev, tau,
+                                               f_quad, params, bc_values=g)
+
+    def frozen_solve(mat):  # solve with a frozen-coefficient step matrix
+        A, b = assembly.apply_dirichlet(mat, rhs.copy(), bdofs, g)
+        factored.clear()  # one factorization alive per row
+        return assembly.solve_spd(A, b)[0]
+
+    def held_direction():  # Newton solve along the held factorization
+        delta, _ = assembly.solve_spd(factored[0], -residual, lu=factored[1])
+        factored[2] = abs(float(residual @ delta)) / rnorm ** 2
+        return delta
+
     u = u_prev.coeffs.copy()
     u[bdofs] = g
-    energy = assembly.step_energy(space, FeFunction(space, u), u_prev, tau, f_quad, params)
-    start = "previous"
+    energy, start = energy_at(u), "previous"
 
-    # Extrapolated starts (nonlinear case; the p = 2 step is one Newton step
-    # from anywhere): each is kept only if it lowers the step energy by more
-    # than its resolution.  In a quasi-steady regime the candidates tie with
-    # u_(m-1) up to roundoff, and a start picked by noise can cost an iteration.
+    # Candidate starts (nonlinear case; the p = 2 step is one Newton step from
+    # anywhere).  An extrapolation is kept only if it lowers the step energy
+    # by more than its resolution: in a quasi-steady regime the candidates tie
+    # with u_(m-1) up to roundoff, and a start picked by noise can cost an
+    # iteration.  A zero gradient field tries one linear-diffusion solve, kept
+    # only if it lowers the step energy.
     if not exact:
         snaps = [u_prev.coeffs] + [h.coeffs for h in history]
         for name, weights in EXTRAPOLATIONS:
@@ -450,30 +456,21 @@ def step(space, u_prev, m, grid, spec, tol=DEFAULT_TOL, bc_values=None, f_quad=N
                 break
             cand = sum(w * c for w, c in zip(weights, snaps))
             cand[bdofs] = g
-            e_cand = assembly.step_energy(space, FeFunction(space, cand), u_prev, tau,
-                                          f_quad, params)
+            e_cand = energy_at(cand)
             if e_cand < energy - _energy_resolution(energy):
                 u, energy, start = cand, e_cand, name
-
-    # Degenerate warm start (zero gradient field, nonlinear case): try one
-    # linear-diffusion solve; kept only if it lowers the step energy.
-    if not exact and np.max(np.abs(space.grad_at(assembly.grad_rule(space), u))) == 0.0:
-        lin = assembly.assemble_mass(space, rule) / tau + assembly.assemble_stiffness(space)
-        lin, b = assembly.apply_dirichlet(lin.tocsr(), rhs.copy(), bdofs, g)
-        factored.clear()
-        cand, _ = assembly.solve_spd(lin, b)
-        e_cand = assembly.step_energy(space, FeFunction(space, cand), u_prev, tau,
-                                      f_quad, params)
-        if e_cand < energy:
-            u, energy = cand, e_cand
+        if np.max(np.abs(space.grad_at(assembly.grad_rule(space), u))) == 0.0:
+            cand = frozen_solve((assembly.assemble_mass(space, rule) / tau
+                                 + assembly.assemble_stiffness(space)).tocsr())
+            e_cand = energy_at(cand)
+            if e_cand < energy:
+                u, energy = cand, e_cand
 
     energies = [energy]
     use_fallback = False
-    dead_ends = 0
     kacanov_iterations = endgame_iterations = factorizations = reused_moves = 0
-    creeping = 0  # endgame moves in a row that did not halve the residual
+    dead_ends = creeping = 0  # creeping: endgame moves in a row not halving the residual
     residual = None  # residual at u; assembled again only after u moves
-    rnorm = np.inf
 
     def report(iterations, converged, stalled=False):
         return NewtonReport(iterations=iterations, final_residual_norm=rnorm,
@@ -483,15 +480,9 @@ def step(space, u_prev, m, grid, spec, tol=DEFAULT_TOL, bc_values=None, f_quad=N
                             stalled=stalled, factorizations=factorizations,
                             reused_moves=reused_moves)
 
-    def residual_at(v):
-        return assembly.assemble_step_residual(space, FeFunction(space, v), u_prev, tau,
-                                               f_quad, params, bc_values=g)
-
-    def held_direction():  # Newton solve along the held factorization
-        delta, _ = assembly.solve_spd(factored[0], -residual, lu=factored[1])
-        factored[2] = abs(float(residual @ delta)) / rnorm ** 2
-        return delta
-
+    # Each iteration picks a direction (Kacanov, chord or Newton) and a move along
+    # it: (coefficients, energy), plus the residual and its norm for a move taken
+    # on residual decrease, or None, a dead end.
     for it in range(1, MAX_COMBINED_ITERATIONS + 1):
         if residual is None:
             residual = residual_at(u)
@@ -503,87 +494,75 @@ def step(space, u_prev, m, grid, spec, tol=DEFAULT_TOL, bc_values=None, f_quad=N
         if creeping >= ENDGAME_STALL_MOVES:
             raise NonConvergence(report(it - 1, False, stalled=True), m=m)
 
+        resolution = _energy_resolution(energies[-1])
+        move = None
         if use_fallback:
             kacanov_iterations += 1
-            mat = kacanov_matrix(space, u, tau, params)
-            A, b = assembly.apply_dirichlet(mat, rhs.copy(), bdofs, g)
-            factored.clear()  # one factor alive per row
-            target, _ = assembly.solve_spd(A, b)
-            delta = target - u
+            delta = frozen_solve(kacanov_matrix(space, u, tau, params)) - u
         else:
-            # Endgame chord move: |r . delta| / |r|^2 of the held factor's last
-            # solve predicts the slope along it; a state predicted in the
-            # endgame keeps the move along it if the slope passes the endgame
-            # test and the residual norm at least halves, else factors anew.
-            resolution = _energy_resolution(energies[-1])
+            # Chord move: the held factor's last |r . delta| / |r|^2 predicts the
+            # slope along it; a state predicted in the endgame keeps the move if
+            # the slope passes the endgame test and the residual norm at least
+            # halves, else factors anew.
             if factored and not exact and factored[2] * rnorm ** 2 < resolution:
                 delta = held_direction()
                 if abs(float(residual @ delta)) < resolution:
-                    r_trial = residual_at(u + delta)
-                    if np.linalg.norm(r_trial) <= ENDGAME_PROGRESS * rnorm:
-                        u, residual = u + delta, r_trial
-                        energies.append(energies[-1])
-                        endgame_iterations += 1
+                    trial = u + delta
+                    r_trial = residual_at(trial)
+                    r_trial_norm = np.linalg.norm(r_trial)
+                    if r_trial_norm <= ENDGAME_PROGRESS * rnorm:
+                        move = trial, energies[-1], r_trial, r_trial_norm
                         reused_moves += 1
-                        dead_ends = creeping = 0
-                        continue
-            if not (factored and exact):
+            if move is None and not (factored and exact):
                 factored.clear()  # released before the next factor is made
                 jac = assembly.assemble_step_jacobian(space, FeFunction(space, u), tau, params)
                 if space.ndof <= assembly.DIRECT_SOLVE_LIMIT:
                     factored[:] = jac, assembly.factor_spd(jac), np.inf
                     factorizations += 1
-            delta = held_direction() if factored else assembly.solve_spd(jac, -residual)[0]
+            if move is None:
+                delta = held_direction() if factored else assembly.solve_spd(jac, -residual)[0]
 
-        slope = float(residual @ delta)
-
-        # Endgame: once the predicted energy decrease is below the energy's
-        # floating-point resolution the Armijo test is blind; accept steps on
-        # residual decrease instead (Newton is locally contractive there):
-        # the first candidate of the halving sequence that lowers the
-        # residual norm, whose residual the next iteration starts from.
-        # Moves that lower it by less than ENDGAME_PROGRESS are creeping.
-        # Newton takes the move after every accepted one.
-        if abs(slope) < _energy_resolution(energies[-1]):
-            s = 1.0
-            for _ in range(ENDGAME_HALVINGS):
-                trial = u + s * delta
-                r_trial = residual_at(trial)
-                r_trial_norm = float(np.linalg.norm(r_trial))
-                if r_trial_norm < rnorm:
-                    creeping = creeping + 1 if r_trial_norm > ENDGAME_PROGRESS * rnorm else 0
-                    u, residual = trial, r_trial
-                    energies.append(energies[-1])
-                    endgame_iterations += 1
-                    dead_ends = 0
-                    use_fallback = False
-                    break
-                s *= 0.5
+        if move is None:
+            slope = float(residual @ delta)
+            if abs(slope) < resolution:
+                # Endgame: the predicted decrease is below the energy's resolution
+                # and the Armijo test is blind; take the first point of the halving
+                # sequence that lowers the residual norm (Newton contracts there).
+                for k in range(ENDGAME_HALVINGS):
+                    trial = u + 0.5 ** k * delta
+                    r_trial = residual_at(trial)
+                    r_trial_norm = float(np.linalg.norm(r_trial))
+                    if r_trial_norm < rnorm:
+                        move = trial, energies[-1], r_trial, r_trial_norm
+                        break
             else:
-                dead_ends += 1
-                if dead_ends >= 2:
-                    break
-                use_fallback = not use_fallback
-            continue
+                move = _armijo(energy_at, u, delta, slope, energies[-1])
 
-        accepted = _armijo(space, u, u_prev, tau, f_quad, params, delta, slope, energies[-1])
-        if accepted is None:
+        if move is None:  # a dead end switches direction; two in a row end the step
             dead_ends += 1
             if dead_ends >= 2:
-                break  # both directions exhausted from this state: give up
+                break
             use_fallback = not use_fallback
             continue
-        dead_ends = creeping = 0
-        u, energy = accepted
-        residual = None
-        # For p < 2 the Newton direction crawls near degenerate gradients:
-        # a Newton move whose achieved decrease collapses against the linear
-        # model is followed by one Kacanov move (monotone for p <= 2), and
-        # Newton resumes after it.  For p >= 2 Kacanov is not a contraction
-        # and only serves line-search dead ends.
-        ratio = (energy - energies[-1]) / slope if slope < 0.0 else 0.0
+        u, energy, *moved = move
+        dead_ends = 0
+        if moved:
+            # A chord or endgame move repeats the energy and hands the next move
+            # to Newton; one that cuts the residual by less than ENDGAME_PROGRESS
+            # creeps.
+            residual, r_moved = moved
+            creeping = creeping + 1 if r_moved > ENDGAME_PROGRESS * rnorm else 0
+            endgame_iterations += 1
+            use_fallback = False
+        else:
+            # For p < 2 the Newton direction crawls near degenerate gradients: a
+            # Newton move whose achieved decrease collapses against the linear
+            # model is followed by one Kacanov move (monotone for p <= 2).  For
+            # p >= 2 Kacanov is not a contraction and only serves dead ends.
+            residual, creeping = None, 0
+            ratio = (energy - energies[-1]) / slope if slope < 0.0 else 0.0
+            use_fallback = params.p < 2.0 and not use_fallback and ratio < STALL_RATIO
         energies.append(energy)
-        use_fallback = params.p < 2.0 and not use_fallback and ratio < STALL_RATIO
 
     raise NonConvergence(report(it, False), m=m)
 

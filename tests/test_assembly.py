@@ -175,10 +175,11 @@ def test_jacobian_spd_dense_check(rng):
     assert eig.min() > 0
 
 
-def test_solve_identity_one_cg_iteration():
+def test_solve_identity_one_cg_iteration(monkeypatch):
+    monkeypatch.setattr(assembly, "DIRECT_SOLVE_LIMIT", 0)
     A = sparse.eye(12, format="csr")
     b = np.arange(12.0)
-    x, rep = solve_spd(A, b, method="cg")
+    x, rep = solve_spd(A, b)
     assert rep.method == "cg"
     assert rep.iterations <= 1
     assert np.allclose(x, b)
@@ -261,17 +262,20 @@ def test_solve_degenerate_p15_jacobian_vs_dense(degree, rng):
     assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
-def test_solve_random_spd_vs_dense_oracle(rng):
+def test_solve_random_spd_vs_dense_oracle(rng, monkeypatch):
     B = rng.standard_normal((50, 50))
     A = B @ B.T + 50 * np.eye(50)
     b = rng.standard_normal(50)
     expected = np.linalg.solve(A, b)
-    for method in ("direct", "cg"):
-        x, _ = solve_spd(sparse.csr_matrix(A), b, tol=1e-13, method=method)
+    for limit, method in ((assembly.DIRECT_SOLVE_LIMIT, "direct"), (0, "cg")):
+        monkeypatch.setattr(assembly, "DIRECT_SOLVE_LIMIT", limit)
+        x, rep = solve_spd(sparse.csr_matrix(A), b, tol=1e-13)
+        assert rep.method == method
         assert np.max(np.abs(x - expected)) < 1e-10
 
 
-def test_cg_max_iterations():
+def test_cg_max_iterations(monkeypatch):
+    monkeypatch.setattr(assembly, "DIRECT_SOLVE_LIMIT", 0)
     # Hilbert-like matrix: condition ~ 1e18, CG cannot reach 1e-14
     n = 60
     i = np.arange(n)
@@ -279,5 +283,5 @@ def test_cg_max_iterations():
     A = sparse.csr_matrix(H + 1e-16 * np.eye(n))
     b = np.ones(n)
     with pytest.raises(MaxIterations) as exc:
-        solve_spd(A, b, tol=1e-16, method="cg")
+        solve_spd(A, b, tol=1e-16)
     assert exc.value.report.iterations > 0

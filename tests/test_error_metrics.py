@@ -126,7 +126,7 @@ def _per_node_errors(traj, exact, grid, params):
                     v, S = v_s(s)
                     sq_v += w * integral(sq(vh - v))
                     u_int, v_int, s_int = u_int + w * exact.u(flat, s), v_int + w * v, s_int + w * S
-        length = grid.window_length(m)
+        length = sum(hi - lo for lo, hi in grid.window_subintervals(m))
         linfty = max(linfty, integral((uh - u_int / length) ** 2))
         sq_v_avg += grid.tau * integral(sq(vh - v_int / length))
         raw += grid.tau * integral(sq(sh - s_int / length) ** (pp / 2.0))

@@ -413,9 +413,16 @@ def test_every_step_converges_across_the_solver_matrix():
     runs.append(("decay, p = 1.5", decay, 2, 0.0, 0.5, 4))
     for label, spec, level, t0, t_end, M in runs:
         try:
-            solve_evolution(spec, level, 1, TimeGrid(t0, t_end, M))
+            traj = solve_evolution(spec, level, 1, TimeGrid(t0, t_end, M))
         except NonConvergence as exc:
             pytest.fail(f"{label}: {exc}")
+        # each accepted move books one energy; chord moves are endgame moves,
+        # and the energy sequence never rises
+        for m, rep in enumerate(traj.newton_reports, 1):
+            energies = rep.energy_values
+            assert len(energies) - 1 <= rep.iterations, (label, m)
+            assert rep.reused_moves <= rep.endgame_iterations <= rep.iterations, (label, m)
+            assert all(b <= a for a, b in zip(energies, energies[1:])), (label, m)
 
 
 # ----------------------------------------------------------------------
@@ -475,8 +482,9 @@ def test_cli_run_known_solution_at_p_1_2(tmp_path):
 
 def test_cli_out_of_memory_is_one_line_exit_1(tmp_path, monkeypatch, capsys):
     # a schedule row too large for memory (levels = 1:1000000000000 fails on
-    # the boundary data) is reported like a solver failure, not a traceback;
-    # the solves are replaced, so nothing large is allocated here
+    # the boundary data), or a mesh level too deep, is reported like a solver
+    # failure, not a traceback; the solves and the refinement are replaced, so
+    # nothing large is allocated here
     from pheat import cli
 
     def out_of_memory(*args, **kwargs):
@@ -484,12 +492,17 @@ def test_cli_out_of_memory_is_one_line_exit_1(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(experiments, "run_experiment", out_of_memory)
     monkeypatch.setattr(cli, "solve_evolution", out_of_memory)
+    monkeypatch.setattr(cli, "refine_to_level", out_of_memory)
     cfgfile = tmp_path / "p2.cfg"
     cfgfile.write_text(f"experiment = p2_validation\nlevels = 1:2\n"
                        f"output_path = {tmp_path / 'p2.csv'}\n")
-    for args in (["run", "p2_validation"], ["dump-solution", "--out", str(tmp_path / "t")]):
-        assert cli.main([*args, "--config", str(cfgfile)]) == 1, args
+    mesh = tmp_path / "m.txt"
+    for args in (["run", "p2_validation", "--config", str(cfgfile)],
+                 ["dump-solution", "--out", str(tmp_path / "t"), "--config", str(cfgfile)],
+                 ["dump-mesh", "--domain", "slit", "--level", "40", "--out", str(mesh)]):
+        assert cli.main(args) == 1, args
         assert capsys.readouterr().err == "solver failure: out of memory\n", args
+    assert not mesh.exists()
 
 
 def test_cli_bad_config_exit_2(tmp_path):

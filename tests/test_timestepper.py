@@ -26,10 +26,11 @@ def test_grid_basics():
     grid = TimeGrid(-1.0, 1.0, 8)
     assert grid.tau == pytest.approx(0.25)
     assert grid.t(0) == -1.0 and grid.t(8) == 1.0
-    assert grid.window(3) == (grid.t(2), grid.t(4))
-    assert grid.window(8) == (grid.t(7), grid.t(8))
-    with pytest.raises(ValueError):
-        grid.window(0)
+    assert grid.window_subintervals(3) == [(grid.t(2), grid.t(3)), (grid.t(3), grid.t(4))]
+    assert grid.window_subintervals(8) == [(grid.t(7), grid.t(8))]
+    for m in (0, 9):
+        with pytest.raises(ValueError):
+            grid.window_subintervals(m)
     with pytest.raises(ValueError):
         TimeGrid(0.0, 1.0, 0)
 
@@ -38,7 +39,7 @@ def test_window_length_identity():
     # sum of |J_m| = 2T - 2 tau + tau with the truncated last window, exactly
     for M in (1, 2, 5, 16):
         grid = TimeGrid(0.0, 1.0, M)
-        total = sum(grid.window_length(m) for m in range(1, M + 1))
+        total = sum(hi - lo for m in range(1, M + 1) for lo, hi in grid.window_subintervals(m))
         T = grid.t_end - grid.t0
         assert total == pytest.approx(2 * T - 2 * grid.tau + grid.tau, abs=1e-15)
 
