@@ -28,7 +28,7 @@ import numpy as np
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 
-from .constitutive import s_flux, ds_split, phi, magnitude
+from .constitutive import s_flux, ds_split, phi, phi_change, magnitude, sq_magnitude
 # not called here: re-exported because perfbench/tracer.py wraps it at this name
 from .constitutive import ds_jacobian  # noqa: F401
 from .fespace import grad_rule, quadrature, step_rule
@@ -250,6 +250,36 @@ def step_energy(space, v, u_prev, tau, f_quad, params):
     density = diff * diff / (2.0 * tau) - f_quad * ops.eval(v.coeffs)
     return float(np.vdot(ops.w, density)
                  + np.vdot(gops.w, phi(magnitude(gops.grad(v.coeffs)), params)))
+
+
+def step_energy_line(space, u, delta, u_prev, tau, f_quad, params):
+    """s -> E(u + s delta) - E(u), without the cancellation of a difference of
+    two step energies.  The value terms make (c2 s + c1) s, with c2 = (P delta,
+    P delta)_w / (2 tau) and c1 = (P delta, (u - u_prev)/tau - f)_w.  At a
+    gradient point, with g = grad u and e = grad delta, phi goes from a = |g|
+    to a + d, d = (2 s g.e + s^2 |e|^2) / (|g| + |g + s e|).  Only a, 2 g.e and
+    |e|^2 are held per point, and a trial makes two arrays besides phi_change's."""
+    _check_same_space(space, u, delta, u_prev)
+    ops, gops = space.operators(step_rule(space)), space.operators(grad_rule(space))
+    vals = ops.eval(delta.coeffs)
+    c2 = np.vdot(ops.w, vals * vals) / (2.0 * tau)
+    c1 = np.vdot(ops.w, vals * (ops.eval(u.coeffs - u_prev.coeffs) / tau - f_quad))
+    g, e = gops.grad(u.coeffs), gops.grad(delta.coeffs)
+    a, ee = magnitude(g), sq_magnitude(e)
+    ge = 2.0 * (g[..., 0] * e[..., 0] + g[..., 1] * e[..., 1])
+    phi_diff = phi_change(a, params)
+
+    def change(s):
+        d = s * ge
+        d += s * s * ee  # |g + s e|^2 - |g|^2
+        b = a * a
+        b += d
+        np.sqrt(np.maximum(b, 0.0, out=b), out=b)
+        b += a  # |g| + |g + s e|
+        np.divide(d, b, where=b > 0.0, out=d)
+        return float((c2 * s + c1) * s + np.vdot(gops.w, phi_diff(np.maximum(d, -a, out=d))))
+
+    return change
 
 
 def factor_spd(A):

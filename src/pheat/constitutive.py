@@ -57,10 +57,6 @@ def magnitude(xi):
     return np.sqrt(sq_magnitude(xi))
 
 
-def _norm(xi):
-    return magnitude(xi)[..., None]
-
-
 def _power_factor(r, params, exponent):
     """(kappa + r)^exponent with a zero-base guard.
 
@@ -83,7 +79,7 @@ def _scaled(xi, params, exponent):
     if params.p == 2.0:
         return np.array(xi, dtype=float)
     xi = np.asarray(xi, dtype=float)
-    r = _norm(xi)
+    r = magnitude(xi)[..., None]
     out = _power_factor(r, params, exponent) * xi
     if params.kappa == 0.0 and params.p < 2.0:
         out = np.where(r == 0.0, 0.0, out)
@@ -178,26 +174,40 @@ def phi_second(t, params):
     return out if out.shape else float(out)
 
 
-def _pow_diff(c, t, q):
-    """(c + t)^q - c^q for c, t >= 0, q > 0, stable for t << c."""
-    c, t = np.broadcast_arrays(np.asarray(c, dtype=float), np.asarray(t, dtype=float))
-    shape = c.shape
-    c = np.atleast_1d(c)
-    t = np.atleast_1d(t)
-    out = np.empty(c.shape)
+def _power_integral(c, k, p):
+    """t -> int_c^(c+t) u^(p-2) (u - k) du = D_p/p - k D_(p-1)/(p-1) for c >= 0;
+    t may be negative when c + t >= 0.  D_q = (c + t)^q - c^q is written
+    c^q expm1(q log1p(t/c)), so |t| << c does not cancel, with the powers of c
+    taken once (k = 0 needs no D_(p-1)); c = 0 gives t^q, c + t = 0 -c^q."""
+    c = np.asarray(c, dtype=float)
     pos = c > 0.0
-    ratio = np.zeros_like(out)
-    np.divide(t, c, where=pos, out=ratio)
-    out[pos] = c[pos] ** q * np.expm1(q * np.log1p(ratio[pos]))
-    out[~pos] = t[~pos] ** q
-    return out.reshape(shape)
+    powers = [(q, c ** q) for q in ((p, p - 1.0) if np.any(k) else (p,))]
+
+    def integral(t):
+        ratio = np.zeros(c.shape)
+        np.divide(t, c, where=pos, out=ratio)
+        log = np.full(c.shape, -np.inf)
+        np.log1p(ratio, where=ratio != -1.0, out=log)
+        d = [np.multiply(cq, np.expm1(q * log), out=np.empty(c.shape)) for q, cq in powers]
+        for (q, _), dq in zip(powers, d):
+            np.power(t, q, where=~pos, out=dq)  # c = 0
+        return d[0] / p - (k * d[1] / (p - 1.0) if len(d) > 1 else 0.0)
+
+    return integral
+
+
+def phi_change(a, params):
+    """d -> phi(a + d) - phi(a) for a, a + d >= 0 without cancellation: the
+    integral of u^(p-2) (u - kappa) over [kappa + a, kappa + a + d]."""
+    kappa = params.kappa
+    return _power_integral(np.add(a, kappa) if kappa else a, kappa, params.p)
 
 
 def phi_shifted(a, t, params):
     """Shifted N-function phi_a(t) = int_0^t (kappa + a + s)^(p-2) s ds.
 
-    Closed two-term power antiderivative, written with expm1/log1p power
-    differences so small t against a large shift does not cancel; p = 2
+    Closed two-term power antiderivative (`_power_integral` with c = k =
+    kappa + a), so small t against a large shift does not cancel; p = 2
     reduces to t^2/2 exactly.  Nonnegative, convex in t, phi_a(0) = 0.
     """
     a = np.asarray(a, dtype=float)
@@ -207,10 +217,8 @@ def phi_shifted(a, t, params):
         shape = np.broadcast_shapes(a.shape, t.shape)
         out = np.broadcast_to(0.5 * t * t, shape)
         return out.copy() if shape else float(out)
-    c = params.kappa + a
-
-    # int_c^{c+t} u^(p-2)(u - c) du = D_p/p - c D_(p-1)/(p-1), D_q = (c+t)^q - c^q
-    val = _pow_diff(c, t, p) / p - c * _pow_diff(c, t, p - 1.0) / (p - 1.0)
+    c, t = np.broadcast_arrays(params.kappa + a, t)
+    val = _power_integral(c, c, p)(t)
     return val if val.shape else float(val)
 
 

@@ -16,13 +16,12 @@ The solve is one move loop.  Each iteration picks a direction: Newton; one
 lagged-coefficient (Kacanov) solve after a p < 2 Newton move that stalled
 (achieved energy decrease below STALL_RATIO of the predicted one); or a chord
 along the row's held step-Jacobian factorization, made at an earlier iterate,
-once the state is predicted to be in the endgame.  Along it the iteration
-looks for a move: an Armijo line search on the step energy, or, near the
-solution where the Armijo test is blind, a move on residual decrease (endgame
-and chord moves, which repeat the energy).  A move found is accepted in one
-place.  None found is a dead end, which switches direction; two in a row end
-the step, and so do ENDGAME_STALL_MOVES endgame moves in a row that each fail
-to halve the residual (a stalled NonConvergence).
+once the slope along it is predicted below the energy's resolution.  The move
+is an Armijo line search on E(u + s delta) - E(u), computed without
+cancellation (`assembly.step_energy_line`), or a chord move that halves the
+residual norm.  None found is a dead end, which switches direction; two in a
+row end the step.  A step converges below tol * (1 + ||rhs||) or at the
+residual's roundoff floor.
 
 The discrete forces f_m are theta-weighted time averages.  The weights are
 the piecewise linear densities obtained by averaging the running tau-mean of
@@ -49,11 +48,8 @@ DEFAULT_TOL = 1e-10
 MAX_COMBINED_ITERATIONS = 200
 ARMIJO_SLOPE = 1e-4
 ARMIJO_MAX_HALVINGS = 40
-ENDGAME_HALVINGS = 10
-# an endgame move makes progress when it cuts the residual norm by this
-# factor; this many moves in a row without progress end the step as stalled
-ENDGAME_PROGRESS = 0.5
-ENDGAME_STALL_MOVES = 3
+# a chord move is kept when it cuts the residual norm by this factor
+CHORD_PROGRESS = 0.5
 # candidate starts of a step: weights on (u_(m-1), u_(m-2), u_(m-3))
 EXTRAPOLATIONS = (("linear", (2.0, -1.0)), ("quadratic", (3.0, -3.0, 1.0)))
 KACANOV_CLAMP = 1e-12
@@ -70,9 +66,8 @@ class NonConvergence(Exception):
     """A step failed to converge; carries the report and the step index."""
 
     def __init__(self, report, m=None):
-        stalled = "endgame stalled, " if report.stalled else ""
         super().__init__(f"step {m}: no convergence after {report.iterations} iterations, "
-                         f"{stalled}residual {report.final_residual_norm:.3e}")
+                         f"residual {report.final_residual_norm:.3e}")
         self.report = report
         self.m = m
 
@@ -288,16 +283,14 @@ class NewtonReport:
     final_residual_norm: float
     energy_values: tuple
     converged: bool
-    # iterations that solved for the lagged-coefficient (Kacanov) direction,
-    # and moves, along either direction, accepted on residual decrease alone
+    # iterations that solved for the lagged-coefficient (Kacanov) direction
     kacanov_iterations: int = 0
-    endgame_iterations: int = 0
     start: str = "previous"  # "previous" | "linear" | "quadratic" initial guess
-    stalled: bool = False    # ended by endgame moves that stopped halving the residual
     # fresh Jacobian factorizations (a p = 2 row makes its one on its first
-    # step); endgame moves along an earlier one
+    # step); chord moves along an earlier one
     factorizations: int = 0
     reused_moves: int = 0
+    at_floor: bool = False  # converged at the residual's roundoff floor, above tol
 
     @property
     def fallback_used(self):
@@ -337,33 +330,29 @@ class Trajectory:
 # the per-step solve
 # ----------------------------------------------------------------------
 
-def _armijo(energy_at, u, delta, slope, energy):
-    """Line search on the step energy; returns (new_coeffs, new_energy) or None.
-
-    Armijo backtracking (factor 1/2, slope 1e-4, at most 40 halvings).  When
-    the unit step already passes, the step is doubled while the energy keeps
-    strictly decreasing: for p < 2 the regularized Jacobian overestimates the
-    curvature near degenerate gradients and the Newton direction comes out
-    orders of magnitude too short; the expansion recovers the scale while
-    keeping the energy sequence monotone.
+def _armijo(change, u, delta, slope):
+    """Armijo backtracking (factor 1/2, slope 1e-4, at most 40 halvings) on
+    change(s) = E(u + s delta) - E(u); returns (new_coeffs, change) or None.
+    A direction with slope >= 0 is a dead end.  When the unit step passes, the
+    step is doubled while the change keeps strictly decreasing: for p < 2 the
+    regularized Jacobian overestimates the curvature near degenerate gradients
+    and the Newton direction comes out orders of magnitude too short; the
+    expansion recovers the scale while keeping the energy sequence monotone.
     """
-
-    def trial(s):
-        v = u + s * delta
-        return v, energy_at(v)
-
-    best, best_e = trial(1.0)
-    if best_e <= energy + ARMIJO_SLOPE * slope:
+    if not slope < 0.0:
+        return None
+    s, best = 1.0, change(1.0)
+    if best <= ARMIJO_SLOPE * slope:
         for k in range(1, ARMIJO_MAX_HALVINGS + 1):
-            cand, e_cand = trial(2.0 ** k)
-            if not (e_cand < best_e and e_cand <= energy + ARMIJO_SLOPE * 2.0 ** k * slope):
+            c = change(2.0 ** k)
+            if not (c < best and c <= ARMIJO_SLOPE * 2.0 ** k * slope):
                 break
-            best, best_e = cand, e_cand
-        return best, best_e
+            s, best = 2.0 ** k, c
+        return u + s * delta, best
     for k in range(1, ARMIJO_MAX_HALVINGS + 1):
-        cand, e_cand = trial(0.5 ** k)
-        if e_cand <= energy + ARMIJO_SLOPE * 0.5 ** k * slope:
-            return cand, e_cand
+        c = change(0.5 ** k)
+        if c <= ARMIJO_SLOPE * 0.5 ** k * slope:
+            return u + 0.5 ** k * delta, c
     return None
 
 
@@ -405,7 +394,8 @@ def step(space, u_prev, m, grid, spec, tol=DEFAULT_TOL, bc_values=None, f_quad=N
     row's first step makes it and every Newton solve uses it; for p != 2
     each fresh factorization replaces it, the old one released first.
     Convergence when the Euclidean residual norm drops below
-    tol * (1 + ||rhs||) with rhs the step load vector.
+    tol * (1 + ||rhs||) with rhs the step load vector, or, with a held
+    factorization J, below eps * ||abs(J) abs(u)|| (`NewtonReport.at_floor`).
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -424,6 +414,10 @@ def step(space, u_prev, m, grid, spec, tol=DEFAULT_TOL, bc_values=None, f_quad=N
 
     def energy_at(v):
         return assembly.step_energy(space, FeFunction(space, v), u_prev, tau, f_quad, params)
+
+    def change_along(v, delta):
+        return assembly.step_energy_line(space, FeFunction(space, v), FeFunction(space, delta),
+                                         u_prev, tau, f_quad, params)
 
     def residual_at(v):
         return assembly.assemble_step_residual(space, FeFunction(space, v), u_prev, tau,
@@ -468,50 +462,47 @@ def step(space, u_prev, m, grid, spec, tol=DEFAULT_TOL, bc_values=None, f_quad=N
 
     energies = [energy]
     use_fallback = False
-    kacanov_iterations = endgame_iterations = factorizations = reused_moves = 0
-    dead_ends = creeping = 0  # creeping: endgame moves in a row not halving the residual
+    kacanov_iterations = factorizations = reused_moves = dead_ends = 0
     residual = None  # residual at u; assembled again only after u moves
 
-    def report(iterations, converged, stalled=False):
+    def report(iterations, converged, at_floor=False):
         return NewtonReport(iterations=iterations, final_residual_norm=rnorm,
                             energy_values=tuple(energies), converged=converged,
-                            kacanov_iterations=kacanov_iterations,
-                            endgame_iterations=endgame_iterations, start=start,
-                            stalled=stalled, factorizations=factorizations,
-                            reused_moves=reused_moves)
+                            kacanov_iterations=kacanov_iterations, start=start,
+                            factorizations=factorizations, reused_moves=reused_moves,
+                            at_floor=at_floor)
 
     # Each iteration picks a direction (Kacanov, chord or Newton) and a move along
-    # it: (coefficients, energy), plus the residual and its norm for a move taken
-    # on residual decrease, or None, a dead end.
+    # it: (coefficients, energy change), plus the residual for a chord move, or
+    # None, a dead end.
     for it in range(1, MAX_COMBINED_ITERATIONS + 1):
         if residual is None:
             residual = residual_at(u)
         rnorm = float(np.linalg.norm(residual))
         if rnorm <= tol * scale:
             return FeFunction(space, u), report(it - 1, True)
+        if factored and rnorm <= np.finfo(float).eps * np.linalg.norm(
+                abs(factored[0]) @ np.abs(u)):  # the roundoff of J u, J held
+            return FeFunction(space, u), report(it - 1, True, at_floor=True)
         if not np.isfinite(rnorm):
             raise NonConvergence(report(it - 1, False), m=m)
-        if creeping >= ENDGAME_STALL_MOVES:
-            raise NonConvergence(report(it - 1, False, stalled=True), m=m)
 
-        resolution = _energy_resolution(energies[-1])
         move = None
         if use_fallback:
             kacanov_iterations += 1
             delta = frozen_solve(kacanov_matrix(space, u, tau, params)) - u
         else:
             # Chord move: the held factor's last |r . delta| / |r|^2 predicts the
-            # slope along it; a state predicted in the endgame keeps the move if
-            # the slope passes the endgame test and the residual norm at least
-            # halves, else factors anew.
+            # slope along it; one predicted and found below the energy's resolution
+            # keeps the move if the residual norm at least halves, else factor anew.
+            resolution = _energy_resolution(energies[-1])
             if factored and not exact and factored[2] * rnorm ** 2 < resolution:
                 delta = held_direction()
                 if abs(float(residual @ delta)) < resolution:
                     trial = u + delta
                     r_trial = residual_at(trial)
-                    r_trial_norm = np.linalg.norm(r_trial)
-                    if r_trial_norm <= ENDGAME_PROGRESS * rnorm:
-                        move = trial, energies[-1], r_trial, r_trial_norm
+                    if np.linalg.norm(r_trial) <= CHORD_PROGRESS * rnorm:
+                        move = trial, 0.0, r_trial
                         reused_moves += 1
             if move is None and not (factored and exact):
                 factored.clear()  # released before the next factor is made
@@ -524,19 +515,7 @@ def step(space, u_prev, m, grid, spec, tol=DEFAULT_TOL, bc_values=None, f_quad=N
 
         if move is None:
             slope = float(residual @ delta)
-            if abs(slope) < resolution:
-                # Endgame: the predicted decrease is below the energy's resolution
-                # and the Armijo test is blind; take the first point of the halving
-                # sequence that lowers the residual norm (Newton contracts there).
-                for k in range(ENDGAME_HALVINGS):
-                    trial = u + 0.5 ** k * delta
-                    r_trial = residual_at(trial)
-                    r_trial_norm = float(np.linalg.norm(r_trial))
-                    if r_trial_norm < rnorm:
-                        move = trial, energies[-1], r_trial, r_trial_norm
-                        break
-            else:
-                move = _armijo(energy_at, u, delta, slope, energies[-1])
+            move = _armijo(change_along(u, delta), u, delta, slope)
 
         if move is None:  # a dead end switches direction; two in a row end the step
             dead_ends += 1
@@ -544,25 +523,17 @@ def step(space, u_prev, m, grid, spec, tol=DEFAULT_TOL, bc_values=None, f_quad=N
                 break
             use_fallback = not use_fallback
             continue
-        u, energy, *moved = move
+        u, change, *moved = move
         dead_ends = 0
-        if moved:
-            # A chord or endgame move repeats the energy and hands the next move
-            # to Newton; one that cuts the residual by less than ENDGAME_PROGRESS
-            # creeps.
-            residual, r_moved = moved
-            creeping = creeping + 1 if r_moved > ENDGAME_PROGRESS * rnorm else 0
-            endgame_iterations += 1
-            use_fallback = False
-        else:
-            # For p < 2 the Newton direction crawls near degenerate gradients: a
-            # Newton move whose achieved decrease collapses against the linear
-            # model is followed by one Kacanov move (monotone for p <= 2).  For
-            # p >= 2 Kacanov is not a contraction and only serves dead ends.
-            residual, creeping = None, 0
-            ratio = (energy - energies[-1]) / slope if slope < 0.0 else 0.0
-            use_fallback = params.p < 2.0 and not use_fallback and ratio < STALL_RATIO
-        energies.append(energy)
+        residual = moved[0] if moved else None
+        # For p < 2 the Newton direction crawls near degenerate gradients: a
+        # Newton move whose achieved decrease collapses against the linear model
+        # is followed by one Kacanov move (monotone for p <= 2).  For p >= 2
+        # Kacanov is not a contraction and only serves dead ends.  A chord move
+        # hands the next move to Newton.
+        use_fallback = (params.p < 2.0 and not moved and not use_fallback
+                        and change / slope < STALL_RATIO)
+        energies.append(energies[-1] + change)
 
     raise NonConvergence(report(it, False), m=m)
 

@@ -5,7 +5,7 @@ import scipy.sparse as sparse
 from pheat import assembly
 from pheat.assembly import (MaxIterations, SpaceMismatch, assemble_load, assemble_mass,
                             assemble_step_jacobian, assemble_step_residual,
-                            assemble_stiffness, solve_spd, step_energy)
+                            assemble_stiffness, solve_spd, step_energy, step_energy_line)
 from pheat.constitutive import PLaplaceParams
 from pheat.fespace import FeFunction, build_space, quadrature
 from pheat.mesh import Mesh, refine_to_level
@@ -106,6 +106,42 @@ def test_residual_is_energy_gradient(p, rng):
         fd = (step_energy(space, FeFunction(space, up), u_prev, tau, f_quad, params)
               - step_energy(space, FeFunction(space, dn), u_prev, tau, f_quad, params)) / (2 * h)
         assert fd == pytest.approx(res[i], rel=1e-5, abs=1e-9)
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+@pytest.mark.parametrize("p", [1.2, 1.5, 2.0, 3.0])
+def test_step_energy_line_matches_energy_difference(degree, p, rng):
+    space = build_space(refine_to_level("unit_square", 1), degree)
+    rule = assembly.step_rule(space)
+    f_quad = rng.standard_normal((space.mesh.num_triangles, rule.num_points))
+    u, u_prev, delta = (FeFunction(space, rng.standard_normal(space.ndof)) for _ in range(3))
+    for kappa in (0.0, 0.1, 0.3):
+        params = PLaplaceParams(p=p, kappa=kappa)
+        change = step_energy_line(space, u, delta, u_prev, 0.2, f_quad, params)
+        base = step_energy(space, u, u_prev, 0.2, f_quad, params)
+        for s in (1.0, 0.3, -0.7):
+            moved = FeFunction(space, u.coeffs + s * delta.coeffs)
+            plain = step_energy(space, moved, u_prev, 0.2, f_quad, params) - base
+            assert change(s) == pytest.approx(plain, rel=1e-12)
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_step_energy_line_slope_is_residual_along_the_line(p, rng):
+    # change(s)/s -> r . delta as s -> 0, for delta zero on the boundary DOFs;
+    # at s = 1e-12 a difference of two energies would keep about 4 digits
+    space = build_space(refine_to_level("unit_square", 2), 1)
+    params = PLaplaceParams(p=p, kappa=0.0)
+    rule = assembly.step_rule(space)
+    f_quad = np.full((space.mesh.num_triangles, rule.num_points), 0.7)
+    u = FeFunction(space, 0.5 + rng.standard_normal(space.ndof))
+    u_prev = FeFunction(space, rng.standard_normal(space.ndof))
+    direction = rng.standard_normal(space.ndof)
+    direction[space.boundary_dofs] = 0.0
+    slope = assemble_step_residual(space, u, u_prev, 0.2, f_quad, params) @ direction
+    change = step_energy_line(space, u, FeFunction(space, direction), u_prev, 0.2, f_quad,
+                              params)
+    for s in (1e-10, 1e-12, -1e-12):
+        assert change(s) / s == pytest.approx(slope, rel=1e-7)
 
 
 def test_p2_jacobian_is_mass_plus_stiffness():

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from pheat.constitutive import (DegenerateInput, PLaplaceParams, SingularJacobian,
-                                ds_jacobian, equivalence_ratios, phi, phi_prime,
-                                phi_second, phi_shifted, s_flux, v_transform)
+                                ds_jacobian, equivalence_ratios, phi, phi_change,
+                                phi_prime, phi_second, phi_shifted, s_flux, v_transform)
 
 P_VALUES = (1.2, 1.5, 2.0, 3.0, 4.5)
 KAPPAS = (0.0, 1e-3, 1.0)
@@ -215,6 +215,39 @@ def test_phi_shifted_quadrature_oracle(rng):
         num, _ = quad(lambda s: (kappa + a + s) ** (p - 2.0) * s, 0.0, t,
                       limit=200, epsabs=0.0, epsrel=1e-12)
         assert abs(exact - num) < 1e-9 * max(abs(num), 1e-300)
+
+
+@pytest.mark.parametrize("kappa", KAPPAS)
+@pytest.mark.parametrize("p", P_VALUES)
+def test_phi_change_against_phi(p, kappa, rng):
+    params = PLaplaceParams(p=p, kappa=kappa)
+    a = np.concatenate([[0.0, 0.0, 1.0], 10.0 ** rng.uniform(-3, 2, 200)])
+    change = phi_change(a, params)
+
+    def tolerance(d, ref):
+        # for kappa > 0 the two terms of the closed form cancel to about
+        # kappa (kappa + a)^(p-2) |d| when a << kappa, as in phi itself
+        lo, hi = kappa + np.minimum(a, a + d), kappa + np.maximum(a, a + d)
+        second = kappa * np.abs(d) * (lo ** (p - 2.0) + hi ** (p - 2.0)) if kappa else 0.0
+        return 1e-13 * (np.abs(ref) + second)
+
+    # d = 0 changes nothing; a + d = 0 and a = 0 (c = 0 at kappa = 0) are
+    # the closed form's edge cases
+    assert np.array_equal(change(np.zeros_like(a)), np.zeros_like(a))
+    assert np.all(np.abs(change(-a) + phi(a, params)) <= tolerance(-a, phi(a, params)))
+    d = 10.0 ** rng.uniform(-3, 2, a.shape)
+    at_zero = phi_change(np.zeros_like(d), params)(d)
+    assert np.all(np.abs(at_zero - phi(d, params)) <= tolerance(d, phi(d, params)))
+    # elsewhere the plain difference, with its own cancellation added
+    for frac in (-0.999, -0.5, 0.3, 2.0):
+        d = frac * a + 1e-3 * (frac > 0)
+        plain = phi(a + d, params) - phi(a, params)
+        cancel = 1e-14 * (phi(a + d, params) + phi(a, params))
+        assert np.all(np.abs(change(d) - plain) <= tolerance(d, plain) + cancel)
+    # a change far below phi(a)'s resolution is still resolved: phi'(a) d
+    d = 1e-10 * a[2:]
+    assert np.allclose(phi_change(a[2:], params)(d), phi_prime(a[2:], params) * d,
+                       rtol=1e-8, atol=0.0)
 
 
 def test_phi_derivative_chain(rng):

@@ -285,9 +285,9 @@ def test_converged_step_satisfies_weak_form(monkeypatch):
     monkeypatch.setattr(assembly, "assemble_step_residual", recording)
     u, rep = step(space, zero, 1, grid, spec, tol=tol)
     monkeypatch.undo()
-    # this step ends on residual decrease; the accepted trial's residual is
-    # handed to the next iteration, so no state is assembled twice
-    assert rep.converged and rep.endgame_iterations >= 1
+    # this step takes chord moves; a chord move's trial residual is handed to
+    # the next iteration, so no state is assembled twice
+    assert rep.converged and rep.reused_moves >= 1
     assert len(set(states)) == len(states)
     # independent residual assembly
     rule = assembly.step_rule(space)
@@ -335,7 +335,7 @@ def test_report_counts_kacanov_iterations(monkeypatch):
     assert sum(r.kacanov_iterations for r in reports) == len(calls) > 0
     for r in reports:
         assert r.fallback_used == (r.kacanov_iterations > 0)
-        assert max(r.kacanov_iterations, r.endgame_iterations) <= r.iterations
+        assert max(r.kacanov_iterations, r.reused_moves) <= r.iterations
     # no Kacanov direction follows an accepted Kacanov move
     steps = "".join(events).split("|")[1:]
     assert len(steps) == 4 and "K" in "".join(steps)
@@ -428,20 +428,24 @@ def test_evolution_p2_manufactured_error_decreases():
 
 
 def test_nonconvergence_carries_step_index():
-    # deep-extinction regime: an honestly unreachable absolute tolerance; the
-    # endgame stops as soon as its moves no longer halve the residual instead
-    # of creeping to the iteration cap
+    # a decay whose force turns NaN on (t_6, t_7): of the steps solved, only
+    # the window J_6 = [t_5, t_7] reaches there, so steps 1-5 converge and
+    # step 6 cannot
     space = build_space(refine_to_level("unit_square", 3), 1)
     params = PLaplaceParams(p=1.5, kappa=0.0)
-    spec = ProblemSpec(params=params, domain="unit_square", force=ConstantForce(0.0),
+    grid = TimeGrid(0.0, 1.0, 16)
+
+    def force(pts, t):
+        return np.full(pts.shape[0], np.nan if grid.t(6) < t < grid.t(7) else 0.0)
+
+    spec = ProblemSpec(params=params, domain="unit_square", force=force,
                        initial=lambda pts: np.sin(np.pi * pts[:, 0])
                        * np.sin(np.pi * pts[:, 1]))
     with pytest.raises(NonConvergence) as exc:
-        solve_evolution(spec, 3, 1, TimeGrid(0.0, 1.0, 16), space=space)
+        solve_evolution(spec, 3, 1, grid, space=space)
     rep = exc.value.report
-    assert exc.value.m == 6
-    assert rep.stalled and not rep.converged and "stalled" in str(exc.value)
-    assert rep.endgame_iterations >= timestepper.ENDGAME_STALL_MOVES
+    assert exc.value.m == 6 and "step 6" in str(exc.value)
+    assert not rep.converged and not rep.at_floor
     assert rep.iterations < timestepper.MAX_COMBINED_ITERATIONS // 10
 
 
@@ -597,8 +601,8 @@ def test_p2_row_factors_its_step_matrix_once(monkeypatch):
 
 
 def test_nonlinear_row_reuses_its_last_factorization(monkeypatch):
-    # p != 2: an endgame move first goes along the factorization held from an
-    # earlier iterate and is kept only if it halves the residual norm; the
+    # p != 2: near convergence a chord move first goes along the factorization
+    # held from an earlier iterate and is kept only if it halves the residual norm; the
     # held factor is released before the next one is made
     import weakref
 
@@ -642,7 +646,7 @@ def test_nonlinear_row_reuses_its_last_factorization(monkeypatch):
     assert all(rep.converged for rep in reports)
     assert sum(rep.factorizations for rep in reports) < sum(rep.iterations for rep in reports)
     reused = sum(rep.reused_moves for rep in reports)
-    assert reused > 0 and all(rep.reused_moves <= rep.endgame_iterations for rep in reports)
+    assert reused > 0 and all(rep.reused_moves <= rep.iterations for rep in reports)
     # a chord move's trial residual follows its solve; the halving ones are the
     # moves taken, and no other
     halving = [kind == "chord" and nxt[0] == "residual" and nxt[1] <= 0.5 * norm
