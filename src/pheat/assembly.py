@@ -11,15 +11,19 @@ rule and their gradient terms (S, DS, phi) with the gradient rule, one point
 per cell for r = 1; all of them move together, so the interior residual
 stays the exact gradient of the step energy.
 
-Element matrices are made exactly symmetric and `np.bincount` adds them in
-element order, so every assembled matrix is exactly symmetric and repeated
-assembly of identical inputs is bitwise reproducible.  Dirichlet conditions
-are imposed by symmetric elimination (rows and columns zeroed, unit
-diagonal), which keeps mass and Jacobian matrices symmetric positive
-definite.  The step Jacobian is written pinned: the slots that survive
-pinning and the pinned pattern are computed once per space, next to the
-full pattern, and the result is bitwise what `pin_rows_cols` makes of the
-unpinned matrix.  `pin_rows_cols` and `apply_dirichlet` pin any other matrix.
+Element matrices are made exactly symmetric and added in element order, so
+every assembled matrix is exactly symmetric and repeated assembly of
+identical inputs is bitwise reproducible.  Dirichlet conditions are imposed
+by symmetric elimination (rows and columns zeroed, unit diagonal), which
+keeps mass and Jacobian matrices symmetric positive definite.  The step
+Jacobian is written pinned, JACOBIAN_BLOCK cells at a time: the slot of
+every full-pattern entry in the pinned pattern is computed once per space,
+and the result is bitwise what `pin_rows_cols` makes of the unpinned matrix.
+`pin_rows_cols` and `apply_dirichlet` pin any other matrix.
+
+`solve_spd` solves directly with a sparse LU (`factor_spd`), or by
+preconditioned conjugate gradients along a given factorization, which may be
+that of a nearby matrix, or along the diagonal above DIRECT_SOLVE_LIMIT.
 """
 
 from dataclasses import dataclass
@@ -33,13 +37,14 @@ from .constitutive import s_flux, ds_split, phi, phi_change, magnitude, sq_magni
 from .constitutive import ds_jacobian  # noqa: F401
 from .fespace import grad_rule, quadrature, step_rule
 
-DIRECT_SOLVE_LIMIT = 40000  # unknowns; above this solve_spd falls back to CG
+DIRECT_SOLVE_LIMIT = 40000  # unknowns; above this solve_spd falls back to Jacobi-CG
 CG_TOL_DEFAULT = 1e-11
 # relative residual below which the direct solve is not refined; the
 # roundoff floor of b - A x lies between 1e-16 and 1e-13 on the step Jacobians
 REFINE_TARGET = 5e-15
 REFINE_PASSES = 2
 JACOBIAN_EPS_REG = 1e-10
+JACOBIAN_BLOCK = 1024  # cells per block of the step Jacobian's element matrices
 
 
 class SpaceMismatch(Exception):
@@ -78,10 +83,11 @@ def _pattern(space):
 
 def _pinned_pattern(space):
     """The pattern with the Dirichlet rows and columns pinned, computed once
-    per space: (indptr, indices, kept, diagonal).  `kept` masks the slots of
-    the full pattern that survive pinning, the entries of unpinned rows and
-    columns and the pinned diagonal; `diagonal` are the pinned diagonal's
-    slots in the pinned data array."""
+    per space: (indptr, indices, slots, diagonal).  `slots` maps each slot of
+    the full pattern to its slot in the pinned data array, and the slots that
+    pinning drops (entries in a pinned row or column off the diagonal) to one
+    past its end; `diagonal` are the pinned diagonal's slots in the pinned
+    data array."""
     if space._pinned_pattern is None:
         indptr, indices, _ = _pattern(space)
         pinned = np.zeros(space.ndof, dtype=bool)
@@ -91,65 +97,86 @@ def _pinned_pattern(space):
         kept = ~(pinned[rows] | pinned[indices]) | diagonal
         pinned_indptr = np.zeros(space.ndof + 1, dtype=np.int32)
         np.cumsum(np.bincount(rows[kept], minlength=space.ndof), out=pinned_indptr[1:])
-        space._pinned_pattern = (pinned_indptr, indices[kept], kept,
+        slots = np.where(kept, np.cumsum(kept) - 1, pinned_indptr[-1]).astype(np.int32)
+        space._pinned_pattern = (pinned_indptr, indices[kept], slots,
                                  np.flatnonzero(diagonal[kept]))
     return space._pinned_pattern
 
 
 def _sum_into_pattern(space, local, pinned=False):
-    """Sum element matrices (nt, nloc, nloc) into the space's CSR pattern.
-
-    With `pinned` the Dirichlet rows and columns are written pinned, exactly
-    as `pin_rows_cols` leaves them: zeroed and dropped, with a unit diagonal,
-    and every other entry that sums to zero dropped too.
-    """
+    """Sum element matrices (nt, nloc, nloc) into the space's CSR pattern,
+    with `pinned` as `_sum_pinned` writes them."""
+    if pinned:
+        return _sum_pinned(space, [local])
     indptr, indices, scatter = _pattern(space)
     data = np.bincount(scatter, weights=local.reshape(-1), minlength=indices.shape[0])
-    if pinned:
-        indptr, indices, kept, diagonal = _pinned_pattern(space)
-        data = data[kept]
-        data[diagonal] = 1.0
-        if not data.all():
-            A = sparse.csr_matrix((data, indices.copy(), indptr.copy()),
-                                  shape=(space.ndof, space.ndof))
-            A.eliminate_zeros()
-            return A
     return sparse.csr_matrix((data, indices, indptr), shape=(space.ndof, space.ndof))
 
 
-def _local_mass(space, rule, scale=1.0):
-    """Element matrices scale * int phi_i phi_j dx, (nt, nloc, nloc)."""
+def _sum_pinned(space, blocks):
+    """Sum element matrices into the space's CSR pattern with the Dirichlet
+    rows and columns pinned, exactly as `pin_rows_cols` leaves them: zeroed
+    and dropped, with a unit diagonal, and every other entry that sums to
+    zero dropped too.
+
+    `blocks` yields the element matrices (nb, nloc, nloc) of consecutive
+    cells, from the first cell on.  Each entry is added where it lands in
+    element order, as `np.bincount` adds them, so the sum is bitwise that of
+    all cells at once.
+    """
+    _, _, scatter = _pattern(space)
+    indptr, indices, slots, diagonal = _pinned_pattern(space)
+    data = np.zeros(indices.shape[0] + 1)  # the last slot takes the dropped entries
+    start = 0
+    for local in blocks:
+        np.add.at(data, slots[scatter[start:start + local.size]], local.reshape(-1))
+        start += local.size
+    data = data[:-1]
+    data[diagonal] = 1.0
+    if not data.all():
+        A = sparse.csr_matrix((data, indices.copy(), indptr.copy()),
+                              shape=(space.ndof, space.ndof))
+        A.eliminate_zeros()
+        return A
+    return sparse.csr_matrix((data, indices, indptr), shape=(space.ndof, space.ndof))
+
+
+def _local_mass(space, rule, scale=1.0, cells=slice(None)):
+    """Element matrices scale * int phi_i phi_j dx of the given cells,
+    (nt, nloc, nloc)."""
     phi_vals = space.operators(rule).values
     ref = (rule.weights[:, None] * phi_vals).T @ phi_vals
-    return (scale * space.areas)[:, None, None] * (0.5 * (ref + ref.T))
+    return (scale * space.areas[cells])[:, None, None] * (0.5 * (ref + ref.T))
 
 
-def _local_stiffness(ops, coeff=None, rank_one=None):
-    """Element matrices int grad phi_i . C grad phi_j dx, (nt, nloc, nloc).
+def _local_stiffness(ops, coeff=None, rank_one=None, cells=slice(None)):
+    """Element matrices int grad phi_i . C grad phi_j dx of the given cells,
+    (nt, nloc, nloc).
 
     C = c I + b (d ox d) per point: c is None (one) or (nt, nq), and
-    rank_one is None or the pair (b (nt, nq), d (nt, nq, 2)).  The physical
-    gradients are J^-T times the reference ones, with J^-T constant on a
-    cell, so the integrand is the reference gradients contracted with
-    K = J^-1 (w C) J^-T; the three entries of this symmetric 2 x 2 matrix per
-    point meet the reference gradient products in one matmul, and no
-    per-point gradient or 2 x 2 array is formed.
+    rank_one is None or the pair (b (nt, nq), d (nt, nq, 2)), on those
+    cells.  The physical gradients are J^-T times the reference ones, with
+    J^-T constant on a cell, so the integrand is the reference gradients
+    contracted with K = J^-1 (w C) J^-T; the three entries of this symmetric
+    2 x 2 matrix per point meet the reference gradient products in one
+    matmul, and no per-point gradient or 2 x 2 array is formed.
     """
-    jt = ops.inv_jac_t[:, None]                       # J^-T, (nt, 1, 2, 2)
-    w = ops.w if coeff is None else ops.w * coeff
-    k = np.empty((ops.nt, 3, ops.nq))
+    jt = ops.inv_jac_t[cells, None]                   # J^-T, (nt, 1, 2, 2)
+    w = ops.w[cells] if coeff is None else ops.w[cells] * coeff
+    nt = jt.shape[0]
+    k = np.empty((nt, 3, ops.nq))
     k[:, 0] = w * (jt[..., 0, 0] ** 2 + jt[..., 1, 0] ** 2)
     k[:, 1] = w * (jt[..., 0, 0] * jt[..., 0, 1] + jt[..., 1, 0] * jt[..., 1, 1])
     k[:, 2] = w * (jt[..., 0, 1] ** 2 + jt[..., 1, 1] ** 2)
     if rank_one is not None:
         b, d = rank_one
-        wb = ops.w * b
+        wb = ops.w[cells] * b
         e0 = d[..., 0] * jt[..., 0, 0] + d[..., 1] * jt[..., 1, 0]   # J^-1 d
         e1 = d[..., 0] * jt[..., 0, 1] + d[..., 1] * jt[..., 1, 1]
         k[:, 0] += wb * e0 * e0
         k[:, 1] += wb * e0 * e1
         k[:, 2] += wb * e1 * e1
-    local = (k.reshape(ops.nt, -1) @ ops.gradient_products).reshape(ops.nt, ops.nloc, ops.nloc)
+    local = (k.reshape(nt, -1) @ ops.gradient_products).reshape(nt, ops.nloc, ops.nloc)
     return 0.5 * (local + local.swapaxes(1, 2))
 
 
@@ -202,13 +229,23 @@ def assemble_step_jacobian(space, u, tau, params):
     """J = M/tau + K(u), K_ij = int grad phi_i . DS(grad u) grad phi_j dx.
 
     Dirichlet rows and columns are pinned (unit diagonal).  SPD for p > 1.
+    The element matrices are made and summed into the pinned pattern
+    JACOBIAN_BLOCK cells at a time, so no array of all of them is held; the
+    result is bitwise that of summing them all at once.
     """
     _check_same_space(space, u)
-    gops = space.operators(grad_rule(space))
-    iso, rank, d = ds_split(gops.grad(u.coeffs), params, eps_reg=JACOBIAN_EPS_REG)
-    local = _local_stiffness(gops, iso, (rank, d))
-    local += _local_mass(space, step_rule(space), 1.0 / tau)
-    return _sum_into_pattern(space, local, pinned=True)
+    gops, rule = space.operators(grad_rule(space)), step_rule(space)
+    grad = gops.grad(u.coeffs)
+
+    def blocks():
+        for first in range(0, gops.nt, JACOBIAN_BLOCK):
+            cells = slice(first, first + JACOBIAN_BLOCK)
+            iso, rank, d = ds_split(grad[cells], params, eps_reg=JACOBIAN_EPS_REG)
+            local = _local_stiffness(gops, iso, (rank, d), cells)
+            local += _local_mass(space, rule, 1.0 / tau, cells)
+            yield local
+
+    return _sum_pinned(space, blocks())
 
 
 def pin_rows_cols(A, dofs):
@@ -299,25 +336,80 @@ def factor_spd(A):
                      relax=1, panel_size=1, options=dict(SymmetricMode=True))
 
 
-def solve_spd(A, b, tol=CG_TOL_DEFAULT, lu=None):
-    """Solve SPD system: sparse direct below DIRECT_SOLVE_LIMIT, else Jacobi-CG.
+def pcg_credit(lu, A):
+    """PCG iterations on A along `lu`, a `factor_spd` factorization of a
+    matrix with A's pattern, that cost about as much as making `lu`, in
+    structural units.  An iteration applies L, U and A once, nnz(L + U) +
+    nnz(A) multiply-adds.  The factorization's work is the sum of the
+    squared column counts of L, at least nnz(L)^2 / n by Cauchy-Schwarz; the
+    bound is taken, because SuperLU hands out L only as a copy of both
+    factors, which it keeps as long as `lu`."""
+    nnz_l = 0.5 * lu.nnz  # symmetric mode: L and U share one structure
+    return int(nnz_l * nnz_l / A.shape[0]) // (lu.nnz + A.nnz)
 
-    The direct path factors A with `factor_spd`, or uses `lu`, a factorization
-    of A from it, which a caller solving many systems with one matrix passes.
-    At most REFINE_PASSES passes of iterative refinement follow, taken only
-    while the relative residual exceeds REFINE_TARGET and each pass lowers
-    it.  The reported relative residual is that of the returned x.
 
-    Returns (x, LinearSolveReport).  Raises MaxIterations if CG does not reach
-    the tolerance within 10 n iterations.
+def _pcg(A, b, precond, target, maxiter, give_up):
+    """Conjugate gradients on A x = b from x = 0, preconditioned by the SPD
+    map `precond`, until ||b - A x|| <= target by the recursive residual r;
+    returns (x, iterations, ||r||).  A curvature d.Ad <= 0 ends the
+    iteration.  With `give_up` it also ends as soon as the mean contraction
+    of the residual norm so far, kept up to `maxiter`, would not reach
+    target."""
+    x = np.zeros_like(b)
+    r = b.copy()
+    r0 = np.linalg.norm(r)
+    if r0 <= target:
+        return x, 0, r0
+    z = precond(r)
+    d, rz = z, float(r @ z)
+    for k in range(1, maxiter + 1):
+        q = A @ d
+        curvature = float(d @ q)
+        if not curvature > 0.0:
+            return x, k - 1, float(np.linalg.norm(r))
+        alpha = rz / curvature
+        x += alpha * d
+        r -= alpha * q
+        rk = np.linalg.norm(r)
+        if rk <= target or (give_up and r0 * (rk / r0) ** (maxiter / k) > target):
+            return x, k, rk
+        z = precond(r)
+        rz, rz_old = float(r @ z), rz
+        d = z + (rz / rz_old) * d
+    return x, maxiter, rk
+
+
+def solve_spd(A, b, tol=CG_TOL_DEFAULT, precond=None, maxiter=None):
+    """Solve the SPD system A x = b; returns (x, LinearSolveReport).
+
+    `precond` is None or a factorization from `factor_spd`.  Without
+    `maxiter` the solve is direct when `precond` is given, a factorization
+    of A or, for a chord solve, of a matrix near it, or when A has at most
+    DIRECT_SOLVE_LIMIT unknowns, and A is factored here: one solve, then at
+    most REFINE_PASSES passes of iterative refinement on A, taken only while
+    the relative residual exceeds REFINE_TARGET and each pass lowers it.
+    Above the limit with no `precond` it is conjugate gradients
+    preconditioned by A's diagonal (Jacobi) to relative residual `tol`;
+    MaxIterations is raised if 10 n iterations do not reach it.
+
+    With `maxiter` it is an attempt by preconditioned conjugate gradients
+    (PCG) to relative residual `tol`, preconditioned by `precond`, which may
+    factor another matrix such as the Jacobian at a nearby state, or by A's
+    diagonal.  It ends after `maxiter` iterations, or as soon as its mean
+    contraction per iteration, kept up to `maxiter`, would miss `tol`, and
+    then returns (None, report).  Every PCG iterate x has b . x > 0, since
+    it lowers x.Ax/2 - b.x below its value 0 at x = 0.
+
+    The report gives the relative residual ||b - A x|| / ||b|| of the
+    returned x (for a miss, the recursive one of the last iterate) and the
+    iterations: 1 for a direct solve, else the CG iterations.
     """
     n = A.shape[0]
     b = np.asarray(b, dtype=float)
     bnorm = np.linalg.norm(b)
-    if lu is not None or n <= DIRECT_SOLVE_LIMIT:
-        if lu is None:
-            lu = factor_spd(A)
-        scale = bnorm if bnorm > 0 else 1.0
+    scale = bnorm if bnorm > 0 else 1.0
+    if maxiter is None and (precond is not None or n <= DIRECT_SOLVE_LIMIT):
+        lu = factor_spd(A) if precond is None else precond
         x = lu.solve(b)
         r = b - A @ x
         rel = np.linalg.norm(r) / scale
@@ -336,17 +428,22 @@ def solve_spd(A, b, tol=CG_TOL_DEFAULT, lu=None):
             x, r, rel = x_new, r_new, rel_new
         return x, LinearSolveReport(iterations=1, relative_residual=float(rel),
                                     method="direct")
-    diag = A.diagonal()
-    M = sparse.diags(np.where(diag > 0, 1.0 / np.where(diag > 0, diag, 1.0), 1.0))
-    count = [0]
+    if precond is None:
+        diag = A.diagonal()
+        inverse = np.where(diag > 0, 1.0 / np.where(diag > 0, diag, 1.0), 1.0)
 
-    def cb(_):
-        count[0] += 1
-
-    x, info = spla.cg(A, b, rtol=tol, atol=0.0, maxiter=10 * n, M=M, callback=cb)
-    rel = np.linalg.norm(A @ x - b) / (bnorm if bnorm > 0 else 1.0)
-    report = LinearSolveReport(iterations=count[0], relative_residual=float(rel),
+        def apply(r):
+            return inverse * r
+    else:
+        apply = precond.solve
+    x, iterations, rnorm = _pcg(A, b, apply, tol * scale,
+                                10 * n if maxiter is None else maxiter, maxiter is not None)
+    if rnorm <= tol * scale:  # met by the recursion: confirmed on the true residual
+        rnorm = np.linalg.norm(b - A @ x)
+    report = LinearSolveReport(iterations=iterations, relative_residual=float(rnorm / scale),
                                method="cg")
-    if info > 0:
+    if report.relative_residual <= tol:
+        return x, report
+    if maxiter is None:
         raise MaxIterations(report)
-    return x, report
+    return None, report

@@ -16,12 +16,14 @@ The solve is one move loop.  Each iteration picks a direction: Newton; one
 lagged-coefficient (Kacanov) solve after a p < 2 Newton move that stalled
 (achieved energy decrease below STALL_RATIO of the predicted one); or a chord
 along the row's held step-Jacobian factorization, made at an earlier iterate,
-once the slope along it is predicted below the energy's resolution.  The move
-is an Armijo line search on E(u + s delta) - E(u), computed without
-cancellation (`assembly.step_energy_line`), or a chord move that halves the
-residual norm.  None found is a dead end, which switches direction; two in a
-row end the step.  A step converges below tol * (1 + ||rhs||) or at the
-residual's roundoff floor.
+once the slope along it is predicted below the energy's resolution.  Newton
+solves the Jacobian at u inexactly, by PCG along the held factorization, and
+factors it anew only when PCG misses or has spent the factorization's cost
+(`_newton_direction`).  The move is an Armijo line search on E(u + s delta)
+- E(u), computed without cancellation (`assembly.step_energy_line`), or a
+chord move that halves the residual norm.  None found is a dead end, which
+switches direction; two in a row end the step.  A step converges below
+tol * (1 + ||rhs||) or at the residual's roundoff floor.
 
 The discrete forces f_m are theta-weighted time averages.  The weights are
 the piecewise linear densities obtained by averaging the running tau-mean of
@@ -50,6 +52,10 @@ ARMIJO_SLOPE = 1e-4
 ARMIJO_MAX_HALVINGS = 40
 # a chord move is kept when it cuts the residual norm by this factor
 CHORD_PROGRESS = 0.5
+# a Newton direction by PCG along the held factorization: its relative
+# residual on the Jacobian at u, and the most iterations one solve may take
+PCG_RTOL = 1e-4
+PCG_MAX_ITERATIONS = 5
 # candidate starts of a step: weights on (u_(m-1), u_(m-2), u_(m-3))
 EXTRAPOLATIONS = (("linear", (2.0, -1.0)), ("quadratic", (3.0, -3.0, 1.0)))
 KACANOV_CLAMP = 1e-12
@@ -287,9 +293,11 @@ class NewtonReport:
     kacanov_iterations: int = 0
     start: str = "previous"  # "previous" | "linear" | "quadratic" initial guess
     # fresh Jacobian factorizations (a p = 2 row makes its one on its first
-    # step); chord moves along an earlier one
+    # step); accepted moves along the held factorization of an earlier
+    # Jacobian, chord or PCG; PCG iterations, those of missed solves included
     factorizations: int = 0
     reused_moves: int = 0
+    pcg_iterations: int = 0
     at_floor: bool = False  # converged at the residual's roundoff floor, above tol
 
     @property
@@ -381,6 +389,43 @@ def _energy_resolution(energy):
     return 128.0 * np.finfo(float).eps * (1.0 + abs(energy))
 
 
+def _newton_direction(factored, space, u, tau, params, residual):
+    """The Newton direction -J^-1 r at the iterate u, and how it was found.
+
+    `factored` is the row's held factorization (see `step`).  At p = 2 the
+    held Jacobian is J at every state.  Otherwise J is assembled, replacing
+    the held Jacobian, which is freed first, and solved by PCG along the
+    held factorization (relative residual PCG_RTOL, a fixed forcing term of
+    inexact Newton, Eisenstat and Walker, SIAM J. Sci. Comput. 17, 1996; at
+    most PCG_MAX_ITERATIONS iterations) while the factorization's credit
+    lasts.  Without credit, or when PCG misses, the held factorization is
+    released and J is factored anew with the credit `assembly.pcg_credit`,
+    so the PCG work spent on one factorization costs at most about as much
+    as making it.  Returns (delta, kind, PCG iterations), kind "held",
+    "pcg", "factored" or, above DIRECT_SOLVE_LIMIT, "cg".
+    """
+    if factored and params.p == 2.0:
+        return assembly.solve_spd(factored[0], -residual, precond=factored[1])[0], "held", 0
+    if factored:
+        factored[0] = None
+    jac = assembly.assemble_step_jacobian(space, FeFunction(space, u), tau, params)
+    pcg = 0
+    if factored and factored[3] > 0:
+        factored[0] = jac
+        delta, rep = assembly.solve_spd(jac, -residual, tol=PCG_RTOL, precond=factored[1],
+                                        maxiter=min(PCG_MAX_ITERATIONS, factored[3]))
+        factored[3] -= rep.iterations
+        pcg = rep.iterations
+        if delta is not None:
+            return delta, "pcg", pcg
+    factored.clear()  # released before the next factor is made
+    if jac.shape[0] > assembly.DIRECT_SOLVE_LIMIT:
+        return assembly.solve_spd(jac, -residual)[0], "cg", pcg
+    factored[:] = jac, assembly.factor_spd(jac), np.inf
+    factored.append(assembly.pcg_credit(factored[1], jac))
+    return assembly.solve_spd(jac, -residual, precond=factored[1])[0], "factored", pcg
+
+
 def step(space, u_prev, m, grid, spec, tol=DEFAULT_TOL, bc_values=None, f_quad=None,
          history=(), factored=None):
     """One implicit Euler step: returns (u_m, NewtonReport).
@@ -388,11 +433,14 @@ def step(space, u_prev, m, grid, spec, tol=DEFAULT_TOL, bc_values=None, f_quad=N
     `history` holds the snapshots before u_prev, newest first; for p != 2
     their extrapolations with u_prev are candidate starts, and the solve
     starts from the lowest-energy candidate.  `factored` is the list a row
-    carries from step to step (None: the step's own): empty, or [pinned step
-    Jacobian, its `assembly.factor_spd` factorization, |r . delta| / |r|^2
-    of its last solve].  At p = 2 the Jacobian holds at every state: the
-    row's first step makes it and every Newton solve uses it; for p != 2
-    each fresh factorization replaces it, the old one released first.
+    carries from step to step (None: the step's own): empty, or [the latest
+    pinned step Jacobian, a `assembly.factor_spd` factorization of it or of
+    an earlier one, |r . delta| / |r|^2 of the last Newton direction, the
+    factorization's credit of PCG iterations left].  At p = 2 the Jacobian
+    holds at every state: the row's first step factors it and every Newton
+    solve uses that.  For p != 2 Newton directions come from
+    `_newton_direction`: PCG along the held factorization while it serves,
+    else a fresh one, made after the old one is released.
     Convergence when the Euclidean residual norm drops below
     tol * (1 + ||rhs||) with rhs the step load vector, or, with a held
     factorization J, below eps * ||abs(J) abs(u)|| (`NewtonReport.at_floor`).
@@ -428,11 +476,6 @@ def step(space, u_prev, m, grid, spec, tol=DEFAULT_TOL, bc_values=None, f_quad=N
         factored.clear()  # one factorization alive per row
         return assembly.solve_spd(A, b)[0]
 
-    def held_direction():  # Newton solve along the held factorization
-        delta, _ = assembly.solve_spd(factored[0], -residual, lu=factored[1])
-        factored[2] = abs(float(residual @ delta)) / rnorm ** 2
-        return delta
-
     u = u_prev.coeffs.copy()
     u[bdofs] = g
     energy, start = energy_at(u), "previous"
@@ -462,7 +505,7 @@ def step(space, u_prev, m, grid, spec, tol=DEFAULT_TOL, bc_values=None, f_quad=N
 
     energies = [energy]
     use_fallback = False
-    kacanov_iterations = factorizations = reused_moves = dead_ends = 0
+    kacanov_iterations = factorizations = reused_moves = pcg_iterations = dead_ends = 0
     residual = None  # residual at u; assembled again only after u moves
 
     def report(iterations, converged, at_floor=False):
@@ -470,7 +513,7 @@ def step(space, u_prev, m, grid, spec, tol=DEFAULT_TOL, bc_values=None, f_quad=N
                             energy_values=tuple(energies), converged=converged,
                             kacanov_iterations=kacanov_iterations, start=start,
                             factorizations=factorizations, reused_moves=reused_moves,
-                            at_floor=at_floor)
+                            pcg_iterations=pcg_iterations, at_floor=at_floor)
 
     # Each iteration picks a direction (Kacanov, chord or Newton) and a move along
     # it: (coefficients, energy change), plus the residual for a chord move, or
@@ -487,34 +530,29 @@ def step(space, u_prev, m, grid, spec, tol=DEFAULT_TOL, bc_values=None, f_quad=N
         if not np.isfinite(rnorm):
             raise NonConvergence(report(it - 1, False), m=m)
 
-        move = None
+        move = delta = None
+        resolution = _energy_resolution(energies[-1])
         if use_fallback:
             kacanov_iterations += 1
-            delta = frozen_solve(kacanov_matrix(space, u, tau, params)) - u
-        else:
-            # Chord move: the held factor's last |r . delta| / |r|^2 predicts the
-            # slope along it; one predicted and found below the energy's resolution
-            # keeps the move if the residual norm at least halves, else factor anew.
-            resolution = _energy_resolution(energies[-1])
-            if factored and not exact and factored[2] * rnorm ** 2 < resolution:
-                delta = held_direction()
-                if abs(float(residual @ delta)) < resolution:
-                    trial = u + delta
-                    r_trial = residual_at(trial)
-                    if np.linalg.norm(r_trial) <= CHORD_PROGRESS * rnorm:
-                        move = trial, 0.0, r_trial
-                        reused_moves += 1
-            if move is None and not (factored and exact):
-                factored.clear()  # released before the next factor is made
-                jac = assembly.assemble_step_jacobian(space, FeFunction(space, u), tau, params)
-                if space.ndof <= assembly.DIRECT_SOLVE_LIMIT:
-                    factored[:] = jac, assembly.factor_spd(jac), np.inf
-                    factorizations += 1
-            if move is None:
-                delta = held_direction() if factored else assembly.solve_spd(jac, -residual)[0]
+            delta, kind = frozen_solve(kacanov_matrix(space, u, tau, params)) - u, "kacanov"
+        elif factored and not exact and factored[2] * rnorm ** 2 < resolution:
+            # Chord move: the slope along the held factor, predicted from its last
+            # Newton direction and found below the energy's resolution, keeps the
+            # move if the residual norm at least halves; else Newton follows.
+            chord = assembly.solve_spd(factored[0], -residual, precond=factored[1])[0]
+            if abs(float(residual @ chord)) < resolution:
+                r_trial = residual_at(u + chord)
+                if np.linalg.norm(r_trial) <= CHORD_PROGRESS * rnorm:
+                    move, kind = (u + chord, 0.0, r_trial), "chord"
+        if move is None and delta is None:
+            delta, kind, pcg = _newton_direction(factored, space, u, tau, params, residual)
+            pcg_iterations += pcg
+            factorizations += kind == "factored"
 
         if move is None:
             slope = float(residual @ delta)
+            if factored:  # predicts the slope of the next chord
+                factored[2] = abs(slope) / rnorm ** 2
             move = _armijo(change_along(u, delta), u, delta, slope)
 
         if move is None:  # a dead end switches direction; two in a row end the step
@@ -525,6 +563,7 @@ def step(space, u_prev, m, grid, spec, tol=DEFAULT_TOL, bc_values=None, f_quad=N
             continue
         u, change, *moved = move
         dead_ends = 0
+        reused_moves += kind in ("chord", "pcg")
         residual = moved[0] if moved else None
         # For p < 2 the Newton direction crawls near degenerate gradients: a
         # Newton move whose achieved decrease collapses against the linear model

@@ -321,3 +321,84 @@ def test_cg_max_iterations(monkeypatch):
     with pytest.raises(MaxIterations) as exc:
         solve_spd(A, b, tol=1e-16)
     assert exc.value.report.iterations > 0
+
+
+def _smooth_state_jacobians(space, params, tau, amplitudes):
+    x = space.dof_coords
+    shape = np.sin(2.0 * x[:, 0]) * np.cos(1.5 * x[:, 1]) + x[:, 0] ** 2
+    return [assemble_step_jacobian(space, FeFunction(space, a * shape), tau, params)
+            for a in amplitudes]
+
+
+def test_pcg_on_its_own_factorization_is_the_direct_solve(rng):
+    space = build_space(refine_to_level("slit", 2), 2)
+    (J,) = _smooth_state_jacobians(space, PLaplaceParams(p=3.0), 0.1, [1.0])
+    b = rng.standard_normal(space.ndof)
+    lu = assembly.factor_spd(J)
+    direct, _ = solve_spd(J, b, precond=lu)
+    x, rep = solve_spd(J, b, tol=1e-12, precond=lu, maxiter=5)
+    assert x is not None and rep.method == "cg" and 1 <= rep.iterations <= 2
+    assert np.linalg.norm(x - direct) <= 1e-12 * np.linalg.norm(direct)
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_pcg_along_a_nearby_factorization_meets_its_tolerance(p):
+    # a Newton direction J delta = -r, preconditioned by the LU of the
+    # Jacobian at a state 2 % away: the residual on the true J is within
+    # rtol, and delta is a descent direction
+    space = build_space(refine_to_level("slit", 3), 2)
+    params = PLaplaceParams(p=p, kappa=0.0)
+    J_near, J = _smooth_state_jacobians(space, params, 0.1, [1.0, 1.02])
+    x = space.dof_coords
+    u = FeFunction(space, 1.02 * (np.sin(2.0 * x[:, 0]) * np.cos(1.5 * x[:, 1]) + x[:, 0] ** 2))
+    rule = assembly.step_rule(space)
+    f_quad = np.ones((space.mesh.num_triangles, rule.num_points))
+    r = assemble_step_residual(space, u, FeFunction(space, np.zeros(space.ndof)), 0.1,
+                               f_quad, params)
+    rtol = 1e-4
+    delta, rep = solve_spd(J, -r, tol=rtol, precond=assembly.factor_spd(J_near), maxiter=5)
+    assert delta is not None and 1 <= rep.iterations <= 5
+    true_rel = np.linalg.norm(J @ delta + r) / np.linalg.norm(r)
+    assert true_rel <= rtol and rep.relative_residual == pytest.approx(true_rel, rel=1e-12)
+    assert float(r @ delta) < 0.0
+
+
+def test_pcg_that_misses_returns_no_direction(rng):
+    # the LU of the Jacobian at rest (about M/tau) preconditions the Jacobian
+    # at a steep state poorly: within one iteration, or two, no 1e-10
+    space = build_space(refine_to_level("slit", 2), 2)
+    J_rest, J = _smooth_state_jacobians(space, PLaplaceParams(p=3.0), 10.0, [0.0, 30.0])
+    lu = assembly.factor_spd(J_rest)
+    b = rng.standard_normal(space.ndof)
+    for maxiter in (1, 2):
+        x, rep = solve_spd(J, b, tol=1e-10, precond=lu, maxiter=maxiter)
+        assert x is None and 1 <= rep.iterations <= maxiter and rep.relative_residual > 1e-10
+    # a contraction that cannot reach the tolerance within maxiter ends the
+    # attempt early: after one iteration the residual norm kept falling at
+    # its first rate would still miss it at iteration 5
+    first = solve_spd(J, b, tol=1e-10, precond=lu, maxiter=1)[1].relative_residual
+    assert first ** 5 > 1e-10
+    x, rep = solve_spd(J, b, tol=1e-10, precond=lu, maxiter=5)
+    assert x is None and rep.iterations == 1
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+@pytest.mark.parametrize("block", [assembly.JACOBIAN_BLOCK, 100])
+def test_blocked_step_jacobian_equals_the_unblocked_sum(degree, block, rng, monkeypatch):
+    # the step Jacobian is summed into the pinned pattern block by block (100
+    # cells: several blocks and a short last one); the element matrices of
+    # all cells at once, summed in one go, give the same pinned matrix
+    monkeypatch.setattr(assembly, "JACOBIAN_BLOCK", block)
+    space = build_space(refine_to_level("slit", 3), degree)
+    params, tau = PLaplaceParams(p=1.5, kappa=0.0), 0.05
+    u = FeFunction(space, rng.standard_normal(space.ndof))
+    gops = space.operators(assembly.grad_rule(space))
+    iso, rank, d = assembly.ds_split(gops.grad(u.coeffs), params,
+                                     eps_reg=assembly.JACOBIAN_EPS_REG)
+    local = (assembly._local_stiffness(gops, iso, (rank, d))
+             + assembly._local_mass(space, assembly.step_rule(space), 1.0 / tau))
+    expected = assembly._sum_into_pattern(space, local, pinned=True)
+    J = assemble_step_jacobian(space, u, tau, params)
+    assert np.array_equal(J.indptr, expected.indptr)
+    assert np.array_equal(J.indices, expected.indices)
+    assert np.allclose(J.data, expected.data, rtol=1e-14, atol=0.0)

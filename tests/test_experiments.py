@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from pheat.experiments import (STUDIES, ConfigError, default_config, eoc_summary,
                                known_solution_fields, manufactured_p2_fields,
                                parse_config, run_experiment, validate_config)
-from pheat import experiments
+from pheat import assembly, experiments
 from pheat.constitutive import PLaplaceParams
 from pheat.error_metrics import read_csv
 
@@ -399,7 +399,7 @@ def test_every_step_converges_across_the_solver_matrix(monkeypatch):
     from pheat.timestepper import (ConstantForce, NonConvergence, ProblemSpec, TimeGrid,
                                    solve_evolution)
 
-    armijo, changes = timestepper._armijo, []
+    armijo, solve, changes, pcg = timestepper._armijo, assembly.solve_spd, [], []
 
     def line_search(*args):
         move = armijo(*args)
@@ -407,7 +407,14 @@ def test_every_step_converges_across_the_solver_matrix(monkeypatch):
             changes.append(move[1])
         return move
 
+    def pcg_solve(A, b, **kwargs):  # records each PCG direction's report
+        x, rep = solve(A, b, **kwargs)
+        if kwargs.get("maxiter") is not None and x is not None:
+            pcg.append((rep, kwargs["tol"], kwargs["maxiter"]))
+        return x, rep
+
     monkeypatch.setattr(timestepper, "_armijo", line_search)
+    monkeypatch.setattr(assembly, "solve_spd", pcg_solve)
     runs = []
     for p in (1.1, 1.2, 1.5, 3.0, 4.5):
         for name, variant in (("slit_constant_force", ""), ("rough_in_time", ""),
@@ -434,6 +441,9 @@ def test_every_step_converges_across_the_solver_matrix(monkeypatch):
             assert rep.reused_moves <= rep.iterations, (label, m)
             assert all(b <= a for a, b in zip(energies, energies[1:])), (label, m)
     assert changes and all(change < 0.0 for change in changes)
+    # every PCG direction met its tolerance within its iteration cap
+    assert pcg and all(rep.relative_residual <= rtol and 1 <= rep.iterations <= cap
+                       for rep, rtol, cap in pcg)
 
 
 # ----------------------------------------------------------------------

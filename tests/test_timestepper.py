@@ -285,8 +285,9 @@ def test_converged_step_satisfies_weak_form(monkeypatch):
     monkeypatch.setattr(assembly, "assemble_step_residual", recording)
     u, rep = step(space, zero, 1, grid, spec, tol=tol)
     monkeypatch.undo()
-    # this step takes chord moves; a chord move's trial residual is handed to
-    # the next iteration, so no state is assembled twice
+    # this step moves along the held factorization (by a chord: a factor of 25
+    # DOFs has no PCG credit); a chord move's trial residual is handed to the
+    # next iteration, so no state is assembled twice
     assert rep.converged and rep.reused_moves >= 1
     assert len(set(states)) == len(states)
     # independent residual assembly
@@ -315,7 +316,7 @@ def test_report_counts_kacanov_iterations(monkeypatch):
         return matrix(*args, **kwargs)
 
     def newton_solve(A, b, **kwargs):
-        if kwargs.get("lu") is not None:
+        if kwargs.get("precond") is not None:
             events.append("N")
         return solve(A, b, **kwargs)
 
@@ -583,7 +584,7 @@ def test_p2_row_factors_its_step_matrix_once(monkeypatch):
         return residual(space, u, *args, **kwargs)
 
     def check_solve(A, b, **kwargs):
-        if kwargs.get("lu") is not None:  # a Newton solve, not the L2 projection
+        if kwargs.get("precond") is not None:  # a Newton solve, not the L2 projection
             J = assembly.assemble_step_jacobian(space, FeFunction(space, iterates[-1]),
                                                 grid.tau, params)
             solved.append(np.array_equal(A.indptr, J.indptr)
@@ -601,8 +602,9 @@ def test_p2_row_factors_its_step_matrix_once(monkeypatch):
 
 
 def test_nonlinear_row_reuses_its_last_factorization(monkeypatch):
-    # p != 2: near convergence a chord move first goes along the factorization
-    # held from an earlier iterate and is kept only if it halves the residual norm; the
+    # p != 2: Newton directions come by PCG along the factorization held from
+    # an earlier iterate, and near convergence a chord move goes along it and
+    # is kept only if it halves the residual norm.  Both are reused moves; the
     # held factor is released before the next one is made
     import weakref
 
@@ -610,48 +612,70 @@ def test_nonlinear_row_reuses_its_last_factorization(monkeypatch):
     params = PLaplaceParams(p=3.0, kappa=0.0)
     spec = ProblemSpec(params=params, domain="slit", force=ConstantForce(2.0))
     grid = TimeGrid(0.0, 4.0, 32)
-    factor, solve, residual = assembly.factor_spd, assembly.solve_spd, \
-        assembly.assemble_step_residual
+    factor, solve, residual, armijo = assembly.factor_spd, assembly.solve_spd, \
+        assembly.assemble_step_residual, timestepper._armijo
     alive, alive_at_factor, events, fresh = [0], [], [], [lambda: None]
+    credit, spent = [], []  # per factorization: PCG iterations allowed, taken
 
     class Factor:  # SuperLU objects take no weak reference
         def __init__(self, lu):
-            self.solve = lu.solve
+            self.solve, self.nnz = lu.solve, lu.nnz
 
     def counted_factor(A):
         alive_at_factor.append(alive[0])
         lu = Factor(factor(A))
         fresh[0] = weakref.ref(lu)
+        lu.serial = len(credit)
+        credit.append(assembly.pcg_credit(lu, A))
+        spent.append(0)
         alive[0] += 1
         weakref.finalize(lu, lambda: alive.__setitem__(0, alive[0] - 1))
         return lu
 
     def tagged_solve(A, b, **kwargs):
-        lu = kwargs.get("lu")
-        if lu is not None:  # "chord": along a factor an earlier solve used
+        lu = kwargs.get("precond")
+        x, rep = solve(A, b, **kwargs)
+        if kwargs.get("maxiter") is not None:  # PCG along the held factor
+            assert lu is not None and lu is not fresh[0]()
+            assert rep.iterations <= kwargs["maxiter"] <= timestepper.PCG_MAX_ITERATIONS
+            spent[lu.serial] += rep.iterations
+            events.append(("pcg", x is not None))
+        elif lu is not None:  # "chord": a direct solve along a factor an earlier solve used
             events.append(("fresh" if lu is fresh[0]() else "chord", np.linalg.norm(b)))
             fresh[0] = lambda: None
-        return solve(A, b, **kwargs)
+        return x, rep
 
     def recorded_residual(*args, **kwargs):
         r = residual(*args, **kwargs)
         events.append(("residual", np.linalg.norm(r)))
         return r
 
+    def recorded_armijo(*args):
+        move = armijo(*args)
+        events.append(("armijo", move is not None))
+        return move
+
     monkeypatch.setattr(assembly, "factor_spd", counted_factor)
     monkeypatch.setattr(assembly, "solve_spd", tagged_solve)
     monkeypatch.setattr(assembly, "assemble_step_residual", recorded_residual)
+    monkeypatch.setattr(timestepper, "_armijo", recorded_armijo)
     traj = solve_evolution(spec, 3, 1, grid, space=space)
     reports = traj.newton_reports
     assert all(rep.converged for rep in reports)
     assert sum(rep.factorizations for rep in reports) < sum(rep.iterations for rep in reports)
     reused = sum(rep.reused_moves for rep in reports)
-    assert reused > 0 and all(rep.reused_moves <= rep.iterations for rep in reports)
+    assert all(rep.reused_moves <= rep.iterations for rep in reports)
     # a chord move's trial residual follows its solve; the halving ones are the
-    # moves taken, and no other
-    halving = [kind == "chord" and nxt[0] == "residual" and nxt[1] <= 0.5 * norm
-               for (kind, norm), nxt in zip(events, events[1:])]
-    assert sum(halving) == reused
+    # chord moves taken, and no other.  A PCG direction goes straight to the
+    # line search, and the accepted ones are the PCG moves taken.
+    pairs = list(zip(events, events[1:]))
+    chords = sum(kind == "chord" and nxt[0] == "residual" and nxt[1] <= 0.5 * value
+                 for (kind, value), nxt in pairs)
+    pcg = sum(first == ("pcg", True) and nxt == ("armijo", True) for first, nxt in pairs)
+    assert chords > 0 and pcg > 0 and chords + pcg == reused
+    assert sum(rep.pcg_iterations for rep in reports) == sum(spent) >= pcg
+    # PCG work on one factorization stays within its credit
+    assert all(taken <= allowed for taken, allowed in zip(spent, credit))
     assert alive_at_factor and max(alive_at_factor) == 0 and alive[0] <= 1
 
 
