@@ -14,10 +14,13 @@ the run is prolongated to the reference space (`fespace.prolongation`), and
 the V / S errors compare against the transformed gradient of the averaged
 reference; the two V columns then coincide.
 
-`compute_error_report` computes every quantity in one pass: over the
-subintervals I_k = [t_(k-1), t_k] for an exact reference, whose time nodes
-each serve the one or two windows that contain them, and over the steps for
-a discrete reference.
+An exact reference is separable, u = a(t) U(x), with kappa = 0 or p = 2, so
+V(grad u) and S(grad u) are scalar functions of a(t) times V(grad U) and
+S(grad U).  `compute_error_report` evaluates U, grad U, V(grad U) and
+S(grad U) once per call, and a(t) once per Gauss node of the subintervals
+I_k = [t_(k-1), t_k]; each window average is then a scalar moment of a(t)
+times one of those fields.  For a discrete reference it works over the
+steps.
 
 The raw p'-power sum (before the 2/p' exponent) is kept alongside, because
 the CSV files store it under the column sqAerr.
@@ -50,28 +53,23 @@ class InsufficientData(Exception):
 
 @dataclass(frozen=True)
 class ExactSolution:
-    """Closed-form reference: u, grad u and optionally V(grad u), S(grad u).
+    """Separable closed-form reference u(x, t) = a(t) U(x).
 
-    t_singular marks a time (e.g. 0) where quadrature intervals are split.
+    `profile` gives U and `profile_grad` grad U at an (n, 2) point array,
+    `amplitude` gives the scalar a(t).  t_singular marks a time (e.g. 0)
+    where quadrature intervals are split.
     """
 
-    u: object
-    grad_u: object
-    v_of_grad: object = None
-    s_of_grad: object = None
+    profile: object
+    profile_grad: object
+    amplitude: object
     t_singular: float = None
 
-    def v_and_s(self, pts, t, params):
-        """V(grad u) and S(grad u) at (pts, t); grad u is evaluated once, and
-        only when a closed form for V or S is missing."""
-        grad = None
-        if self.v_of_grad is None or self.s_of_grad is None:
-            grad = np.asarray(self.grad_u(pts, t), dtype=float)
-        v = (v_transform(grad, params) if self.v_of_grad is None
-             else np.asarray(self.v_of_grad(pts, t), dtype=float))
-        s = (s_flux(grad, params) if self.s_of_grad is None
-             else np.asarray(self.s_of_grad(pts, t), dtype=float))
-        return v, s
+    def u(self, pts, t):
+        return self.amplitude(t) * np.asarray(self.profile(pts), dtype=float)
+
+    def grad_u(self, pts, t):
+        return self.amplitude(t) * np.asarray(self.profile_grad(pts), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -91,9 +89,9 @@ class ErrorReport:
 class VErrorBreakdown:
     """Pieces of the orthogonal window decomposition (exact references).
 
-    sq_l2_v equals sum(window_lengths * per_window_avg_sq) + fluctuation up
-    to roundoff: the time average over each window is built from the same
-    quadrature nodes as the integral, so the cross term cancels exactly.
+    sq_l2_v = sum(window_lengths * per_window_avg_sq) + fluctuation: the time
+    average over each window is built from the same quadrature nodes as the
+    integral, so the cross term vanishes, and the pass sums the two terms.
     """
 
     sq_l2_v: float
@@ -107,90 +105,78 @@ class VErrorBreakdown:
 # exact references
 # ----------------------------------------------------------------------
 
-class _Window:
-    """The running sums of one open window J_m: its run-side V field, the
-    weighted sums of the reference's u, V and S, its time weights, and its
-    nodes' V-error terms, which enter sq_v when the window closes."""
-
-    def __init__(self, m, vh):
-        self.m, self.vh = m, vh
-        self.acc = [np.zeros(vh.shape[:-1]), np.zeros_like(vh), np.zeros_like(vh)]
-        self.weights, self.sq_v_terms = [], []
-        self.int_vsq = 0.0        # int_(J_m) ||V(s)||^2 ds
+def _signed_power(a, k):
+    """|a|^k a elementwise, 0 at a = 0: V(a xi) = _signed_power(a, (p-2)/2) V(xi)
+    and S(a xi) = _signed_power(a, p-2) S(xi) when kappa = 0 or p = 2."""
+    out = np.zeros_like(a)
+    nonzero = a != 0.0
+    out[nonzero] = np.abs(a[nonzero]) ** k * a[nonzero]
+    return out
 
 
 def _exact_errors(traj, ref, grid, params, quad_degree):
-    """Every windowed quantity in one sweep over the subintervals.
+    """Every windowed quantity from the separable form u = a(t) U(x).
 
-    The Gauss nodes of I_k = [t_(k-1), t_k] close window k - 1 and open
-    window k, so the closed forms are evaluated once per node.  Each window
-    adds its nodes in the order I_m, I_(m+1), and the flat sum sq_v takes a
-    window's terms when it closes: every sum runs in the order of a loop
-    over windows.  An open window keeps its V field and three running sums;
-    u_h and S(grad u_h) are built from the snapshot when it closes.
+    V(grad u) = b(t) V(grad U) and S(grad u) = c(t) S(grad U) with
+    b = |a|^((p-2)/2) a and c = |a|^(p-2) a, so each window average is a
+    Gauss-weighted mean of a, b or c times a field that does not depend on t.
+    U, grad U, V(grad U) and S(grad U) are evaluated once; a(t) once per
+    Gauss node of each subinterval I_k = [t_(k-1), t_k], which serves the
+    one or two windows that contain it.  sq_l2_v is the orthogonal window
+    decomposition |J_m| ||V_h - b_bar V(grad U)||^2 + ||V(grad U)||^2
+    sum_j w_j (b_j - b_bar)^2, which has no cancelling terms.
     """
+    if params.kappa != 0.0 and params.p != 2.0:
+        raise ValueError("an exact reference needs kappa = 0 or p = 2: V and S "
+                         "of a(t) grad U do not factor otherwise")
     space = traj.space
     rule = quadrature(quad_degree)
     ops = space.operators(rule)
-    flat = space.physical_points(rule).reshape(-1, 2)
+    pts = space.physical_points(rule)
+    flat = pts.reshape(-1, 2)
     pprime = params.p_conjugate
-    linfty = sq_v = fluct = raw = 0.0
-    per_window, lengths = [], []
+    prof = np.asarray(ref.profile(flat), dtype=float).reshape(pts.shape[:-1])
+    prof_grad = np.asarray(ref.profile_grad(flat), dtype=float)
+    v_prof = v_transform(prof_grad, params).reshape(pts.shape)
+    s_prof = s_flux(prof_grad, params).reshape(pts.shape)
+    del pts, flat, prof_grad
+    sq_v_prof = space.integrate(rule, sq_magnitude(v_prof))
 
-    def close(win):
-        # the sums become averages, and the differences are taken, in place,
-        # so closing a window needs less memory than a node
-        nonlocal linfty, sq_v, fluct, raw
-        for term in win.sq_v_terms:
-            sq_v += term
-        length = np.concatenate(win.weights).sum()
-        u_bar, v_bar, s_bar = win.acc
-        for acc in win.acc:
-            acc /= length
-        u_m = traj.snapshots[win.m].coeffs
-        du = ops.eval(u_m)
-        du -= u_bar
-        linfty = max(linfty, space.integrate(rule, du * du))
-        del du
-        fluct += win.int_vsq - length * space.integrate(rule, sq_magnitude(v_bar))
-        win.vh -= v_bar
-        per_window.append(space.integrate(rule, sq_magnitude(win.vh)))
+    subintervals = [gauss_segments([(grid.t(k - 1), grid.t(k))], ref.t_singular)
+                    for k in range(1, grid.M + 1)]
+    amplitudes = [np.array([ref.amplitude(s) for s in nodes], dtype=float)
+                  for nodes, _ in subintervals]
+    linfty = raw = 0.0
+    per_window, lengths, spread = [], [], []
+    for m in range(1, grid.M + 1):
+        ks = range(m - 1, min(m + 1, grid.M))
+        weights = np.concatenate([subintervals[k][1] for k in ks])
+        a = np.concatenate([amplitudes[k] for k in ks])
+        b = _signed_power(a, 0.5 * (params.p - 2.0))
+        c = _signed_power(a, params.p - 2.0)
+        length = weights.sum()
+        a_bar, b_bar, c_bar = (weights @ x / length for x in (a, b, c))
+        spread.append(weights @ (b - b_bar) ** 2)
         lengths.append(length)
-        ds = s_flux(ops.grad(u_m), params)
-        ds -= s_bar
+
+        coeffs = traj.snapshots[m].coeffs
+        du = ops.eval(coeffs)
+        du -= a_bar * prof
+        linfty = max(linfty, space.integrate(rule, du * du))
+        grad = ops.grad(coeffs)
+        dv = v_transform(grad, params)
+        dv -= b_bar * v_prof
+        per_window.append(space.integrate(rule, sq_magnitude(dv)))
+        ds = s_flux(grad, params)
+        ds -= c_bar * s_prof
         raw += grid.tau * space.integrate(rule, magnitude(ds) ** pprime)
 
-    prev = None
-    for k in range(1, grid.M + 1):
-        win = _Window(k, v_transform(ops.grad(traj.snapshots[k].coeffs), params))
-        open_windows = (win,) if prev is None else (prev, win)
-        s_nodes, s_weights = gauss_segments([(grid.t(k - 1), grid.t(k))], ref.t_singular)
-        for w in open_windows:
-            w.weights.append(s_weights)
-        for sk, wk in zip(s_nodes, s_weights):
-            u_ex = np.asarray(ref.u(flat, sk), dtype=float).reshape(win.vh.shape[:-1])
-            v_ex, s_ex = ref.v_and_s(flat, sk, params)
-            v_ex, s_ex = v_ex.reshape(win.vh.shape), s_ex.reshape(win.vh.shape)
-            vsq = wk * space.integrate(rule, sq_magnitude(v_ex))
-            for w in open_windows:
-                w.sq_v_terms.append(wk * space.integrate(rule, sq_magnitude(w.vh - v_ex)))
-                w.int_vsq += vsq
-            for i, field in enumerate((u_ex, v_ex, s_ex)):
-                weighted = wk * field
-                for w in open_windows:
-                    w.acc[i] += weighted
-            # release this node's fields before the next node builds its own
-            del u_ex, v_ex, s_ex, weighted
-        if prev is not None:
-            close(prev)
-        prev = win
-    close(prev)
-
-    per_window = np.array(per_window)
-    return dict(sq_linfty_l2=linfty, sq_l2_v=sq_v,
+    per_window, lengths = np.array(per_window), np.array(lengths)
+    fluctuations = sq_v_prof * np.array(spread)
+    return dict(sq_linfty_l2=linfty, sq_l2_v=float(np.sum(lengths * per_window + fluctuations)),
                 sq_l2_v_avg=grid.tau * per_window.sum(),
-                raw_lp_sum=raw, per_window_avg_sq=per_window, window_lengths=np.array(lengths),
-                fluctuation=fluct)
+                raw_lp_sum=raw, per_window_avg_sq=per_window, window_lengths=lengths,
+                fluctuation=float(fluctuations.sum()))
 
 
 # ----------------------------------------------------------------------

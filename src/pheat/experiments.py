@@ -241,11 +241,12 @@ def validate_config(cfg):
 def _latest_array_memo():
     """memo(pts, key, fn) returns fn(pts), cached for the latest point array.
 
-    The error quadrature evaluates a closed form at one point array for every
-    window and time node; its spatial factors are computed once per array,
-    and only the latest array's are kept, so arrays of past steps are released.
-    The array and its dict are read and replaced as one tuple: callers on
-    several threads may recompute factors, never read another array's.
+    A space-time force is evaluated at the space's one step-point array in
+    every step (`FeSpace.step_points`); its spatial factors are computed once
+    per array, and only the latest array's are kept, so arrays of past calls
+    are released.  The array and its dict are read and replaced as one
+    tuple: callers on several threads may recompute factors, never read
+    another array's.
     """
     latest = [(None, {})]
 
@@ -264,7 +265,8 @@ def _latest_array_memo():
 def known_solution_fields(params):
     """The singular solution u = p'|t|^(1/2)|x|^(1/p') and its derived data.
 
-    The force splits into two time-power terms,
+    As an ExactSolution, a(t) = p'|t|^(1/2) and U = |x|^(1/p').  The force
+    splits into two time-power terms,
 
         f = (p'/2) sgn(t)|t|^(-1/2) |x|^(1/p')
             - (1/p) |t|^((p-1)/2) |x|^(-1-1/p'),
@@ -278,27 +280,14 @@ def known_solution_fields(params):
     def radial_power(pts, exponent):
         return memo(pts, exponent, lambda x: memo(x, "r", magnitude) ** exponent)
 
-    def u(pts, t):
-        return pp * abs(t) ** 0.5 * radial_power(pts, 1.0 / pp)
-
-    def grad_u(pts, t):
-        mag = abs(t) ** 0.5 * radial_power(pts, -1.0 / p - 1.0)
-        return mag[:, None] * pts
-
-    def v_of_grad(pts, t):
-        mag = abs(t) ** (p / 4.0) * radial_power(pts, -1.5)
-        return mag[:, None] * pts
-
-    def s_of_grad(pts, t):
-        mag = abs(t) ** ((p - 1.0) / 2.0) * radial_power(pts, -1.0 / pp - 1.0)
-        return mag[:, None] * pts
-
     force = SeparableForce(terms=(
         (lambda pts: (pp / 2.0) * radial_power(pts, 1.0 / pp), -0.5, True),
         (lambda pts: -(1.0 / p) * radial_power(pts, -1.0 - 1.0 / pp), (p - 1.0) / 2.0, False),
     ))
-    exact = ExactSolution(u=u, grad_u=grad_u, v_of_grad=v_of_grad,
-                          s_of_grad=s_of_grad, t_singular=0.0)
+    exact = ExactSolution(
+        profile=lambda pts: radial_power(pts, 1.0 / pp),
+        profile_grad=lambda pts: (radial_power(pts, -1.0 / p - 1.0) / pp)[:, None] * pts,
+        amplitude=lambda t: pp * abs(t) ** 0.5, t_singular=0.0)
     return exact, force
 
 
@@ -311,16 +300,14 @@ def manufactured_p2_fields():
         sy, cy = np.sin(np.pi * x[:, 1]), np.cos(np.pi * x[:, 1])
         return sx * sy, np.stack([cx * sy, sx * cy], axis=-1)
 
-    def u(pts, t):
-        return memo(pts, "trig", trig)[0] * math.exp(-t)
-
-    def grad_u(pts, t):
-        return math.exp(-t) * np.pi * memo(pts, "trig", trig)[1]
+    exact = ExactSolution(profile=lambda pts: memo(pts, "trig", trig)[0],
+                          profile_grad=lambda pts: np.pi * memo(pts, "trig", trig)[1],
+                          amplitude=lambda t: math.exp(-t))
 
     def f(pts, t):
-        return (2.0 * np.pi ** 2 - 1.0) * u(pts, t)
+        return (2.0 * np.pi ** 2 - 1.0) * exact.u(pts, t)
 
-    return ExactSolution(u=u, grad_u=grad_u), f
+    return exact, f
 
 
 # ----------------------------------------------------------------------

@@ -384,6 +384,14 @@ def kacanov_matrix(space, u_coeffs, tau, params, clamp=None):
     return mat.tocsr()
 
 
+def _abs_product(matrix, x):
+    """|matrix| |x| for a CSR matrix, on the matrix's own index arrays: bitwise
+    abs(matrix) @ abs(x) for a canonical matrix, without copying its structure."""
+    absolute = matrix.__class__((np.abs(matrix.data), matrix.indices, matrix.indptr),
+                                shape=matrix.shape)
+    return absolute @ np.abs(x)
+
+
 def _energy_resolution(energy):
     """Energy differences below this are floating-point noise."""
     return 128.0 * np.finfo(float).eps * (1.0 + abs(energy))
@@ -525,7 +533,7 @@ def step(space, u_prev, m, grid, spec, tol=DEFAULT_TOL, bc_values=None, f_quad=N
         if rnorm <= tol * scale:
             return FeFunction(space, u), report(it - 1, True)
         if factored and rnorm <= np.finfo(float).eps * np.linalg.norm(
-                abs(factored[0]) @ np.abs(u)):  # the roundoff of J u, J held
+                _abs_product(factored[0], u)):  # the roundoff of J u, J held
             return FeFunction(space, u), report(it - 1, True, at_floor=True)
         if not np.isfinite(rnorm):
             raise NonConvergence(report(it - 1, False), m=m)

@@ -34,8 +34,9 @@ def test_exact_constant_reference_zero_error():
     grid = TimeGrid(0.0, 1.0, 3)
     snaps = [FeFunction(space, np.full(space.ndof, 2.5)) for _ in range(4)]
     traj = Trajectory(space=space, grid=grid, snapshots=snaps, newton_reports=[])
-    ref = ExactSolution(u=lambda pts, t: np.full(len(pts), 2.5),
-                        grad_u=lambda pts, t: np.zeros((len(pts), 2)))
+    ref = ExactSolution(profile=lambda pts: np.full(len(pts), 2.5),
+                        profile_grad=lambda pts: np.zeros((len(pts), 2)),
+                        amplitude=lambda t: 1.0)
     rep = compute_error_report(traj, ref, grid, params)
     assert rep.sq_linfty_l2 < 1e-24
     assert rep.sq_l2_v < 1e-24 and rep.sq_l2_v_avg < 1e-24
@@ -47,8 +48,9 @@ def test_one_versus_zero_unit_square():
     grid = TimeGrid(0.0, 1.0, 2)
     snaps = [FeFunction(space, np.ones(space.ndof)) for _ in range(3)]
     traj = Trajectory(space=space, grid=grid, snapshots=snaps, newton_reports=[])
-    ref = ExactSolution(u=lambda pts, t: np.zeros(len(pts)),
-                        grad_u=lambda pts, t: np.zeros((len(pts), 2)))
+    ref = ExactSolution(profile=lambda pts: np.zeros(len(pts)),
+                        profile_grad=lambda pts: np.zeros((len(pts), 2)),
+                        amplitude=lambda t: 1.0)
     assert compute_error_report(traj, ref, grid, params).sq_linfty_l2 == pytest.approx(
         1.0, abs=1e-13)
 
@@ -84,9 +86,11 @@ def test_p2_v_error_equals_gradient_error():
     assert v == pytest.approx(total, rel=1e-10)
 
 
-def _per_node_errors(traj, exact, grid, params):
-    """The four CSV quantities from a plain loop over windows and 5-point
-    Gauss time nodes, with the time axis split at exact.t_singular."""
+def _per_node_errors(traj, exact, grid, params, closed_forms=False):
+    """The four CSV quantities and the V fluctuation from a plain loop over
+    windows and 5-point Gauss time nodes, with the time axis split at
+    exact.t_singular.  u = a(s) U is built at every node; V and S come from
+    the known solution's closed forms, or from grad u."""
     from numpy.polynomial.legendre import leggauss
 
     from pheat.constitutive import v_transform
@@ -96,7 +100,7 @@ def _per_node_errors(traj, exact, grid, params):
     flat = space.physical_points(rule).reshape(-1, 2)
     weights = (space.areas[:, None] * rule.weights).reshape(-1)
     xg, wg = leggauss(5)
-    pp = params.p_conjugate
+    p, pp = params.p, params.p_conjugate
 
     def integral(values):
         return float(np.sum(weights * values))
@@ -105,17 +109,21 @@ def _per_node_errors(traj, exact, grid, params):
         return np.sum(vectors ** 2, axis=-1)
 
     def v_s(s):
+        if closed_forms:   # u = p'|t|^(1/2)|x|^(1/p')
+            r = np.linalg.norm(flat, axis=-1)[:, None]
+            return (r ** -1.5 * flat * abs(s) ** (p / 4.0),
+                    r ** (-1.0 / pp - 1.0) * flat * abs(s) ** ((p - 1.0) / 2.0))
         grad = exact.grad_u(flat, s)
-        v = exact.v_of_grad(flat, s) if exact.v_of_grad else v_transform(grad, params)
-        return v, (exact.s_of_grad(flat, s) if exact.s_of_grad else s_flux(grad, params))
+        return v_transform(grad, params), s_flux(grad, params)
 
-    linfty = sq_v = sq_v_avg = raw = 0.0
+    linfty = sq_v = sq_v_avg = raw = fluct = 0.0
     for m in range(1, grid.M + 1):
         coeffs = traj.snapshots[m].coeffs
         uh = space.eval_at(rule, coeffs).reshape(-1)
         gh = space.grad_at(rule, coeffs).reshape(-1, 2)
         vh, sh = v_transform(gh, params), s_flux(gh, params)
         u_int, v_int, s_int = 0.0, 0.0, 0.0
+        nodes = []
         for lo, hi in grid.window_subintervals(m):
             cuts = [lo, hi]
             if exact.t_singular is not None and lo < exact.t_singular < hi:
@@ -124,13 +132,17 @@ def _per_node_errors(traj, exact, grid, params):
                 for x, w in zip(xg, wg):
                     s, w = 0.5 * (a + b) + 0.5 * (b - a) * x, 0.5 * (b - a) * w
                     v, S = v_s(s)
+                    nodes.append((w, v))
                     sq_v += w * integral(sq(vh - v))
-                    u_int, v_int, s_int = u_int + w * exact.u(flat, s), v_int + w * v, s_int + w * S
+                    u_int = u_int + w * exact.u(flat, s)
+                    v_int, s_int = v_int + w * v, s_int + w * S
         length = sum(hi - lo for lo, hi in grid.window_subintervals(m))
         linfty = max(linfty, integral((uh - u_int / length) ** 2))
         sq_v_avg += grid.tau * integral(sq(vh - v_int / length))
         raw += grid.tau * integral(sq(sh - s_int / length) ** (pp / 2.0))
-    return dict(sq_linfty_l2=linfty, sq_l2_v=sq_v, sq_l2_v_avg=sq_v_avg, raw_lp_sum=raw)
+        fluct += sum(w * integral(sq(v - v_int / length)) for w, v in nodes)
+    return dict(sq_linfty_l2=linfty, sq_l2_v=sq_v, sq_l2_v_avg=sq_v_avg, raw_lp_sum=raw,
+                fluctuation=fluct)
 
 
 @pytest.mark.parametrize("experiment, grid, closed_forms", [
@@ -139,19 +151,15 @@ def _per_node_errors(traj, exact, grid, params):
     ("p2_validation", TimeGrid(0.0, 1.0, 4), False),
 ])
 def test_exact_pass_matches_per_node_loop(experiment, grid, closed_forms):
-    from dataclasses import replace
-
     from pheat.experiments import build_spec, default_config
 
     cfg = default_config(experiment)
     spec, exact = build_spec(cfg)
-    if not closed_forms:
-        exact = replace(exact, v_of_grad=None, s_of_grad=None)
     traj = solve_evolution(spec, 2, 1, grid)
     report = compute_error_report(traj, exact, grid, cfg.params)
-    expected = _per_node_errors(traj, exact, grid, cfg.params)
-    for field, value in expected.items():
-        assert getattr(report, field) == pytest.approx(value, rel=1e-12, abs=0.0), field
+    expected = _per_node_errors(traj, exact, grid, cfg.params, closed_forms)
+    for field in ("sq_linfty_l2", "sq_l2_v", "sq_l2_v_avg", "raw_lp_sum"):
+        assert getattr(report, field) == pytest.approx(expected[field], rel=1e-12, abs=0.0), field
 
 
 @pytest.mark.parametrize("experiment, grid, split", [
@@ -159,8 +167,9 @@ def test_exact_pass_matches_per_node_loop(experiment, grid, closed_forms):
     ("p2_validation", TimeGrid(0.0, 1.0, 4), 0),
 ])
 def test_exact_pass_evaluates_each_time_node_once(experiment, grid, split):
-    # neighbouring windows share a subinterval; its 5 Gauss nodes (10 where
-    # t_singular splits it) are evaluated once, not once per window
+    # the profile and its gradient are evaluated once per report, and the
+    # amplitude once per Gauss node: neighbouring windows share a
+    # subinterval, whose 5 nodes (10 where t_singular splits it) serve both
     from dataclasses import replace
 
     from pheat.experiments import build_spec, default_config
@@ -168,17 +177,52 @@ def test_exact_pass_evaluates_each_time_node_once(experiment, grid, split):
     cfg = default_config(experiment)
     spec, exact = build_spec(cfg)
     traj = solve_evolution(spec, 1, 1, grid)
+    calls = {"profile": 0, "profile_grad": 0}
     times = []
-    counting = replace(exact, u=lambda pts, t: times.append(t) or exact.u(pts, t))
+
+    def counted(name):
+        fn = getattr(exact, name)
+        return lambda pts: calls.update({name: calls[name] + 1}) or fn(pts)
+
+    counting = replace(exact, profile=counted("profile"),
+                       profile_grad=counted("profile_grad"),
+                       amplitude=lambda t: times.append(t) or exact.amplitude(t))
     report = compute_error_report(traj, counting, grid, cfg.params)
+    assert calls == {"profile": 1, "profile_grad": 1}
     assert len(times) == 5 * (grid.M + split)
     assert len(set(times)) == len(times)
     assert report == compute_error_report(traj, exact, grid, cfg.params)
 
 
+@pytest.mark.parametrize("params", [PLaplaceParams(p=1.5, kappa=0.5),
+                                    PLaplaceParams(p=3.0, kappa=1.0)])
+def test_exact_reference_needs_kappa_zero_or_p2(params):
+    # V(a xi) = |a|^((p-2)/2) a V(xi) only for kappa = 0 or p = 2; elsewhere
+    # the separable pass would be wrong, so it refuses
+    space = build_space(refine_to_level("unit_square", 1), 1)
+    grid = TimeGrid(0.0, 1.0, 2)
+    snaps = [FeFunction(space, np.zeros(space.ndof)) for _ in range(3)]
+    traj = Trajectory(space=space, grid=grid, snapshots=snaps, newton_reports=[])
+    ref = ExactSolution(profile=lambda pts: pts[:, 0],
+                        profile_grad=lambda pts: np.tile([1.0, 0.0], (len(pts), 1)),
+                        amplitude=lambda t: 1.0 + t)
+    with pytest.raises(ValueError, match="kappa = 0 or p = 2"):
+        compute_error_report(traj, ref, grid, params)
+    with pytest.raises(ValueError, match="kappa = 0 or p = 2"):
+        v_error_breakdown(traj, ref, grid, params)
+    # kappa > 0 at p = 2 still factors
+    compute_error_report(traj, ref, grid, PLaplaceParams(p=2.0, kappa=0.5))
+
+
 def test_orthogonal_window_decomposition():
+    # the pass builds sq_l2_v from the decomposition; the per-node loop
+    # integrates ||V_h - V(s)||^2 and the fluctuation sum_j w_j ||V(s_j) - V_bar||^2
+    # directly
     traj, exact, grid, params = _smooth_run(level=2, M=5)
     br = v_error_breakdown(traj, exact, grid, params)
+    expected = _per_node_errors(traj, exact, grid, params)
+    assert br.sq_l2_v == pytest.approx(expected["sq_l2_v"], rel=1e-12)
+    assert br.fluctuation == pytest.approx(expected["fluctuation"], rel=1e-12)
     recomposed = float(np.sum(br.window_lengths * br.per_window_avg_sq) + br.fluctuation)
     assert br.sq_l2_v == pytest.approx(recomposed, rel=1e-8)
     assert br.sq_l2_v >= br.sq_l2_v_avg
@@ -206,8 +250,9 @@ def test_lp_s_constant_field_closed_form():
     Q = np.array([0.3, 0.9])
     f = FeFunction(space, space.dof_coords @ P)
     traj = Trajectory(space=space, grid=grid, snapshots=[f, f, f], newton_reports=[])
-    ref = ExactSolution(u=lambda pts, t: pts @ Q,
-                        grad_u=lambda pts, t: np.broadcast_to(Q, (len(pts), 2)))
+    ref = ExactSolution(profile=lambda pts: pts @ Q,
+                        profile_grad=lambda pts: np.broadcast_to(Q, (len(pts), 2)),
+                        amplitude=lambda t: 1.0)
     raw_expected = 0.0
     dS = np.linalg.norm(s_flux(P, params) - s_flux(Q, params)) ** pprime  # |Omega| = 1
     raw_expected = grid.tau * grid.M * dS

@@ -12,7 +12,7 @@ from pheat.experiments import (STUDIES, ConfigError, default_config, eoc_summary
                                known_solution_fields, manufactured_p2_fields,
                                parse_config, run_experiment, validate_config)
 from pheat import assembly, experiments
-from pheat.constitutive import PLaplaceParams
+from pheat.constitutive import PLaplaceParams, s_flux
 from pheat.error_metrics import read_csv
 
 
@@ -165,7 +165,7 @@ def test_known_solution_cache_keeps_latest_array_only(rng):
         for k in range(40):
             pts = rng.uniform(0.1, 1.0, (16, 2))
             assert np.allclose(exact.u(pts, 0.25), expected_u(pts))
-            exact.v_and_s(pts, 0.25, PLaplaceParams(p=1.5))
+            exact.grad_u(pts, 0.25)
             force(pts, 0.25)
             refs.append(weakref.ref(pts))
             del pts
@@ -226,7 +226,7 @@ def test_known_solution_force_divergence_oracle(rng):
             pt = np.array([x])
 
             def S(xx, yy):
-                return exact.v_and_s(np.array([[xx, yy]]), t, params)[1][0]
+                return s_flux(exact.grad_u(np.array([[xx, yy]]), t), params)[0]
 
             div_s = ((S(x[0] + h, x[1])[0] - S(x[0] - h, x[1])[0])
                      + (S(x[0], x[1] + h)[1] - S(x[0], x[1] - h)[1])) / (2 * h)
@@ -242,21 +242,22 @@ def _smooth_fields(p):
     smooth for every p; f = du/dt - div S(grad u)."""
     from pheat.error_metrics import ExactSolution
 
-    def u(pts, t):
-        return math.exp(-t) * (np.sin(0.5 * np.pi * pts[:, 0]) + 2.0 * pts[:, 1])
-
-    def grad_u(pts, t):
+    def grad_profile(pts):
         a = 0.5 * np.pi * np.cos(0.5 * np.pi * pts[:, 0])
-        return math.exp(-t) * np.stack([a, np.full_like(a, 2.0)], axis=-1)
+        return np.stack([a, np.full_like(a, 2.0)], axis=-1)
+
+    exact = ExactSolution(
+        profile=lambda pts: np.sin(0.5 * np.pi * pts[:, 0]) + 2.0 * pts[:, 1],
+        profile_grad=grad_profile, amplitude=lambda t: math.exp(-t))
 
     def f(pts, t):
         a = 0.5 * np.pi * np.cos(0.5 * np.pi * pts[:, 0])
         da = -(0.5 * np.pi) ** 2 * np.sin(0.5 * np.pi * pts[:, 0])
         g2 = a ** 2 + 4.0
-        return (-u(pts, t) - math.exp(-(p - 1.0) * t) * da * g2 ** (0.5 * p - 2.0)
+        return (-exact.u(pts, t) - math.exp(-(p - 1.0) * t) * da * g2 ** (0.5 * p - 2.0)
                 * (g2 + (p - 2.0) * a ** 2))
 
-    return ExactSolution(u=u, grad_u=grad_u), f
+    return exact, f
 
 
 @pytest.mark.parametrize("p", [1.5, 3.0])
@@ -270,7 +271,8 @@ def test_smooth_nonlinear_solution_converges_at_the_optimal_rate(p, rng):
     params = PLaplaceParams(p=p, kappa=0.0)
     exact, force = _smooth_fields(p)
     pts, t, h = rng.uniform(0.1, 0.9, (20, 2)), 0.3, 1e-5
-    flux = [exact.v_and_s(pts + d, t, params)[1] for d in ([h, 0], [-h, 0], [0, h], [0, -h])]
+    flux = [s_flux(exact.grad_u(pts + d, t), params)
+            for d in ([h, 0], [-h, 0], [0, h], [0, -h])]
     div_s = (flux[0][:, 0] - flux[1][:, 0] + flux[2][:, 1] - flux[3][:, 1]) / (2 * h)
     dudt = (exact.u(pts, t + h) - exact.u(pts, t - h)) / (2 * h)
     assert np.allclose(force(pts, t), dudt - div_s, rtol=1e-6, atol=1e-6)
@@ -301,11 +303,14 @@ def test_known_solution_gradient_consistency(rng):
         grad = exact.grad_u(pts, t)
         assert np.allclose(grad[:, 0], gx, rtol=1e-6)
         assert np.allclose(grad[:, 1], gy, rtol=1e-6)
-        # V and S closed forms agree with the generic transforms of grad u
-        from pheat.constitutive import s_flux, v_transform
-        v, s = exact.v_and_s(pts, t, params)
-        assert np.allclose(v, v_transform(grad, params), rtol=1e-12)
-        assert np.allclose(s, s_flux(grad, params), rtol=1e-12)
+        # V and S of a(t) grad U are scalar multiples of V(grad U) and
+        # S(grad U), which the exact error pass relies on
+        from pheat.constitutive import v_transform
+        a, grad_profile = exact.amplitude(t), exact.profile_grad(pts)
+        assert np.allclose(v_transform(grad, params), abs(a) ** (0.5 * p - 1.0) * a
+                           * v_transform(grad_profile, params), rtol=1e-12)
+        assert np.allclose(s_flux(grad, params), abs(a) ** (p - 2.0) * a
+                           * s_flux(grad_profile, params), rtol=1e-12)
 
 
 def test_manufactured_p2_force(rng):
