@@ -24,8 +24,8 @@ from .timestepper import (TimeGrid, ProblemSpec, Trajectory, NewtonReport,
                           PowerTimeForce, SeparableForce,
                           theta_density, theta_pieces, average_force,
                           step, solve_evolution)
-from .error_metrics import (ErrorReport, ExactSolution, IncompatibleHierarchy,
-                            InsufficientData,
+from .error_metrics import (ErrorReport, ExactFields, ExactSolution, IncompatibleHierarchy,
+                            InsufficientData, exact_fields,
                             compute_error_report, v_error_breakdown,
                             empirical_order, write_csv, write_manifest)
 from .experiments import (ExperimentConfig, ConfigError, parse_config,

@@ -16,8 +16,10 @@ reference; the two V columns then coincide.
 
 An exact reference is separable, u = a(t) U(x), with kappa = 0 or p = 2, so
 V(grad u) and S(grad u) are scalar functions of a(t) times V(grad U) and
-S(grad U).  `compute_error_report` evaluates U, grad U, V(grad U) and
-S(grad U) once per call, and a(t) once per Gauss node of the subintervals
+S(grad U).  `exact_fields` evaluates U, grad U, V(grad U) and S(grad U) on
+one space's error rule; the rows on that space share them, and
+`compute_error_report` evaluates them itself when given the ExactSolution.
+It evaluates a(t) once per Gauss node of the subintervals
 I_k = [t_(k-1), t_k]; each window average is then a scalar moment of a(t)
 times one of those fields.  For a discrete reference it works over the
 steps.
@@ -114,33 +116,60 @@ def _signed_power(a, k):
     return out
 
 
-def _exact_errors(traj, ref, grid, params, quad_degree):
+@dataclass(frozen=True, eq=False)
+class ExactFields:
+    """An ExactSolution evaluated on one space's degree-`quad_degree` error
+    rule: U, V(grad U) and S(grad U) at the points, shapes (nt, nq) and
+    (nt, nq, 2), and ||V(grad U)||_L2^2.  It is a reference for the rows on
+    `space` with these params; it holds per-point data, so its holder drops
+    it after those rows."""
+
+    exact: ExactSolution
+    space: object
+    params: object
+    quad_degree: int
+    ops: object                     # PointOperators of the error rule
+    profile: np.ndarray
+    v_profile: np.ndarray
+    s_profile: np.ndarray
+    sq_v_profile: float
+
+
+def exact_fields(exact, space, params, quad_degree=ERROR_QUADRATURE_DEGREE):
+    """Evaluate `exact`'s profile fields on `space` (see ExactFields); needs
+    kappa = 0 or p = 2, where V and S of a(t) grad U factor."""
+    if params.kappa != 0.0 and params.p != 2.0:
+        raise ValueError("an exact reference needs kappa = 0 or p = 2: V and S "
+                         "of a(t) grad U do not factor otherwise")
+    rule = quadrature(quad_degree)
+    pts = space.physical_points(rule)
+    flat = pts.reshape(-1, 2)
+    prof = np.asarray(exact.profile(flat), dtype=float).reshape(pts.shape[:-1])
+    prof_grad = np.asarray(exact.profile_grad(flat), dtype=float)
+    v_prof = v_transform(prof_grad, params).reshape(pts.shape)
+    s_prof = s_flux(prof_grad, params).reshape(pts.shape)
+    return ExactFields(exact=exact, space=space, params=params, quad_degree=quad_degree,
+                       ops=space.operators(rule), profile=prof, v_profile=v_prof,
+                       s_profile=s_prof,
+                       sq_v_profile=space.integrate(rule, sq_magnitude(v_prof)))
+
+
+def _exact_errors(traj, fields, grid):
     """Every windowed quantity from the separable form u = a(t) U(x).
 
     V(grad u) = b(t) V(grad U) and S(grad u) = c(t) S(grad U) with
     b = |a|^((p-2)/2) a and c = |a|^(p-2) a, so each window average is a
-    Gauss-weighted mean of a, b or c times a field that does not depend on t.
-    U, grad U, V(grad U) and S(grad U) are evaluated once; a(t) once per
-    Gauss node of each subinterval I_k = [t_(k-1), t_k], which serves the
-    one or two windows that contain it.  sq_l2_v is the orthogonal window
-    decomposition |J_m| ||V_h - b_bar V(grad U)||^2 + ||V(grad U)||^2
+    Gauss-weighted mean of a, b or c times a field of `fields`, which does
+    not depend on t.  a(t) is evaluated once per Gauss node of each
+    subinterval I_k = [t_(k-1), t_k], which serves the one or two windows
+    that contain it.  sq_l2_v is the orthogonal window decomposition
+    |J_m| ||V_h - b_bar V(grad U)||^2 + ||V(grad U)||^2
     sum_j w_j (b_j - b_bar)^2, which has no cancelling terms.
     """
-    if params.kappa != 0.0 and params.p != 2.0:
-        raise ValueError("an exact reference needs kappa = 0 or p = 2: V and S "
-                         "of a(t) grad U do not factor otherwise")
-    space = traj.space
-    rule = quadrature(quad_degree)
-    ops = space.operators(rule)
-    pts = space.physical_points(rule)
-    flat = pts.reshape(-1, 2)
+    space, ref, params, ops = traj.space, fields.exact, fields.params, fields.ops
+    rule = quadrature(fields.quad_degree)
     pprime = params.p_conjugate
-    prof = np.asarray(ref.profile(flat), dtype=float).reshape(pts.shape[:-1])
-    prof_grad = np.asarray(ref.profile_grad(flat), dtype=float)
-    v_prof = v_transform(prof_grad, params).reshape(pts.shape)
-    s_prof = s_flux(prof_grad, params).reshape(pts.shape)
-    del pts, flat, prof_grad
-    sq_v_prof = space.integrate(rule, sq_magnitude(v_prof))
+    prof, v_prof, s_prof = fields.profile, fields.v_profile, fields.s_profile
 
     subintervals = [gauss_segments([(grid.t(k - 1), grid.t(k))], ref.t_singular)
                     for k in range(1, grid.M + 1)]
@@ -172,7 +201,7 @@ def _exact_errors(traj, ref, grid, params, quad_degree):
         raw += grid.tau * space.integrate(rule, magnitude(ds) ** pprime)
 
     per_window, lengths = np.array(per_window), np.array(lengths)
-    fluctuations = sq_v_prof * np.array(spread)
+    fluctuations = fields.sq_v_profile * np.array(spread)
     return dict(sq_linfty_l2=linfty, sq_l2_v=float(np.sum(lengths * per_window + fluctuations)),
                 sq_l2_v_avg=grid.tau * per_window.sum(),
                 raw_lp_sum=raw, per_window_avg_sq=per_window, window_lengths=lengths,
@@ -239,19 +268,31 @@ def _discrete_errors(traj, ref_traj, grid, params, quad_degree):
 # public operations
 # ----------------------------------------------------------------------
 
+def _as_fields(traj, ref, params, quad_degree):
+    """ExactFields for traj's space: `ref` itself if it is one, checked to be
+    made for this space, params and degree, else `ref` evaluated there."""
+    if isinstance(ref, ExactSolution):
+        return exact_fields(ref, traj.space, params, quad_degree)
+    if (ref.space, ref.params, ref.quad_degree) != (traj.space, params, quad_degree):
+        raise ValueError("the exact fields were evaluated for another space, "
+                         "params or quadrature degree")
+    return ref
+
+
 def v_error_breakdown(traj, ref, grid, params, quad_degree=ERROR_QUADRATURE_DEGREE):
     """Window decomposition of sq_l2_v (exact references only)."""
-    if not isinstance(ref, ExactSolution):
+    if not isinstance(ref, (ExactSolution, ExactFields)):
         raise TypeError("breakdown requires an exact reference")
-    d = _exact_errors(traj, ref, grid, params, quad_degree)
+    d = _exact_errors(traj, _as_fields(traj, ref, params, quad_degree), grid)
     return VErrorBreakdown(**{f.name: d[f.name] for f in fields(VErrorBreakdown)})
 
 
 def compute_error_report(traj, ref, grid, params, quad_degree=ERROR_QUADRATURE_DEGREE):
-    """Every error quantity of `traj` against an ExactSolution or a reference
-    Trajectory on a nested finer mesh and grid, in one pass."""
-    if isinstance(ref, ExactSolution):
-        d = _exact_errors(traj, ref, grid, params, quad_degree)
+    """Every error quantity of `traj` against an ExactSolution (or its
+    ExactFields on traj's space) or a reference Trajectory on a nested finer
+    mesh and grid, in one pass."""
+    if isinstance(ref, (ExactSolution, ExactFields)):
+        d = _exact_errors(traj, _as_fields(traj, ref, params, quad_degree), grid)
     elif isinstance(ref, Trajectory):
         d = _discrete_errors(traj, ref, grid, params, quad_degree)
     else:

@@ -29,11 +29,12 @@ import numpy as np
 
 from .constitutive import PLaplaceParams, magnitude
 from .error_metrics import (ExactSolution, InsufficientData, compute_error_report,
-                            empirical_order, write_csv, write_dat, write_manifest)
+                            empirical_order, exact_fields, write_csv, write_dat,
+                            write_manifest)
 from .fespace import MAX_QUADRATURE_DEGREE, build_space, quadrature
 from .mesh import make_initial_mesh, refine_uniform
 from .timestepper import (ConstantForce, PowerTimeForce, SeparableForce, ProblemSpec,
-                          TimeGrid, solve_evolution)
+                          TimeGrid, initial_coefficients, solve_evolution)
 
 _DOMAIN_VARIANTS = {"omega1": "centered_square", "omega2": "shifted_square"}
 _FORCE_MODES = ("theta_average", "point_value")
@@ -366,35 +367,45 @@ def run_experiment(cfg):
     """Solve every (level, M) row of cfg's schedule, compare it with the
     study's reference and write the CSV, the manifest and the .dat copy.
 
-    A discrete reference is solved once, after the first row; the rows of
-    one mesh level share one space.
+    A discrete reference is solved once, after the first row.  The rows of
+    one mesh level share what depends on the space alone: the space, the
+    projected initial datum and, for an exact reference, its ExactFields.
+    That data is dropped after the level's last row.
     """
     validate_config(cfg)
     out_dir = os.path.dirname(cfg.output_path) or "."
     if not os.path.isdir(out_dir):
         raise ConfigError(f"output directory {out_dir!r} does not exist")
     t0, t_end = STUDIES[cfg.experiment].interval
-    spec, reference = build_spec(cfg)
+    spec, exact = build_spec(cfg)
     max_level = max(lvl for lvl, _ in cfg.levels)
     if cfg.reference is not None:
         max_level = max(max_level, cfg.reference[0])
     meshes = [make_initial_mesh(spec.domain)]
     for _ in range(max_level):
         meshes.append(refine_uniform(meshes[-1]))
-    spaces = {}
-    reports = []
-    for lvl, M in cfg.levels:
-        if lvl not in spaces:
-            spaces[lvl] = build_space(meshes[lvl], cfg.r)
+    last_row = {lvl: i for i, (lvl, _) in enumerate(cfg.levels)}
+    shared = {}  # level -> (space, initial coefficients, ExactFields or None)
+    reference, reports = None, []
+    for i, (lvl, M) in enumerate(cfg.levels):
+        if lvl not in shared:
+            space = build_space(meshes[lvl], cfg.r)
+            shared[lvl] = (space, initial_coefficients(spec, space),
+                           None if exact is None else
+                           exact_fields(exact, space, cfg.params, cfg.quad_degree))
+        space, initial, fields = shared[lvl]
         grid = TimeGrid(t0, t_end, M)
-        traj = solve_evolution(spec, lvl, cfg.r, grid, tol=cfg.tol, space=spaces[lvl])
-        if reference is None:
+        traj = solve_evolution(spec, lvl, cfg.r, grid, tol=cfg.tol, space=space,
+                               initial=initial)
+        if fields is None and reference is None:
             ref_level, ref_m, ref_deg = cfg.reference
             reference = solve_evolution(
                 spec, ref_level, ref_deg, TimeGrid(t0, t_end, ref_m), tol=cfg.tol,
                 space=build_space(meshes[ref_level], ref_deg))
-        reports.append(compute_error_report(traj, reference, grid, cfg.params,
-                                            quad_degree=cfg.quad_degree))
+        reports.append(compute_error_report(traj, reference if fields is None else fields,
+                                            grid, cfg.params, quad_degree=cfg.quad_degree))
+        if last_row[lvl] == i:  # the level's rows are done
+            del shared[lvl], space, initial, fields
     write_csv(reports, cfg.output_path)
     write_manifest(_manifest(cfg, spec.domain), cfg.output_path + ".manifest")
     if cfg.emit_dat:

@@ -36,7 +36,6 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sparse
 from numpy.polynomial.legendre import leggauss
-from scipy.special import roots_jacobi
 
 from .mesh import locate_point
 
@@ -100,13 +99,26 @@ def _symmetric_rule(orbits):
     return np.array(points), np.array(weights)
 
 
+def _gauss_jacobi_10(n):
+    """n-point Gauss rule for the weight 1 - x on [-1, 1], by Golub-Welsch:
+    the nodes are the eigenvalues of the Jacobi matrix of the orthonormal
+    Jacobi polynomials P_k^(1,0), the weights 2 (= int (1 - x) dx) times the
+    squared first components of the normalized eigenvectors."""
+    k = np.arange(n, dtype=float)
+    j = k[1:]
+    jacobi = (np.diag(-1.0 / ((2.0 * k + 1.0) * (2.0 * k + 3.0)))
+              + np.diag(np.sqrt(j * (j + 1.0)) / (2.0 * j + 1.0), 1))
+    nodes, vectors = np.linalg.eigh(jacobi, UPLO="U")
+    return nodes, 2.0 * vectors[0] ** 2
+
+
 def _product_rule(d):
     """Collapsed Gauss-Jacobi product rule with ((d + 2) // 2)^2 points."""
     n = (d + 2) // 2  # 2n - 1 >= d
     gx, gw = leggauss(n)
     xi = 0.5 * (gx + 1.0)          # Gauss-Legendre on [0,1]
     wxi = 0.5 * gw
-    jx, jw = roots_jacobi(n, 1.0, 0.0)
+    jx, jw = _gauss_jacobi_10(n)
     eta = 0.5 * (jx + 1.0)         # Gauss-Jacobi, weight (1 - eta), on [0,1]
     weta = 0.25 * jw
     X = np.outer(xi, 1.0 - eta)    # collapsed map (xi, eta) -> (x, y)

@@ -19,11 +19,14 @@ along the row's held step-Jacobian factorization, made at an earlier iterate,
 once the slope along it is predicted below the energy's resolution.  Newton
 solves the Jacobian at u inexactly, by PCG along the held factorization, and
 factors it anew only when PCG misses or has spent the factorization's cost
-(`_newton_direction`).  The move is an Armijo line search on E(u + s delta)
-- E(u), computed without cancellation (`assembly.step_energy_line`), or a
-chord move that halves the residual norm.  None found is a dead end, which
-switches direction; two in a row end the step.  A step converges below
-tol * (1 + ||rhs||) or at the residual's roundoff floor.
+(`_newton_direction`).  For p != 2 the move is an Armijo line search on
+E(u + s delta) - E(u), computed without cancellation
+(`assembly.step_energy_line`), or a chord move that halves the residual norm.
+At p = 2 the step energy is quadratic and the held Jacobian exact, so a
+direction with slope r . delta < 0 is the minimizer along itself: the move is
+the full step, and its energy change is slope / 2.  No move found is a dead
+end, which switches direction; two in a row end the step.  A step converges
+below tol * (1 + ||rhs||) or at the residual's roundoff floor.
 
 The discrete forces f_m are theta-weighted time averages.  The weights are
 the piecewise linear densities obtained by averaging the running tau-mean of
@@ -384,12 +387,15 @@ def kacanov_matrix(space, u_coeffs, tau, params, clamp=None):
     return mat.tocsr()
 
 
-def _abs_product(matrix, x):
-    """|matrix| |x| for a CSR matrix, on the matrix's own index arrays: bitwise
-    abs(matrix) @ abs(x) for a canonical matrix, without copying its structure."""
-    absolute = matrix.__class__((np.abs(matrix.data), matrix.indices, matrix.indptr),
-                                shape=matrix.shape)
-    return absolute @ np.abs(x)
+def _held_abs(factored):
+    """|J| of the held Jacobian J = factored[0], on J's own index arrays (bitwise
+    abs(J) for a canonical J).  It is made once per held J and kept in
+    factored[4], which is cleared whenever J is replaced or released."""
+    if factored[4] is None:
+        jac = factored[0]
+        factored[4] = jac.__class__((np.abs(jac.data), jac.indices, jac.indptr),
+                                    shape=jac.shape)
+    return factored[4]
 
 
 def _energy_resolution(energy):
@@ -415,7 +421,7 @@ def _newton_direction(factored, space, u, tau, params, residual):
     if factored and params.p == 2.0:
         return assembly.solve_spd(factored[0], -residual, precond=factored[1])[0], "held", 0
     if factored:
-        factored[0] = None
+        factored[0] = factored[4] = None
     jac = assembly.assemble_step_jacobian(space, FeFunction(space, u), tau, params)
     pcg = 0
     if factored and factored[3] > 0:
@@ -429,8 +435,8 @@ def _newton_direction(factored, space, u, tau, params, residual):
     factored.clear()  # released before the next factor is made
     if jac.shape[0] > assembly.DIRECT_SOLVE_LIMIT:
         return assembly.solve_spd(jac, -residual)[0], "cg", pcg
-    factored[:] = jac, assembly.factor_spd(jac), np.inf
-    factored.append(assembly.pcg_credit(factored[1], jac))
+    lu = assembly.factor_spd(jac)
+    factored[:] = jac, lu, np.inf, assembly.pcg_credit(lu, jac), None
     return assembly.solve_spd(jac, -residual, precond=factored[1])[0], "factored", pcg
 
 
@@ -444,14 +450,16 @@ def step(space, u_prev, m, grid, spec, tol=DEFAULT_TOL, bc_values=None, f_quad=N
     carries from step to step (None: the step's own): empty, or [the latest
     pinned step Jacobian, a `assembly.factor_spd` factorization of it or of
     an earlier one, |r . delta| / |r|^2 of the last Newton direction, the
-    factorization's credit of PCG iterations left].  At p = 2 the Jacobian
-    holds at every state: the row's first step factors it and every Newton
-    solve uses that.  For p != 2 Newton directions come from
-    `_newton_direction`: PCG along the held factorization while it serves,
-    else a fresh one, made after the old one is released.
+    factorization's credit of PCG iterations left, |J| of the held Jacobian
+    or None until the floor test makes it].  At p = 2 the Jacobian holds at
+    every state: the row's first step factors it, every Newton solve uses
+    that, and a direction with slope < 0 moves the full step.  For p != 2
+    Newton directions come from `_newton_direction`: PCG along the held
+    factorization while it serves, else a fresh one, made after the old one
+    is released; the move is an Armijo line search.
     Convergence when the Euclidean residual norm drops below
     tol * (1 + ||rhs||) with rhs the step load vector, or, with a held
-    factorization J, below eps * ||abs(J) abs(u)|| (`NewtonReport.at_floor`).
+    Jacobian J, below eps * ||abs(J) abs(u)|| (`NewtonReport.at_floor`).
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -533,7 +541,7 @@ def step(space, u_prev, m, grid, spec, tol=DEFAULT_TOL, bc_values=None, f_quad=N
         if rnorm <= tol * scale:
             return FeFunction(space, u), report(it - 1, True)
         if factored and rnorm <= np.finfo(float).eps * np.linalg.norm(
-                _abs_product(factored[0], u)):  # the roundoff of J u, J held
+                _held_abs(factored) @ np.abs(u)):  # the roundoff of J u, J held
             return FeFunction(space, u), report(it - 1, True, at_floor=True)
         if not np.isfinite(rnorm):
             raise NonConvergence(report(it - 1, False), m=m)
@@ -561,7 +569,10 @@ def step(space, u_prev, m, grid, spec, tol=DEFAULT_TOL, bc_values=None, f_quad=N
             slope = float(residual @ delta)
             if factored:  # predicts the slope of the next chord
                 factored[2] = abs(slope) / rnorm ** 2
-            move = _armijo(change_along(u, delta), u, delta, slope)
+            if not exact:
+                move = _armijo(change_along(u, delta), u, delta, slope)
+            elif slope < 0.0:  # J delta = -r on a quadratic E: E(u + delta) - E(u) = slope / 2
+                move = u + delta, 0.5 * slope
 
         if move is None:  # a dead end switches direction; two in a row end the step
             dead_ends += 1
@@ -585,20 +596,28 @@ def step(space, u_prev, m, grid, spec, tol=DEFAULT_TOL, bc_values=None, f_quad=N
     raise NonConvergence(report(it, False), m=m)
 
 
-def solve_evolution(spec, level, degree, grid, tol=DEFAULT_TOL, space=None):
+def initial_coefficients(spec, space):
+    """Coefficients of the L2 projection of spec.initial onto space, or zeros
+    without an initial datum; they depend on the space alone, so rows on one
+    space can share them (`solve_evolution`'s `initial`)."""
+    return np.zeros(space.ndof) if spec.initial is None else l2_project(space, spec.initial).coeffs
+
+
+def solve_evolution(spec, level, degree, grid, tol=DEFAULT_TOL, space=None, initial=None):
     """Run the implicit Euler scheme; returns the Trajectory.
 
-    The initial snapshot is the L2-projection of the initial datum or zero,
-    with the first step's Dirichlet data on the boundary DOFs; each later
-    snapshot solves the discrete weak form to the Newton tolerance.  The
-    steps share one factored step Jacobian (see `step`); at p = 2 it is made
-    on the first step and serves every later one.
+    The initial snapshot is `initial` (default: `initial_coefficients`, the
+    L2-projection of the initial datum or zero), with the first step's
+    Dirichlet data on the boundary DOFs; `initial` itself is not modified.
+    Each later snapshot solves the discrete weak form to the Newton
+    tolerance.  The steps share one factored step Jacobian (see `step`); at
+    p = 2 it is made on the first step and serves every later one.
     """
     if space is None:
         space = build_space(refine_to_level(spec.domain, level), degree)
 
     boundary = build_boundary_data(space, grid, spec.boundary)
-    u0 = np.zeros(space.ndof) if spec.initial is None else l2_project(space, spec.initial).coeffs
+    u0 = initial_coefficients(spec, space) if initial is None else np.array(initial, dtype=float)
     u0[space.boundary_dofs] = boundary[0]
 
     traj = Trajectory(space=space, grid=grid, snapshots=[FeFunction(space, u0)],

@@ -194,6 +194,29 @@ def test_exact_pass_evaluates_each_time_node_once(experiment, grid, split):
     assert report == compute_error_report(traj, exact, grid, cfg.params)
 
 
+def test_exact_fields_serve_only_their_space_params_and_degree():
+    # fields evaluated once per space give the report the ExactSolution gives;
+    # fields made for another space, params or degree are refused
+    from pheat.error_metrics import exact_fields
+    from pheat.experiments import build_spec, default_config
+
+    cfg = default_config("p2_validation")
+    spec, exact = build_spec(cfg)
+    grid = TimeGrid(0.0, 1.0, 4)
+    traj = solve_evolution(spec, 2, 1, grid)
+    fields = exact_fields(exact, traj.space, cfg.params)
+    assert repr(compute_error_report(traj, fields, grid, cfg.params)) == \
+        repr(compute_error_report(traj, exact, grid, cfg.params))
+    assert v_error_breakdown(traj, fields, grid, cfg.params).sq_l2_v == \
+        v_error_breakdown(traj, exact, grid, cfg.params).sq_l2_v
+    other = build_space(refine_to_level("unit_square", 2), 1)
+    for mismatch in (exact_fields(exact, other, cfg.params),
+                     exact_fields(exact, traj.space, PLaplaceParams(p=2.0, kappa=0.5)),
+                     exact_fields(exact, traj.space, cfg.params, quad_degree=6)):
+        with pytest.raises(ValueError, match="another space"):
+            compute_error_report(traj, mismatch, grid, cfg.params)
+
+
 @pytest.mark.parametrize("params", [PLaplaceParams(p=1.5, kappa=0.5),
                                     PLaplaceParams(p=3.0, kappa=1.0)])
 def test_exact_reference_needs_kappa_zero_or_p2(params):

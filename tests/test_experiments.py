@@ -340,6 +340,48 @@ def test_bitwise_deterministic_csv(tmp_path):
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
+def test_rows_of_one_level_share_the_projection_and_exact_fields(tmp_path, monkeypatch):
+    # the rows of one level project the initial datum once and evaluate the
+    # closed-form profile fields once, with reports bitwise equal to rows
+    # solved and compared one by one
+    from dataclasses import replace
+
+    from pheat import timestepper
+    from pheat.error_metrics import compute_error_report
+    from pheat.fespace import build_space
+    from pheat.mesh import refine_to_level
+    from pheat.timestepper import TimeGrid, solve_evolution
+
+    cfg = parse_config(f"experiment = p2_validation\nlevels = 3:4, 3:8\n"
+                       f"output_path = {tmp_path / 'r.csv'}\n")
+    projections, profiles, gradients = [], [], []
+    project, fields = timestepper.l2_project, experiments.manufactured_p2_fields
+
+    def counted_fields():
+        exact, force = fields()
+        return replace(exact, profile=lambda pts: profiles.append(1) or exact.profile(pts),
+                       profile_grad=lambda pts: gradients.append(1) or exact.profile_grad(pts)
+                       ), force
+
+    monkeypatch.setattr(timestepper, "l2_project",
+                        lambda *a, **k: projections.append(1) or project(*a, **k))
+    monkeypatch.setattr(experiments, "manufactured_p2_fields", counted_fields)
+    reports = run_experiment(cfg)
+    # U: once by the projected initial datum, once on the error rule
+    assert (len(projections), len(profiles), len(gradients)) == (1, 2, 1)
+    monkeypatch.undo()
+
+    spec, exact = experiments.build_spec(cfg)
+    t0, t_end = STUDIES[cfg.experiment].interval
+    rows = []
+    for lvl, M in cfg.levels:
+        grid = TimeGrid(t0, t_end, M)
+        traj = solve_evolution(spec, lvl, cfg.r, grid, tol=cfg.tol,
+                               space=build_space(refine_to_level(spec.domain, lvl), cfg.r))
+        rows.append(compute_error_report(traj, exact, grid, cfg.params))
+    assert [repr(r) for r in reports] == [repr(r) for r in rows]
+
+
 def test_manifest_written(tmp_path):
     cfg = _tiny_known_solution_cfg(tmp_path)
     run_experiment(cfg)

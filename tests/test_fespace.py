@@ -87,6 +87,38 @@ def test_untabled_degrees_keep_the_product_rule(degree):
     assert quadrature(degree).num_points == ((degree + 2) // 2) ** 2
 
 
+@pytest.mark.parametrize("n", range(1, 12))
+def test_gauss_jacobi_matches_scipy(n):
+    # the product rules' (1 - x)-weighted Gauss rule, by Golub-Welsch, against
+    # scipy's; n = 1 (the P1 gradient rule, the centroid) is bitwise the same
+    from scipy.special import roots_jacobi
+
+    from pheat.fespace import _gauss_jacobi_10
+
+    nodes, weights = _gauss_jacobi_10(n)
+    ref_nodes, ref_weights = roots_jacobi(n, 1.0, 0.0)
+    if n == 1:
+        assert (nodes[0], weights[0]) == (ref_nodes[0], ref_weights[0])
+    assert np.max(np.abs(nodes - ref_nodes)) <= 1e-14
+    assert np.max(np.abs(weights - ref_weights)) <= 1e-14
+
+
+def test_import_pheat_leaves_scipy_special_unloaded():
+    # scipy.special costs start-up time and pheat needs nothing from it
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import pheat
+
+    env = {**os.environ, "PYTHONPATH": str(Path(pheat.__file__).resolve().parents[1])}
+    code = "import sys, pheat; print('scipy.special' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "False"
+
+
 def test_cached_rules_are_read_only():
     rule = quadrature(8)
     assert quadrature(8) is rule

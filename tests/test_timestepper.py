@@ -601,6 +601,80 @@ def test_p2_row_factors_its_step_matrix_once(monkeypatch):
     assert all(solved)
 
 
+def test_p2_step_moves_the_full_newton_step(monkeypatch):
+    # at p = 2 the step energy is quadratic and the Newton direction along the
+    # exact Jacobian is its minimizer: no line search runs, and the booked
+    # energy change slope / 2 is the step energy's own
+    from pheat.experiments import known_solution_fields
+
+    params = PLaplaceParams(p=2.0, kappa=0.0)
+    exact, force = known_solution_fields(params)  # nonzero Dirichlet data
+    space = build_space(refine_to_level("shifted_square", 3), 1)
+    spec = ProblemSpec(params=params, domain="shifted_square", force=force,
+                       initial=lambda pts: exact.u(pts, -1.0), boundary=exact.u)
+    grid = TimeGrid(-1.0, 1.0, 6)
+
+    def no_line_search(*args, **kwargs):
+        raise AssertionError("a p = 2 step ran a line search")
+
+    monkeypatch.setattr(assembly, "step_energy_line", no_line_search)
+    monkeypatch.setattr(timestepper, "_armijo", no_line_search)
+    traj = solve_evolution(spec, 3, 1, grid, space=space)
+    for m, rep in enumerate(traj.newton_reports, start=1):
+        assert rep.converged and rep.iterations >= 1
+        energy = step_energy(space, traj.snapshots[m], traj.snapshots[m - 1], grid.tau,
+                             average_force(force, m, grid, space), params)
+        assert abs(rep.energy_values[-1] - energy) <= 1e-12 * abs(energy)
+
+
+def test_floor_test_makes_abs_jacobian_once_per_held_matrix(monkeypatch):
+    # |J| for the roundoff-floor test is bitwise abs(J), made at most once per
+    # held J, dropped with J and never alive while a factorization is made;
+    # a p = 2 row holds one J and makes |J| once.  At slit L3 a p = 3 row
+    # replaces its held J by PCG iterations as well as by factorizations
+    import weakref
+
+    space = build_space(refine_to_level("slit", 3), 1)
+    held_abs, factor = timestepper._held_abs, assembly.factor_spd
+    made, held, alive_at_factor = [], [], []
+
+    def recorded(factored):
+        jac, fresh = factored[0], factored[4] is None
+        absolute = held_abs(factored)
+        assert np.shares_memory(absolute.indices, jac.indices)
+        assert np.array_equal(absolute.data, np.abs(jac.data))
+        if fresh:
+            assert not any(j is jac for j in held)
+            held.append(jac)
+            made.append(weakref.ref(absolute))
+        return absolute
+
+    def checked_factor(A):
+        alive_at_factor.append(sum(ref() is not None for ref in made))
+        return factor(A)
+
+    monkeypatch.setattr(timestepper, "_held_abs", recorded)
+    monkeypatch.setattr(assembly, "factor_spd", checked_factor)
+    for p, made_per_row in ((2.0, 1), (3.0, None)):
+        made.clear()
+        spec = ProblemSpec(params=PLaplaceParams(p=p, kappa=0.0), domain="slit",
+                           force=ConstantForce(2.0))
+        traj = solve_evolution(spec, 3, 1, TimeGrid(0.0, 4.0, 16), space=space)
+        assert made and all(rep.converged for rep in traj.newton_reports)
+        assert p == 2.0 or sum(rep.pcg_iterations for rep in traj.newton_reports) > 0
+        assert len(made) == (made_per_row or len(made))
+    assert alive_at_factor and max(alive_at_factor) == 0
+
+    rng = np.random.default_rng(5)
+    u = rng.standard_normal(space.ndof)
+    jac = assembly.assemble_step_jacobian(space, FeFunction(space, u), 0.1,
+                                          PLaplaceParams(p=3.0, kappa=0.0))
+    factored = [jac, None, 0.0, 0, None]
+    absolute = held_abs(factored)
+    assert held_abs(factored) is absolute is factored[4]
+    assert np.array_equal(absolute @ np.abs(u), abs(jac) @ np.abs(u))
+
+
 def test_nonlinear_row_reuses_its_last_factorization(monkeypatch):
     # p != 2: Newton directions come by PCG along the factorization held from
     # an earlier iterate, and near convergence a chord move goes along it and
