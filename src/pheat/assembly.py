@@ -103,11 +103,8 @@ def _pinned_pattern(space):
     return space._pinned_pattern
 
 
-def _sum_into_pattern(space, local, pinned=False):
-    """Sum element matrices (nt, nloc, nloc) into the space's CSR pattern,
-    with `pinned` as `_sum_pinned` writes them."""
-    if pinned:
-        return _sum_pinned(space, [local])
+def _sum_into_pattern(space, local):
+    """Sum element matrices (nt, nloc, nloc) into the space's CSR pattern."""
     indptr, indices, scatter = _pattern(space)
     data = np.bincount(scatter, weights=local.reshape(-1), minlength=indices.shape[0])
     return sparse.csr_matrix((data, indices, indptr), shape=(space.ndof, space.ndof))

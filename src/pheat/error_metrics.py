@@ -178,9 +178,9 @@ def _exact_errors(traj, fields, grid):
     linfty = raw = 0.0
     per_window, lengths, spread = [], [], []
     for m in range(1, grid.M + 1):
-        ks = range(m - 1, min(m + 1, grid.M))
-        weights = np.concatenate([subintervals[k][1] for k in ks])
-        a = np.concatenate([amplitudes[k] for k in ks])
+        ks = grid.window(m)
+        weights = np.concatenate([subintervals[k - 1][1] for k in ks])
+        a = np.concatenate([amplitudes[k - 1] for k in ks])
         b = _signed_power(a, 0.5 * (params.p - 2.0))
         c = _signed_power(a, params.p - 2.0)
         length = weights.sum()
@@ -216,8 +216,8 @@ def _trapezoid_average(ref_traj, grid, m):
     """Trapezoidal average of reference snapshots over J_m of the coarse grid."""
     rg = ref_traj.grid
     ratio = rg.M // grid.M
-    k0 = (m - 1) * ratio
-    k1 = min((m + 1) * ratio, rg.M)
+    ks = grid.window(m)
+    k0, k1 = (ks[0] - 1) * ratio, ks[-1] * ratio
     weights = np.full(k1 - k0 + 1, rg.tau)
     weights[0] = weights[-1] = 0.5 * rg.tau
     coeffs = sum(w * ref_traj.snapshots[k].coeffs

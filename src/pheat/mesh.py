@@ -1,6 +1,9 @@
 """Conforming triangulations of the study domains with uniform red refinement.
 
-Meshes are immutable after construction.  Refinement returns a new mesh that
+Each domain starts from a fixed coarse template written out as literal
+vertex, triangle and boundary-edge tables (`make_initial_mesh`); every
+triangle of a template is positively oriented as listed.  Meshes are
+immutable after construction.  Refinement returns a new mesh that
 keeps a reference to its parent.  The hierarchy is an index rule, not a stored
 map: the children of parent triangle t are triangles 4t..4t+3 of the refined
 mesh, so point location descends it by index and coarse functions are
@@ -146,23 +149,10 @@ class Mesh:
 # coarse templates
 # ----------------------------------------------------------------------
 
-def _oriented(vertices, triangles):
-    """Flip triangles with negative signed area."""
-    tris = np.array(triangles, dtype=np.int64)
-    verts = np.asarray(vertices, dtype=float)
-    xy = verts[tris]
-    d1 = xy[:, 1] - xy[:, 0]
-    d2 = xy[:, 2] - xy[:, 0]
-    area2 = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-    tris[area2 < 0] = tris[area2 < 0][:, [0, 2, 1]]
-    return verts, tris
-
-
-def _quadrant_split(corners, origin_index):
-    """Split a square into two triangles by the diagonal through `origin_index`."""
-    o = origin_index
-    a, b, c, d = corners[o], corners[(o + 1) % 4], corners[(o + 2) % 4], corners[(o + 3) % 4]
-    return [(a, b, c), (a, c, d)]
+_GRID = [(x, y) for y in (-1.0, 0.0, 1.0) for x in (-1.0, 0.0, 1.0)]  # centre: vertex 4
+_GRID_TRIANGLES = [(4, 3, 0), (4, 0, 1), (4, 2, 5), (4, 1, 2),
+                   (4, 5, 8), (4, 8, 7), (4, 6, 3), (4, 7, 6)]
+_GRID_RING = [(0, 1), (1, 2), (2, 5), (5, 8), (8, 7), (7, 6), (6, 3), (3, 0)]
 
 
 def make_initial_mesh(domain):
@@ -175,70 +165,21 @@ def make_initial_mesh(domain):
     shifted_square  : (1,3)x(-1,1), same 8-triangle pattern around (2,0).
     slit            : centered_square template with the vertices on the open
                       cut (-1,0]x{0} duplicated; the tip (0,0) stays single.
+                      Vertex 9 is the copy of (-1,0) used by the triangle
+                      above the cut, and both sides of the cut are boundary.
     """
     if domain not in DOMAINS:
         raise ValueError(f"unknown domain {domain!r}, expected one of {DOMAINS}")
-
     if domain == "unit_square":
-        verts = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
-        tris = [(0, 1, 2), (0, 2, 3)]
-        bnd = [(0, 1), (1, 2), (2, 3), (3, 0)]
-        v, t = _oriented(verts, tris)
-        return Mesh(domain, v, t, np.array(bnd))
-
-    cx, cy = (2.0, 0.0) if domain == "shifted_square" else (0.0, 0.0)
-    # 3x3 grid of vertices around the center
-    coords = [(cx + dx, cy + dy) for dy in (-1.0, 0.0, 1.0) for dx in (-1.0, 0.0, 1.0)]
-    index = {c: i for i, c in enumerate(coords)}
-    center = index[(cx, cy)]
-
-    tris = []
-    for sx, sy in ((-1, -1), (1, -1), (1, 1), (-1, 1)):
-        sq = [(cx, cy), (cx + sx, cy), (cx + sx, cy + sy), (cx, cy + sy)]
-        for tri in _quadrant_split([index[c] for c in sq], 0):
-            tris.append(tri)
-    bnd = []
-    ring = [(cx - 1, cy - 1), (cx, cy - 1), (cx + 1, cy - 1), (cx + 1, cy),
-            (cx + 1, cy + 1), (cx, cy + 1), (cx - 1, cy + 1), (cx - 1, cy)]
-    for a, b in zip(ring, ring[1:] + ring[:1]):
-        bnd.append((index[a], index[b]))
-
-    if domain != "slit":
-        v, t = _oriented(coords, tris)
-        return Mesh(domain, v, t, np.array(bnd))
-
-    # duplicate cut vertices: y == 0 and -1 <= x < 0 (the tip x = 0 stays single)
-    verts = [list(c) for c in coords]
-    cut = [i for i, (x, y) in enumerate(coords) if y == 0.0 and -1.0 <= x < 0.0]
-    upper_copy = {}
-    for i in cut:
-        upper_copy[i] = len(verts)
-        verts.append(list(coords[i]))
-
-    def relabel(tri):
-        # triangles strictly above the cut use the duplicated (upper) copies
-        ys = [verts[i][1] for i in tri]
-        xs = [verts[i][0] for i in tri]
-        above = sum(ys) > 0 and min(xs) < 0
-        return tuple(upper_copy.get(i, i) if above and i in upper_copy else i for i in tri)
-
-    tris = [relabel(t) for t in tris]
-    # outer boundary edges along x = -1 above the cut attach to the upper copy of (-1,0)
-    relabeled_bnd = []
-    for a, b in bnd:
-        (xa, ya), (xb, yb) = verts[a], verts[b]
-        if xa == -1.0 and xb == -1.0 and max(ya, yb) > 0:
-            a = upper_copy.get(a, a) if ya == 0.0 else a
-            b = upper_copy.get(b, b) if yb == 0.0 else b
-        relabeled_bnd.append((a, b))
-    bnd = relabeled_bnd
-    # both sides of the cut are boundary
-    lower_left = index[(-1.0, 0.0)]
-    for i, j in [(lower_left, center)]:
-        bnd.append((i, j))                                # lower side keeps originals
-        bnd.append((upper_copy[lower_left], center))      # upper side uses the copies
-    v, t = _oriented(verts, tris)
-    return Mesh(domain, v, t, np.array(bnd))
+        return Mesh(domain, [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)],
+                    [(0, 1, 2), (0, 2, 3)], [(0, 1), (1, 2), (2, 3), (3, 0)])
+    if domain == "centered_square":
+        return Mesh(domain, _GRID, _GRID_TRIANGLES, _GRID_RING)
+    if domain == "shifted_square":
+        return Mesh(domain, [(x + 2.0, y) for x, y in _GRID], _GRID_TRIANGLES, _GRID_RING)
+    tris = _GRID_TRIANGLES[:6] + [(4, 6, 9)] + _GRID_TRIANGLES[7:]
+    ring = _GRID_RING[:6] + [(6, 9), (3, 0), (3, 4), (9, 4)]
+    return Mesh(domain, _GRID + [(-1.0, 0.0)], tris, ring)
 
 
 # ----------------------------------------------------------------------

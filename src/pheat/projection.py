@@ -90,11 +90,12 @@ class DecayReport:
         return [f"{k},{h!r},{v!r}" for k, v in enumerate(self.layer_max)]
 
 
-def verify_l2_decay(space, g=None, source_tri=None):
+def verify_l2_decay(space, g=None):
     """Exponential decay of Pi_2 applied to a localized source.
 
-    Projects the indicator of one interior triangle (default: the triangle
-    whose centroid is closest to the domain's barycenter), takes the maximum
+    Projects the indicator of one interior triangle (the triangle whose
+    centroid is closest to the domain's barycenter; with `g`, projects g and
+    takes triangle 0 as the source), takes the maximum
     of |Pi_2 v| per triangle, bins by graph distance from the source, and
     least-squares fits log(max) against the distance.  Returns the per-layer
     decay factor q_fit = exp(slope); a projection that reproduces its input
@@ -108,8 +109,7 @@ def verify_l2_decay(space, g=None, source_tri=None):
     if g is None:
         centroids = mesh.triangle_coords().mean(axis=1)
         target = mesh.vertices.mean(axis=0)
-        source = int(np.argmin(np.linalg.norm(centroids - target, axis=1))) \
-            if source_tri is None else source_tri
+        source = int(np.argmin(np.linalg.norm(centroids - target, axis=1)))
         vals = np.zeros((mesh.num_triangles, rule.num_points))
         vals[source] = 1.0
         b = assembly.assemble_load(space, vals, rule)
@@ -118,7 +118,7 @@ def verify_l2_decay(space, g=None, source_tri=None):
         proj = FeFunction(space, c)
         exact_in_space = False
     else:
-        source = source_tri if source_tri is not None else 0
+        source = 0
         proj = l2_project(space, g)
         pts = space.physical_points(rule)
         resid = space.eval_at(rule, proj.coeffs) - _field_values(g, pts)

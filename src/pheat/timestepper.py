@@ -100,15 +100,16 @@ class TimeGrid:
     def t(self, m):
         return self.t0 + m * self.tau
 
-    def window_subintervals(self, m):
-        """The I-subintervals composing J_m = [t_(m-1), t_(m+1)], truncated to
-        the grid at m = M."""
+    def window(self, m):
+        """The indices k of the subintervals I_k = [t_(k-1), t_k] composing
+        J_m = [t_(m-1), t_(m+1)], truncated to the grid at m = M."""
         if not 1 <= m <= self.M:
             raise ValueError(f"step index {m} outside 1..{self.M}")
-        subs = [(self.t(m - 1), self.t(m))]
-        if m < self.M:
-            subs.append((self.t(m), self.t(m + 1)))
-        return subs
+        return range(m, min(m + 1, self.M) + 1)
+
+    def window_subintervals(self, m):
+        """The subintervals (t_(k-1), t_k) composing J_m, k in `window(m)`."""
+        return [(self.t(k - 1), self.t(k)) for k in self.window(m)]
 
 
 # ----------------------------------------------------------------------
@@ -440,8 +441,8 @@ def _newton_direction(factored, space, u, tau, params, residual):
     return assembly.solve_spd(jac, -residual, precond=factored[1])[0], "factored", pcg
 
 
-def step(space, u_prev, m, grid, spec, tol=DEFAULT_TOL, bc_values=None, f_quad=None,
-         history=(), factored=None):
+def step(space, u_prev, m, grid, spec, tol=DEFAULT_TOL, bc_values=None, history=(),
+         factored=None):
     """One implicit Euler step: returns (u_m, NewtonReport).
 
     `history` holds the snapshots before u_prev, newest first; for p != 2
@@ -468,8 +469,7 @@ def step(space, u_prev, m, grid, spec, tol=DEFAULT_TOL, bc_values=None, f_quad=N
     factored = [] if factored is None else factored
     tau = grid.tau
     rule = assembly.step_rule(space)
-    if f_quad is None:
-        f_quad = average_force(spec.force, m, grid, space, spec.force_mode)
+    f_quad = average_force(spec.force, m, grid, space, spec.force_mode)
     bdofs = space.boundary_dofs
     g = np.zeros(bdofs.shape[0]) if bc_values is None else np.asarray(bc_values, float)
     rhs = assembly.assemble_load(space, f_quad + space.eval_at(rule, u_prev.coeffs) / tau, rule)
@@ -612,9 +612,14 @@ def solve_evolution(spec, level, degree, grid, tol=DEFAULT_TOL, space=None, init
     Each later snapshot solves the discrete weak form to the Newton
     tolerance.  The steps share one factored step Jacobian (see `step`); at
     p = 2 it is made on the first step and serves every later one.
+    A given `space` must be the degree-`degree` space on `spec.domain` at
+    `level`; ValueError otherwise.
     """
     if space is None:
         space = build_space(refine_to_level(spec.domain, level), degree)
+    elif (space.mesh.domain, space.mesh.level, space.degree) != (spec.domain, level, degree):
+        raise ValueError(f"space is {space.mesh.domain} level {space.mesh.level} degree "
+                         f"{space.degree}, not {spec.domain} level {level} degree {degree}")
 
     boundary = build_boundary_data(space, grid, spec.boundary)
     u0 = initial_coefficients(spec, space) if initial is None else np.array(initial, dtype=float)

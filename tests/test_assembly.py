@@ -174,7 +174,7 @@ def test_pinned_write_equals_pin_rows_cols(domain, degree, rng):
         expected = assembly.pin_rows_cols(assembly._sum_into_pattern(space, local),
                                           space.boundary_dofs)
         for _ in range(2):  # the cached pattern is not changed by a write
-            assert _same_csr(assembly._sum_into_pattern(space, local, pinned=True), expected)
+            assert _same_csr(assembly._sum_pinned(space, [local]), expected)
     u = FeFunction(space, rng.standard_normal(space.ndof))
     J = assemble_step_jacobian(space, u, 0.1, PLaplaceParams(p=3.0))
     assert _same_csr(J, assembly.pin_rows_cols(J, space.boundary_dofs))
@@ -397,7 +397,7 @@ def test_blocked_step_jacobian_equals_the_unblocked_sum(degree, block, rng, monk
                                      eps_reg=assembly.JACOBIAN_EPS_REG)
     local = (assembly._local_stiffness(gops, iso, (rank, d))
              + assembly._local_mass(space, assembly.step_rule(space), 1.0 / tau))
-    expected = assembly._sum_into_pattern(space, local, pinned=True)
+    expected = assembly._sum_pinned(space, [local])
     J = assemble_step_jacobian(space, u, tau, params)
     assert np.array_equal(J.indptr, expected.indptr)
     assert np.array_equal(J.indices, expected.indices)

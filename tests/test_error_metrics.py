@@ -4,8 +4,8 @@ import pytest
 from pheat.constitutive import PLaplaceParams, s_flux
 from pheat.error_metrics import (CSV_HEADER, ErrorReport, ExactSolution,
                                  IncompatibleHierarchy, InsufficientData,
-                                 compute_error_report, empirical_order, read_csv,
-                                 v_error_breakdown, write_csv, write_dat)
+                                 _trapezoid_average, compute_error_report, empirical_order,
+                                 read_csv, v_error_breakdown, write_csv, write_dat)
 from pheat.fespace import FeFunction, build_space, gauss_segments, quadrature
 from pheat.mesh import make_initial_mesh, refine_to_level
 from pheat.timestepper import (ConstantForce, ProblemSpec, TimeGrid, Trajectory,
@@ -314,6 +314,24 @@ def test_discrete_reference_nested_consistency():
     rep = compute_error_report(coarse, fine, coarse.grid, params)
     assert rep.sq_linfty_l2 > 0 and np.isfinite(rep.sq_linfty_l2)
     assert rep.sq_l2_v == rep.sq_l2_v_avg  # single averaged variant
+
+
+@pytest.mark.parametrize("M, ratio", [(1, 1), (1, 4), (3, 2), (4, 8)])
+def test_trapezoid_average_is_the_exact_window_mean_for_linear_amplitude(M, ratio):
+    # snapshots a(t_k) v with a linear: the trapezoid rule is exact, so the
+    # average over J_m, truncated at m = M, is v times a's mean over J_m
+    space = build_space(refine_to_level("unit_square", 1), 1)
+    v = np.linspace(-1.0, 2.0, space.ndof)
+    def a(t):
+        return 0.3 + 1.7 * t
+    grid = TimeGrid(-0.5, 1.5, M)
+    rg = TimeGrid(-0.5, 1.5, M * ratio)
+    ref = Trajectory(space=space, grid=rg, newton_reports=[],
+                     snapshots=[FeFunction(space, a(rg.t(k)) * v) for k in range(rg.M + 1)])
+    for m in range(1, M + 1):
+        lo, hi = grid.t(m - 1), grid.t(min(m + 1, M))
+        mean = (a(lo) + a(hi)) / 2.0
+        assert np.allclose(_trapezoid_average(ref, grid, m), mean * v, rtol=1e-13, atol=1e-14)
 
 
 def test_empirical_order_examples():

@@ -28,6 +28,8 @@ def test_grid_basics():
     assert grid.t(0) == -1.0 and grid.t(8) == 1.0
     assert grid.window_subintervals(3) == [(grid.t(2), grid.t(3)), (grid.t(3), grid.t(4))]
     assert grid.window_subintervals(8) == [(grid.t(7), grid.t(8))]
+    assert grid.window(3) == range(3, 5) and grid.window(8) == range(8, 9)
+    assert TimeGrid(0.0, 1.0, 1).window(1) == range(1, 2)
     for m in (0, 9):
         with pytest.raises(ValueError):
             grid.window_subintervals(m)
@@ -760,10 +762,10 @@ def test_nonconvergence_reports_iterations_done(monkeypatch):
     grid = TimeGrid(0.0, 1.0, 4)
     zero = FeFunction(space, np.zeros(space.ndof))
     # a non-finite residual ends the step before any iteration
-    nan_force = np.full((space.mesh.num_triangles, assembly.step_rule(space).num_points),
-                        np.nan)
+    nan_spec = ProblemSpec(params=params, domain="unit_square",
+                           force=lambda pts, t: np.full(pts.shape[:-1], np.nan))
     with pytest.raises(NonConvergence) as exc:
-        step(space, zero, 1, grid, spec, f_quad=nan_force)
+        step(space, zero, 1, grid, nan_spec)
     rep = exc.value.report
     assert rep.iterations == 0 and not rep.converged and np.isnan(rep.final_residual_norm)
     # a line-search dead end along Newton, then along Kacanov, ends it after two
@@ -772,6 +774,18 @@ def test_nonconvergence_reports_iterations_done(monkeypatch):
         step(space, zero, 1, grid, spec)
     rep = exc.value.report
     assert (rep.iterations, rep.kacanov_iterations, rep.converged) == (2, 1, False)
+
+
+def test_given_space_must_match_domain_level_and_degree():
+    space = build_space(refine_to_level("slit", 1), 1)
+    params = PLaplaceParams(p=2.0, kappa=0.0)
+    grid = TimeGrid(0.0, 0.5, 2)
+    spec = ProblemSpec(params=params, domain="slit", force=ConstantForce(1.0))
+    assert len(solve_evolution(spec, 1, 1, grid, space=space).snapshots) == 3
+    other = ProblemSpec(params=params, domain="centered_square", force=ConstantForce(1.0))
+    for args in ((other, 1, 1), (spec, 2, 1), (spec, 1, 2)):
+        with pytest.raises(ValueError, match="space is slit level 1 degree 1"):
+            solve_evolution(*args, grid, space=space)
 
 
 def test_trajectory_dump(tmp_path):
