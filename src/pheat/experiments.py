@@ -293,7 +293,8 @@ def known_solution_fields(params):
 
 
 def manufactured_p2_fields():
-    """Smooth linear-case benchmark: u = sin(pi x) sin(pi y) e^(-t)."""
+    """Smooth linear-case benchmark: u = sin(pi x) sin(pi y) e^(-t), with the
+    force (2 pi^2 - 1) e^(-t) U(x) as one separable term."""
     memo = _latest_array_memo()
 
     def trig(x):
@@ -305,10 +306,9 @@ def manufactured_p2_fields():
                           profile_grad=lambda pts: np.pi * memo(pts, "trig", trig)[1],
                           amplitude=lambda t: math.exp(-t))
 
-    def f(pts, t):
-        return (2.0 * np.pi ** 2 - 1.0) * exact.u(pts, t)
-
-    return exact, f
+    force = SeparableForce(terms=((exact.profile, lambda t: (2.0 * np.pi ** 2 - 1.0)
+                                   * math.exp(-t)),))
+    return exact, force
 
 
 # ----------------------------------------------------------------------

@@ -24,15 +24,22 @@ E(u + s delta) - E(u), computed without cancellation
 (`assembly.step_energy_line`), or a chord move that halves the residual norm.
 At p = 2 the step energy is quadratic and the held Jacobian exact, so a
 direction with slope r . delta < 0 is the minimizer along itself: the move is
-the full step, and its energy change is slope / 2.  No move found is a dead
-end, which switches direction; two in a row end the step.  A step converges
-below tol * (1 + ||rhs||) or at the residual's roundoff floor.
+the full step, and its energy change is slope / 2.  The residual is affine in
+u, so after a move along the held J it is updated by J delta; the step
+evaluates no energy.  No move found is a dead end, which switches direction;
+two in a row end the step.  A step converges below tol * (1 + ||rhs||) or at
+the residual's roundoff floor.
 
 The discrete forces f_m are theta-weighted time averages.  The weights are
 the piecewise linear densities obtained by averaging the running tau-mean of
 the equation over the window J_m = [t_(m-1), t_(m+1)]; the last window is
 truncated to [t_(M-1), t_M] and its weight renormalized to mass one.  Grids
 may start at t0 != 0; all weight formulas act in grid-local coordinates.
+A SeparableForce sums terms c(x) times a time factor, either a power
+sgn(t)^s |t|^gamma, averaged from its exact antiderivative, or any scalar
+a(t), averaged by the 5-point Gauss rule per theta piece split at t = 0
+(`theta_gauss`, the rule plain callable forces use); either way the spatial
+factor is evaluated once per step and scaled.
 
 A ProblemSpec holds plain callables: the force (a SeparableForce or any
 f(pts, t)), the initial datum u0(pts) and the Dirichlet data u(pts, t), whose
@@ -154,6 +161,14 @@ def theta_density(m, sigma, grid):
     return out if out.shape else float(out)
 
 
+def theta_gauss(m, grid):
+    """Nodes and weights of <g>_theta_m = int theta_m g: 5-point Gauss per
+    theta piece, split at t = 0, each weight times theta_m at its node."""
+    nodes, weights = gauss_segments([piece[:2] for piece in theta_pieces(m, grid)], split=0.0)
+    # Gauss nodes lie strictly inside their piece, where theta is its A + B s
+    return nodes, weights * theta_density(m, nodes, grid)
+
+
 def _split_at_zero(a, b):
     if a < 0.0 < b:
         return [(a, 0.0), (0.0, b)]
@@ -210,24 +225,35 @@ def time_power(t, gamma, signed):
 
 @dataclass(frozen=True)
 class SeparableForce:
-    """Sum of terms c_i(x) sgn(t)^(s_i) |t|^(gamma_i); time factors integrate exactly.
+    """Sum of terms c_i(x) a_i(t) with scalar time factors a_i.
 
-    A spatial factor c_i is a number or a callable on (n, 2) points.
+    A term is (c, gamma, signed), a_i(t) = sgn(t)^signed |t|^gamma, whose
+    theta average is exact (`theta_average_power`), or (c, a) with a(t) any
+    scalar callable, averaged by `theta_gauss`.  A spatial factor c_i is a
+    number or a callable on (n, 2) points.
     """
 
-    terms: tuple  # of (spatial factor, gamma, signed)
+    terms: tuple  # of (spatial factor, gamma, signed) or (spatial factor, a)
+
+    def theta_averages(self, m, grid):
+        """<a_i>_theta_m of every term's time factor."""
+        gauss = theta_gauss(m, grid) if any(len(term) == 2 for term in self.terms) else None
+        return [theta_average_power(m, grid, *term[1:]) if len(term) == 3
+                else float(gauss[1] @ np.array([term[1](s) for s in gauss[0]]))
+                for term in self.terms]
 
     def combine(self, time_factors, points, shape):
         """sum_i c_i * time_factors[i] as an array of `shape`; points() gives
         the (n, 2) points and is called only if some c_i is a callable."""
         total = 0.0
-        for (c, _, _), tf in zip(self.terms, time_factors):
+        for (c, *_), tf in zip(self.terms, time_factors):
             total = total + (np.asarray(c(points()), dtype=float) if callable(c) else c) * tf
         return np.full(shape, total) if np.ndim(total) == 0 else total.reshape(shape)
 
     def __call__(self, pts, t):
-        return self.combine([time_power(t, gamma, signed) for _, gamma, signed in self.terms],
-                            lambda: pts, pts.shape[0])
+        factors = [term[1](t) if len(term) == 2 else time_power(t, *term[1:])
+                   for term in self.terms]
+        return self.combine(factors, lambda: pts, pts.shape[0])
 
 
 def ConstantForce(value):
@@ -246,25 +272,21 @@ def average_force(force, m, grid, space, force_mode="theta_average"):
     """Discrete force f_m at the step quadrature points, shape (nt, nq).
 
     A force is a SeparableForce or any callable f(pts (n, 2), t) -> (n,).
-    theta_average mode returns <f>_theta_m (mass-one window weights): the
-    time factors of a SeparableForce are integrated analytically, any other
-    callable by 5-point Gauss per theta piece split at t = 0.  point_value
-    mode returns f(t_m).  Forces are evaluated at `space.step_points`, the
-    same array at every step.
+    theta_average mode returns <f>_theta_m (mass-one window weights): a
+    SeparableForce averages its scalar time factors and scales its spatial
+    factors once, any other callable is evaluated at every node of
+    `theta_gauss`.  point_value mode returns f(t_m).  Forces are evaluated at
+    `space.step_points`, the same array at every step.
     """
     shape = (space.mesh.num_triangles, assembly.step_rule(space).num_points)
     if force_mode == "point_value":
         return np.asarray(force(space.step_points, grid.t(m)), dtype=float).reshape(shape)
 
     if isinstance(force, SeparableForce):
-        factors = [theta_average_power(m, grid, gamma, signed)
-                   for _, gamma, signed in force.terms]
-        return force.combine(factors, lambda: space.step_points, shape)
+        return force.combine(force.theta_averages(m, grid), lambda: space.step_points, shape)
 
     pts = space.step_points
-    nodes, weights = gauss_segments([piece[:2] for piece in theta_pieces(m, grid)], split=0.0)
-    # Gauss nodes lie strictly inside their piece, where theta is its A + B s
-    weights = weights * theta_density(m, nodes, grid)
+    nodes, weights = theta_gauss(m, grid)
     total = np.zeros(pts.shape[0])
     for s, w in zip(nodes, weights):
         total += w * np.asarray(force(pts, s), dtype=float)
@@ -291,6 +313,8 @@ class ProblemSpec:
 class NewtonReport:
     iterations: int
     final_residual_norm: float
+    # the step energy at the start and after each move; at p = 2, where no
+    # energy is evaluated, the changes from the start, beginning at 0.0
     energy_values: tuple
     converged: bool
     # iterations that solved for the lagged-coefficient (Kacanov) direction
@@ -454,7 +478,11 @@ def step(space, u_prev, m, grid, spec, tol=DEFAULT_TOL, bc_values=None, history=
     factorization's credit of PCG iterations left, |J| of the held Jacobian
     or None until the floor test makes it].  At p = 2 the Jacobian holds at
     every state: the row's first step factors it, every Newton solve uses
-    that, and a direction with slope < 0 moves the full step.  For p != 2
+    that, and a direction with slope < 0 moves the full step.  No step energy
+    is evaluated (`NewtonReport.energy_values` books changes from 0.0), and
+    after a move along the held J the residual is r + J delta, not assembled;
+    it is assembled after a Kacanov move, which releases J, and above
+    DIRECT_SOLVE_LIMIT, where no J is held.  For p != 2
     Newton directions come from `_newton_direction`: PCG along the held
     factorization while it serves, else a fresh one, made after the old one
     is released; the move is an Armijo line search.
@@ -494,7 +522,8 @@ def step(space, u_prev, m, grid, spec, tol=DEFAULT_TOL, bc_values=None, history=
 
     u = u_prev.coeffs.copy()
     u[bdofs] = g
-    energy, start = energy_at(u), "previous"
+    # at p = 2 no decision reads the energy: changes are booked from 0.0
+    energy, start = 0.0 if exact else energy_at(u), "previous"
 
     # Candidate starts (nonlinear case; the p = 2 step is one Newton step from
     # anywhere).  An extrapolation is kept only if it lowers the step energy
@@ -532,8 +561,8 @@ def step(space, u_prev, m, grid, spec, tol=DEFAULT_TOL, bc_values=None, history=
                             pcg_iterations=pcg_iterations, at_floor=at_floor)
 
     # Each iteration picks a direction (Kacanov, chord or Newton) and a move along
-    # it: (coefficients, energy change), plus the residual for a chord move, or
-    # None, a dead end.
+    # it: (coefficients, energy change), plus the residual for a chord move or a
+    # p = 2 move along the held J, or None, a dead end.
     for it in range(1, MAX_COMBINED_ITERATIONS + 1):
         if residual is None:
             residual = residual_at(u)
@@ -572,7 +601,9 @@ def step(space, u_prev, m, grid, spec, tol=DEFAULT_TOL, bc_values=None, history=
             if not exact:
                 move = _armijo(change_along(u, delta), u, delta, slope)
             elif slope < 0.0:  # J delta = -r on a quadratic E: E(u + delta) - E(u) = slope / 2
-                move = u + delta, 0.5 * slope
+                # the residual is affine in u: r(u + delta) = r + J delta, J held
+                move = (u + delta, 0.5 * slope) + ((residual + factored[0] @ delta,)
+                                                   if factored else ())
 
         if move is None:  # a dead end switches direction; two in a row end the step
             dead_ends += 1

@@ -239,25 +239,29 @@ def test_known_solution_force_divergence_oracle(rng):
 def _smooth_fields(p):
     """u = e^(-t) (sin(pi x/2) + 2y) on the unit square, kappa = 0: grad u =
     e^(-t) (a, 2) with a = (pi/2) cos(pi x/2), so |grad u| >= 2/e and S is
-    smooth for every p; f = du/dt - div S(grad u)."""
+    smooth for every p; f = du/dt - div S(grad u), the two separable terms
+    -e^(-t) U(x) and e^(-(p-1)t) times -div S(grad U)."""
     from pheat.error_metrics import ExactSolution
+    from pheat.timestepper import SeparableForce
 
     def grad_profile(pts):
         a = 0.5 * np.pi * np.cos(0.5 * np.pi * pts[:, 0])
         return np.stack([a, np.full_like(a, 2.0)], axis=-1)
 
-    exact = ExactSolution(
-        profile=lambda pts: np.sin(0.5 * np.pi * pts[:, 0]) + 2.0 * pts[:, 1],
-        profile_grad=grad_profile, amplitude=lambda t: math.exp(-t))
+    def profile(pts):
+        return np.sin(0.5 * np.pi * pts[:, 0]) + 2.0 * pts[:, 1]
 
-    def f(pts, t):
+    def minus_div_s(pts):
         a = 0.5 * np.pi * np.cos(0.5 * np.pi * pts[:, 0])
         da = -(0.5 * np.pi) ** 2 * np.sin(0.5 * np.pi * pts[:, 0])
         g2 = a ** 2 + 4.0
-        return (-exact.u(pts, t) - math.exp(-(p - 1.0) * t) * da * g2 ** (0.5 * p - 2.0)
-                * (g2 + (p - 2.0) * a ** 2))
+        return -da * g2 ** (0.5 * p - 2.0) * (g2 + (p - 2.0) * a ** 2)
 
-    return exact, f
+    exact = ExactSolution(profile=profile, profile_grad=grad_profile,
+                          amplitude=lambda t: math.exp(-t))
+    force = SeparableForce(terms=((lambda pts: -profile(pts), lambda t: math.exp(-t)),
+                                  (minus_div_s, lambda t: math.exp(-(p - 1.0) * t))))
+    return exact, force
 
 
 @pytest.mark.parametrize("p", [1.5, 3.0])

@@ -171,6 +171,20 @@ def test_average_force_separable_matches_callable():
         b = average_force(gen, m, grid, space)
         assert np.max(np.abs(a - b)) < 1e-12
 
+    # a term with a callable time factor e^(-t) is averaged by the Gauss rule
+    # of the plain callable path, as a scalar, and scales its spatial factor
+    # once; beside it a power term |t|, which Gauss integrates exactly when
+    # split at t = 0.  point_value mode evaluates the terms at t_m (__call__)
+    profile = lambda pts: 1.0 + pts[:, 1]
+    sep = SeparableForce(terms=((profile, lambda t: np.exp(-t)), (2.0, 1.0, False)))
+    gen = lambda pts, t: profile(pts) * np.exp(-t) + 2.0 * abs(t)
+    for grid in (TimeGrid(0.0, 1.0, 5), TimeGrid(0.0, 1.0, 1), TimeGrid(-1.0, 1.0, 6)):
+        for m in sorted({1, (grid.M + 1) // 2, grid.M}):
+            for mode in ("theta_average", "point_value"):
+                a = average_force(sep, m, grid, space, mode)
+                b = average_force(gen, m, grid, space, mode)
+                assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
+
 
 # ----------------------------------------------------------------------
 # stepping
@@ -603,30 +617,103 @@ def test_p2_row_factors_its_step_matrix_once(monkeypatch):
     assert all(solved)
 
 
-def test_p2_step_moves_the_full_newton_step(monkeypatch):
-    # at p = 2 the step energy is quadratic and the Newton direction along the
-    # exact Jacobian is its minimizer: no line search runs, and the booked
-    # energy change slope / 2 is the step energy's own
+def _p2_row_with_dirichlet_data():
+    """A p = 2 row with nonzero, time-dependent Dirichlet data: (spec, space,
+    grid, Dirichlet values of each step)."""
     from pheat.experiments import known_solution_fields
 
     params = PLaplaceParams(p=2.0, kappa=0.0)
-    exact, force = known_solution_fields(params)  # nonzero Dirichlet data
+    exact, force = known_solution_fields(params)
     space = build_space(refine_to_level("shifted_square", 3), 1)
     spec = ProblemSpec(params=params, domain="shifted_square", force=force,
                        initial=lambda pts: exact.u(pts, -1.0), boundary=exact.u)
     grid = TimeGrid(-1.0, 1.0, 6)
+    return spec, space, grid, build_boundary_data(space, grid, exact.u)
+
+
+def test_p2_step_moves_the_full_newton_step(monkeypatch):
+    # at p = 2 the step energy is quadratic and the Newton direction along the
+    # exact Jacobian is its minimizer: no line search runs, no energy is
+    # evaluated, and the booked changes from 0.0 are the step energy's own
+    spec, space, grid, boundary = _p2_row_with_dirichlet_data()
+    params = spec.params
 
     def no_line_search(*args, **kwargs):
         raise AssertionError("a p = 2 step ran a line search")
 
+    energies = []
+    energy = assembly.step_energy
     monkeypatch.setattr(assembly, "step_energy_line", no_line_search)
     monkeypatch.setattr(timestepper, "_armijo", no_line_search)
+    monkeypatch.setattr(assembly, "step_energy",
+                        lambda *a, **k: energies.append(1) or energy(*a, **k))
     traj = solve_evolution(spec, 3, 1, grid, space=space)
+    assert energies == []
     for m, rep in enumerate(traj.newton_reports, start=1):
         assert rep.converged and rep.iterations >= 1
-        energy = step_energy(space, traj.snapshots[m], traj.snapshots[m - 1], grid.tau,
-                             average_force(force, m, grid, space), params)
-        assert abs(rep.energy_values[-1] - energy) <= 1e-12 * abs(energy)
+        assert rep.energy_values[0] == 0.0
+        prev, f_quad = traj.snapshots[m - 1], average_force(spec.force, m, grid, space)
+        start = prev.coeffs.copy()
+        start[space.boundary_dofs] = boundary[m - 1]
+        e_end, e_start = (step_energy(space, v, prev, grid.tau, f_quad, params)
+                          for v in (traj.snapshots[m], FeFunction(space, start)))
+        assert (abs(rep.energy_values[-1] - (e_end - e_start))
+                <= 1e-12 * (abs(e_end) + abs(e_start)))
+
+
+@pytest.mark.parametrize("direct_limit", [assembly.DIRECT_SOLVE_LIMIT, 10])
+def test_p2_row_converges_by_its_assembled_residual(monkeypatch, direct_limit):
+    # the residual updated by J delta stands for the assembled one: at every
+    # step's end the assembled residual meets tol * (1 + ||rhs||).  A step
+    # assembles it once, at its start; above DIRECT_SOLVE_LIMIT no J is held,
+    # and it is assembled after every move as well
+    spec, space, grid, boundary = _p2_row_with_dirichlet_data()
+    assembled = []
+    residual = assembly.assemble_step_residual
+    monkeypatch.setattr(assembly, "DIRECT_SOLVE_LIMIT", direct_limit)
+    monkeypatch.setattr(assembly, "assemble_step_residual",
+                        lambda *a, **k: assembled.append(1) or residual(*a, **k))
+    traj = solve_evolution(spec, 3, 1, grid, space=space)
+    moves = sum(rep.iterations for rep in traj.newton_reports)
+    held = direct_limit >= space.ndof
+    assert len(assembled) == grid.M + (0 if held else moves)
+    rule, bdofs = assembly.step_rule(space), space.boundary_dofs
+    for m, rep in enumerate(traj.newton_reports, start=1):
+        prev, f_quad = traj.snapshots[m - 1], average_force(spec.force, m, grid, space)
+        rhs = assembly.assemble_load(space, f_quad + space.eval_at(rule, prev.coeffs)
+                                     / grid.tau, rule)
+        rhs[bdofs] = boundary[m - 1]
+        r = assemble_step_residual(space, traj.snapshots[m], prev, grid.tau, f_quad,
+                                   spec.params, bc_values=boundary[m - 1])
+        assert rep.converged and not rep.at_floor
+        assert np.linalg.norm(r) <= timestepper.DEFAULT_TOL * (1.0 + np.linalg.norm(rhs))
+
+
+def test_p2_step_after_a_dead_end_assembles_its_residual(monkeypatch):
+    # a dead-end first direction hands the step to a Kacanov solve, which
+    # releases the held J: the residual after that move is assembled, not
+    # updated by a J the step no longer holds
+    spec, space, grid, boundary = _p2_row_with_dirichlet_data()
+    newton, residual = timestepper._newton_direction, assembly.assemble_step_residual
+    directions, residuals = [], []
+
+    def uphill_first(*args):
+        delta, kind, pcg = newton(*args)
+        directions.append(kind)
+        return (-delta if len(directions) == 1 else delta), kind, pcg
+
+    def recorded(*args, **kwargs):
+        residuals.append(residual(*args, **kwargs))
+        return residuals[-1]
+
+    monkeypatch.setattr(timestepper, "_newton_direction", uphill_first)
+    monkeypatch.setattr(assembly, "assemble_step_residual", recorded)
+    u0 = FeFunction(space, timestepper.initial_coefficients(spec, space))
+    u, rep = step(space, u0, 1, grid, spec, bc_values=boundary[0])
+    assert directions == ["factored"]
+    assert rep.converged and rep.kacanov_iterations == 1 and rep.iterations == 2
+    assert len(residuals) == 2  # at the start, and after the Kacanov move
+    assert rep.final_residual_norm == np.linalg.norm(residuals[-1])
 
 
 def test_floor_test_makes_abs_jacobian_once_per_held_matrix(monkeypatch):
