@@ -13,9 +13,8 @@ from .constitutive import (PLaplaceParams, SingularJacobian, DegenerateInput,
 from .fespace import (FeSpace, FeFunction, QuadratureRule, UnsupportedDegree,
                       build_space, quadrature, prolongation, eval_function,
                       eval_gradient)
-from .assembly import (LinearSolveReport, SpaceMismatch, MaxIterations,
-                       assemble_mass, assemble_load, assemble_stiffness,
-                       assemble_step_residual, assemble_step_jacobian,
+from .assembly import (LinearSolveReport, SpaceMismatch, assemble_mass, assemble_load,
+                       assemble_stiffness, assemble_step_residual, assemble_step_jacobian,
                        step_energy, solve_spd)
 from .projection import (NonFiniteValue, l2_project, nodal_interpolate,
                          averaged_boundary_values, verify_l2_decay, verify_v_stability)

@@ -21,9 +21,9 @@ every full-pattern entry in the pinned pattern is computed once per space,
 and the result is bitwise what `pin_rows_cols` makes of the unpinned matrix.
 `pin_rows_cols` and `apply_dirichlet` pin any other matrix.
 
-`solve_spd` solves directly with a sparse LU (`factor_spd`), or by
-preconditioned conjugate gradients along a given factorization, which may be
-that of a nearby matrix, or along the diagonal above DIRECT_SOLVE_LIMIT.
+`solve_spd` solves directly with a sparse LU (`factor_spd`) at every size,
+or attempts preconditioned conjugate gradients along a given factorization,
+which may be that of a nearby matrix.
 """
 
 from dataclasses import dataclass
@@ -37,8 +37,6 @@ from .constitutive import s_flux, ds_split, phi, phi_change, magnitude, sq_magni
 from .constitutive import ds_jacobian  # noqa: F401
 from .fespace import grad_rule, quadrature, step_rule
 
-DIRECT_SOLVE_LIMIT = 40000  # unknowns; above this solve_spd falls back to Jacobi-CG
-CG_TOL_DEFAULT = 1e-11
 # relative residual below which the direct solve is not refined; the
 # roundoff floor of b - A x lies between 1e-16 and 1e-13 on the step Jacobians
 REFINE_TARGET = 5e-15
@@ -49,15 +47,6 @@ JACOBIAN_BLOCK = 1024  # cells per block of the step Jacobian's element matrices
 
 class SpaceMismatch(Exception):
     """Operands built on different finite element spaces."""
-
-
-class MaxIterations(Exception):
-    """CG failed to reach the requested tolerance; carries the report."""
-
-    def __init__(self, report):
-        super().__init__(f"CG exceeded {report.iterations} iterations, "
-                         f"relative residual {report.relative_residual:.3e}")
-        self.report = report
 
 
 @dataclass(frozen=True)
@@ -345,13 +334,12 @@ def pcg_credit(lu, A):
     return int(nnz_l * nnz_l / A.shape[0]) // (lu.nnz + A.nnz)
 
 
-def _pcg(A, b, precond, target, maxiter, give_up):
+def _pcg(A, b, precond, target, maxiter):
     """Conjugate gradients on A x = b from x = 0, preconditioned by the SPD
     map `precond`, until ||b - A x|| <= target by the recursive residual r;
     returns (x, iterations, ||r||).  A curvature d.Ad <= 0 ends the
-    iteration.  With `give_up` it also ends as soon as the mean contraction
-    of the residual norm so far, kept up to `maxiter`, would not reach
-    target."""
+    iteration, and so does a mean contraction of the residual norm so far
+    that, kept up to `maxiter`, would not reach target."""
     x = np.zeros_like(b)
     r = b.copy()
     r0 = np.linalg.norm(r)
@@ -368,7 +356,7 @@ def _pcg(A, b, precond, target, maxiter, give_up):
         x += alpha * d
         r -= alpha * q
         rk = np.linalg.norm(r)
-        if rk <= target or (give_up and r0 * (rk / r0) ** (maxiter / k) > target):
+        if rk <= target or r0 * (rk / r0) ** (maxiter / k) > target:
             return x, k, rk
         z = precond(r)
         rz, rz_old = float(r @ z), rz
@@ -376,36 +364,33 @@ def _pcg(A, b, precond, target, maxiter, give_up):
     return x, maxiter, rk
 
 
-def solve_spd(A, b, tol=CG_TOL_DEFAULT, precond=None, maxiter=None):
+def solve_spd(A, b, tol=None, precond=None, maxiter=None):
     """Solve the SPD system A x = b; returns (x, LinearSolveReport).
 
     `precond` is None or a factorization from `factor_spd`.  Without
-    `maxiter` the solve is direct when `precond` is given, a factorization
-    of A or, for a chord solve, of a matrix near it, or when A has at most
-    DIRECT_SOLVE_LIMIT unknowns, and A is factored here: one solve, then at
-    most REFINE_PASSES passes of iterative refinement on A, taken only while
-    the relative residual exceeds REFINE_TARGET and each pass lowers it.
-    Above the limit with no `precond` it is conjugate gradients
-    preconditioned by A's diagonal (Jacobi) to relative residual `tol`;
-    MaxIterations is raised if 10 n iterations do not reach it.
+    `maxiter` the solve is direct, along `precond` when it is given, a
+    factorization of A or, for a chord solve, of a matrix near it, or else
+    along one of A made here at any size (a system too large to factor ends
+    in SciPy's MemoryError): one solve, then at most REFINE_PASSES passes of
+    iterative refinement on A, taken only while the relative residual
+    exceeds REFINE_TARGET and each pass lowers it.
 
     With `maxiter` it is an attempt by preconditioned conjugate gradients
-    (PCG) to relative residual `tol`, preconditioned by `precond`, which may
-    factor another matrix such as the Jacobian at a nearby state, or by A's
-    diagonal.  It ends after `maxiter` iterations, or as soon as its mean
+    (PCG) to relative residual `tol`, preconditioned by `precond`, which is
+    required and may factor another matrix such as the Jacobian at a nearby
+    state.  It ends after `maxiter` iterations, or as soon as its mean
     contraction per iteration, kept up to `maxiter`, would miss `tol`, and
     then returns (None, report).  Every PCG iterate x has b . x > 0, since
     it lowers x.Ax/2 - b.x below its value 0 at x = 0.
 
     The report gives the relative residual ||b - A x|| / ||b|| of the
     returned x (for a miss, the recursive one of the last iterate) and the
-    iterations: 1 for a direct solve, else the CG iterations.
+    iterations: 1 for a direct solve, else the PCG iterations.
     """
-    n = A.shape[0]
     b = np.asarray(b, dtype=float)
     bnorm = np.linalg.norm(b)
     scale = bnorm if bnorm > 0 else 1.0
-    if maxiter is None and (precond is not None or n <= DIRECT_SOLVE_LIMIT):
+    if maxiter is None:
         lu = factor_spd(A) if precond is None else precond
         x = lu.solve(b)
         r = b - A @ x
@@ -426,21 +411,10 @@ def solve_spd(A, b, tol=CG_TOL_DEFAULT, precond=None, maxiter=None):
         return x, LinearSolveReport(iterations=1, relative_residual=float(rel),
                                     method="direct")
     if precond is None:
-        diag = A.diagonal()
-        inverse = np.where(diag > 0, 1.0 / np.where(diag > 0, diag, 1.0), 1.0)
-
-        def apply(r):
-            return inverse * r
-    else:
-        apply = precond.solve
-    x, iterations, rnorm = _pcg(A, b, apply, tol * scale,
-                                10 * n if maxiter is None else maxiter, maxiter is not None)
+        raise ValueError("a PCG attempt needs a factorization as precond")
+    x, iterations, rnorm = _pcg(A, b, precond.solve, tol * scale, maxiter)
     if rnorm <= tol * scale:  # met by the recursion: confirmed on the true residual
         rnorm = np.linalg.norm(b - A @ x)
     report = LinearSolveReport(iterations=iterations, relative_residual=float(rnorm / scale),
                                method="cg")
-    if report.relative_residual <= tol:
-        return x, report
-    if maxiter is None:
-        raise MaxIterations(report)
-    return None, report
+    return (x if report.relative_residual <= tol else None), report

@@ -440,8 +440,8 @@ def _newton_direction(factored, space, u, tau, params, residual):
     lasts.  Without credit, or when PCG misses, the held factorization is
     released and J is factored anew with the credit `assembly.pcg_credit`,
     so the PCG work spent on one factorization costs at most about as much
-    as making it.  Returns (delta, kind, PCG iterations), kind "held",
-    "pcg", "factored" or, above DIRECT_SOLVE_LIMIT, "cg".
+    as making it.  Either way `factored` holds J afterwards.  Returns (delta,
+    kind, PCG iterations), kind "held", "pcg" or "factored".
     """
     if factored and params.p == 2.0:
         return assembly.solve_spd(factored[0], -residual, precond=factored[1])[0], "held", 0
@@ -458,8 +458,6 @@ def _newton_direction(factored, space, u, tau, params, residual):
         if delta is not None:
             return delta, "pcg", pcg
     factored.clear()  # released before the next factor is made
-    if jac.shape[0] > assembly.DIRECT_SOLVE_LIMIT:
-        return assembly.solve_spd(jac, -residual)[0], "cg", pcg
     lu = assembly.factor_spd(jac)
     factored[:] = jac, lu, np.inf, assembly.pcg_credit(lu, jac), None
     return assembly.solve_spd(jac, -residual, precond=factored[1])[0], "factored", pcg
@@ -480,12 +478,11 @@ def step(space, u_prev, m, grid, spec, tol=DEFAULT_TOL, bc_values=None, history=
     every state: the row's first step factors it, every Newton solve uses
     that, and a direction with slope < 0 moves the full step.  No step energy
     is evaluated (`NewtonReport.energy_values` books changes from 0.0), and
-    after a move along the held J the residual is r + J delta, not assembled;
-    it is assembled after a Kacanov move, which releases J, and above
-    DIRECT_SOLVE_LIMIT, where no J is held.  For p != 2
-    Newton directions come from `_newton_direction`: PCG along the held
-    factorization while it serves, else a fresh one, made after the old one
-    is released; the move is an Armijo line search.
+    after a Newton move, which leaves J held, the residual is r + J delta,
+    not assembled; it is assembled after a Kacanov move, which releases J.
+    For p != 2 Newton directions come from `_newton_direction`: PCG along the
+    held factorization while it serves, else a fresh one, made after the old
+    one is released; the move is an Armijo line search.
     Convergence when the Euclidean residual norm drops below
     tol * (1 + ||rhs||) with rhs the step load vector, or, with a held
     Jacobian J, below eps * ||abs(J) abs(u)|| (`NewtonReport.at_floor`).
@@ -601,7 +598,8 @@ def step(space, u_prev, m, grid, spec, tol=DEFAULT_TOL, bc_values=None, history=
             if not exact:
                 move = _armijo(change_along(u, delta), u, delta, slope)
             elif slope < 0.0:  # J delta = -r on a quadratic E: E(u + delta) - E(u) = slope / 2
-                # the residual is affine in u: r(u + delta) = r + J delta, J held
+                # the residual is affine in u: r(u + delta) = r + J delta, with J
+                # held after a Newton direction (a Kacanov solve releases it)
                 move = (u + delta, 0.5 * slope) + ((residual + factored[0] @ delta,)
                                                    if factored else ())
 

@@ -577,6 +577,26 @@ def test_cli_out_of_memory_is_one_line_exit_1(tmp_path, monkeypatch, capsys):
     assert not mesh.exists()
 
 
+def test_cli_run_out_of_memory_in_the_factorization_is_one_line_exit_1(tmp_path, monkeypatch,
+                                                                       capsys):
+    # every SPD solve factors with SuperLU, at any size: a system too large
+    # to factor ends in the MemoryError SciPy's SuperLU raises, which a real
+    # run reports as one line
+    from pheat import assembly, cli
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Not enough memory to perform factorization.")
+
+    monkeypatch.setattr(assembly.spla, "splu", out_of_memory)
+    out = tmp_path / "slit.csv"
+    cfgfile = tmp_path / "slit.cfg"
+    cfgfile.write_text(f"experiment = slit_constant_force\nlevels = 1:2\n"
+                       f"reference = 2:4:1\noutput_path = {out}\n")
+    assert cli.main(["run", "slit_constant_force", "--config", str(cfgfile)]) == 1
+    assert capsys.readouterr().err == "solver failure: out of memory\n"
+    assert not out.exists()
+
+
 def test_cli_bad_config_exit_2(tmp_path):
     cfgfile = tmp_path / "bad.cfg"
     cfgfile.write_text("experiment = known_solution\nbogus = 1\n")

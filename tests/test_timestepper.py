@@ -661,22 +661,17 @@ def test_p2_step_moves_the_full_newton_step(monkeypatch):
                 <= 1e-12 * (abs(e_end) + abs(e_start)))
 
 
-@pytest.mark.parametrize("direct_limit", [assembly.DIRECT_SOLVE_LIMIT, 10])
-def test_p2_row_converges_by_its_assembled_residual(monkeypatch, direct_limit):
+def test_p2_row_converges_by_its_assembled_residual(monkeypatch):
     # the residual updated by J delta stands for the assembled one: at every
     # step's end the assembled residual meets tol * (1 + ||rhs||).  A step
-    # assembles it once, at its start; above DIRECT_SOLVE_LIMIT no J is held,
-    # and it is assembled after every move as well
+    # assembles it once, at its start
     spec, space, grid, boundary = _p2_row_with_dirichlet_data()
     assembled = []
     residual = assembly.assemble_step_residual
-    monkeypatch.setattr(assembly, "DIRECT_SOLVE_LIMIT", direct_limit)
     monkeypatch.setattr(assembly, "assemble_step_residual",
                         lambda *a, **k: assembled.append(1) or residual(*a, **k))
     traj = solve_evolution(spec, 3, 1, grid, space=space)
-    moves = sum(rep.iterations for rep in traj.newton_reports)
-    held = direct_limit >= space.ndof
-    assert len(assembled) == grid.M + (0 if held else moves)
+    assert len(assembled) == grid.M
     rule, bdofs = assembly.step_rule(space), space.boundary_dofs
     for m, rep in enumerate(traj.newton_reports, start=1):
         prev, f_quad = traj.snapshots[m - 1], average_force(spec.force, m, grid, space)
