@@ -6,8 +6,8 @@ Run:  python demos/04_implicit_euler_step.py
 
 import numpy as np
 
-from pheat import (ConstantForce, PLaplaceParams, ProblemSpec, TimeGrid,
-                   solve_evolution, theta_density)
+from pheat import (ConstantForce, PLaplaceParams, ProblemSpec, TimeGrid, build_space,
+                   refine_to_level, solve_evolution, theta_density)
 from pheat.timestepper import theta_average_power
 
 grid = TimeGrid(-0.1, 0.1, 8)
@@ -24,7 +24,8 @@ print("  ", " ".join(f"{v:+8.3f}" for v in vals))
 print("\np-heat evolution with f = 2 on the slit domain, p = 1.5:")
 spec = ProblemSpec(params=PLaplaceParams(p=1.5, kappa=0.0), domain="slit",
                    force=ConstantForce(2.0))
-traj = solve_evolution(spec, 2, 1, TimeGrid(0.0, 1.0, 8))
+space = build_space(refine_to_level("slit", 2), 1)
+traj = solve_evolution(spec, space, TimeGrid(0.0, 1.0, 8))
 for m, rep in enumerate(traj.newton_reports, start=1):
     drop = rep.energy_values[0] - rep.energy_values[-1]
     print(f"  step {m}: {rep.iterations:2d} Newton iterations, "

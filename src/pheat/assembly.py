@@ -21,9 +21,9 @@ every full-pattern entry in the pinned pattern is computed once per space,
 and the result is bitwise what `pin_rows_cols` makes of the unpinned matrix.
 `pin_rows_cols` and `apply_dirichlet` pin any other matrix.
 
-`solve_spd` solves directly with a sparse LU (`factor_spd`) at every size,
-or attempts preconditioned conjugate gradients along a given factorization,
-which may be that of a nearby matrix.
+`solve_spd` solves directly with a sparse LU (`factor_spd`) at every size;
+`pcg_attempt` tries preconditioned conjugate gradients along a given
+factorization, which may be that of a nearby matrix.
 """
 
 from dataclasses import dataclass
@@ -53,7 +53,6 @@ class SpaceMismatch(Exception):
 class LinearSolveReport:
     iterations: int
     relative_residual: float
-    method: str
 
 
 def _pattern(space):
@@ -306,7 +305,7 @@ def step_energy_line(space, u, delta, u_prev, tau, f_quad, params):
 
 
 def factor_spd(A):
-    """Sparse LU of an SPD matrix, as the direct path of `solve_spd` makes it.
+    """Sparse LU of an SPD matrix, as `solve_spd` makes it.
 
     SuperLU in symmetric mode: a minimum-degree ordering of A + A^T and
     pivots taken from the diagonal (threshold 0), which is stable for an SPD
@@ -334,87 +333,79 @@ def pcg_credit(lu, A):
     return int(nnz_l * nnz_l / A.shape[0]) // (lu.nnz + A.nnz)
 
 
-def _pcg(A, b, precond, target, maxiter):
-    """Conjugate gradients on A x = b from x = 0, preconditioned by the SPD
-    map `precond`, until ||b - A x|| <= target by the recursive residual r;
-    returns (x, iterations, ||r||).  A curvature d.Ad <= 0 ends the
-    iteration, and so does a mean contraction of the residual norm so far
-    that, kept up to `maxiter`, would not reach target."""
-    x = np.zeros_like(b)
-    r = b.copy()
-    r0 = np.linalg.norm(r)
-    if r0 <= target:
-        return x, 0, r0
-    z = precond(r)
-    d, rz = z, float(r @ z)
-    for k in range(1, maxiter + 1):
-        q = A @ d
-        curvature = float(d @ q)
-        if not curvature > 0.0:
-            return x, k - 1, float(np.linalg.norm(r))
-        alpha = rz / curvature
-        x += alpha * d
-        r -= alpha * q
-        rk = np.linalg.norm(r)
-        if rk <= target or r0 * (rk / r0) ** (maxiter / k) > target:
-            return x, k, rk
-        z = precond(r)
-        rz, rz_old = float(r @ z), rz
-        d = z + (rz / rz_old) * d
-    return x, maxiter, rk
+def solve_spd(A, b, lu=None):
+    """Solve the SPD system A x = b directly; returns (x, LinearSolveReport).
 
-
-def solve_spd(A, b, tol=None, precond=None, maxiter=None):
-    """Solve the SPD system A x = b; returns (x, LinearSolveReport).
-
-    `precond` is None or a factorization from `factor_spd`.  Without
-    `maxiter` the solve is direct, along `precond` when it is given, a
-    factorization of A or, for a chord solve, of a matrix near it, or else
-    along one of A made here at any size (a system too large to factor ends
-    in SciPy's MemoryError): one solve, then at most REFINE_PASSES passes of
-    iterative refinement on A, taken only while the relative residual
-    exceeds REFINE_TARGET and each pass lowers it.
-
-    With `maxiter` it is an attempt by preconditioned conjugate gradients
-    (PCG) to relative residual `tol`, preconditioned by `precond`, which is
-    required and may factor another matrix such as the Jacobian at a nearby
-    state.  It ends after `maxiter` iterations, or as soon as its mean
-    contraction per iteration, kept up to `maxiter`, would miss `tol`, and
-    then returns (None, report).  Every PCG iterate x has b . x > 0, since
-    it lowers x.Ax/2 - b.x below its value 0 at x = 0.
-
-    The report gives the relative residual ||b - A x|| / ||b|| of the
-    returned x (for a miss, the recursive one of the last iterate) and the
-    iterations: 1 for a direct solve, else the PCG iterations.
+    The solve goes along `lu`, a `factor_spd` factorization of A or, for a
+    chord solve, of a matrix near it, or else along one of A made here at
+    any size (a system too large to factor ends in SciPy's MemoryError):
+    one solve, then at most REFINE_PASSES passes of iterative refinement on
+    A, taken only while the relative residual exceeds REFINE_TARGET and each
+    pass lowers it.  The report gives the relative residual ||b - A x|| /
+    ||b|| of x and one iteration.
     """
     b = np.asarray(b, dtype=float)
     bnorm = np.linalg.norm(b)
     scale = bnorm if bnorm > 0 else 1.0
-    if maxiter is None:
-        lu = factor_spd(A) if precond is None else precond
-        x = lu.solve(b)
-        r = b - A @ x
-        rel = np.linalg.norm(r) / scale
-        # the step Jacobians can be very ill-conditioned (degenerate gradients
-        # next to the slit tip); refinement keeps Newton directions usable
-        # down to tiny residuals.  A pass that does not lower the residual
-        # has met the roundoff floor of b - A x and is discarded.
-        for _ in range(REFINE_PASSES):
-            if rel <= REFINE_TARGET:
+    lu = factor_spd(A) if lu is None else lu
+    x = lu.solve(b)
+    r = b - A @ x
+    rel = np.linalg.norm(r) / scale
+    # the step Jacobians can be very ill-conditioned (degenerate gradients
+    # next to the slit tip); refinement keeps Newton directions usable
+    # down to tiny residuals.  A pass that does not lower the residual
+    # has met the roundoff floor of b - A x and is discarded.
+    for _ in range(REFINE_PASSES):
+        if rel <= REFINE_TARGET:
+            break
+        x_new = x + lu.solve(r)
+        r_new = b - A @ x_new
+        rel_new = np.linalg.norm(r_new) / scale
+        if rel_new >= rel:
+            break
+        x, r, rel = x_new, r_new, rel_new
+    return x, LinearSolveReport(iterations=1, relative_residual=float(rel))
+
+
+def pcg_attempt(A, b, lu, rtol, maxiter):
+    """Attempt A x = b by conjugate gradients from x = 0, preconditioned by
+    `lu`, a `factor_spd` factorization that may be of another matrix such
+    as the Jacobian at a nearby state; returns (x or None, LinearSolveReport).
+
+    The attempt succeeds once the relative residual ||b - A x|| / ||b|| is
+    at most `rtol` by the recursive residual r, confirmed on the true one.
+    It misses, returning None, after `maxiter` iterations, at a curvature
+    d.Ad <= 0, or as soon as the mean contraction of ||r|| so far, kept up
+    to `maxiter`, would not reach `rtol`.  Every iterate x has b . x > 0,
+    since it lowers x.Ax/2 - b.x below its value 0 at x = 0.  The report
+    gives the iterations and the relative residual of x (for a miss, the
+    recursive one of the last iterate).
+    """
+    b = np.asarray(b, dtype=float)
+    x, r = np.zeros_like(b), b.copy()
+    rnorm = r0 = np.linalg.norm(r)
+    scale = r0 if r0 > 0 else 1.0
+    target = rtol * scale
+    iterations = 0
+    if r0 > target:
+        z = lu.solve(r)
+        d, rz = z, float(r @ z)
+        for k in range(1, maxiter + 1):
+            q = A @ d
+            curvature = float(d @ q)
+            if not curvature > 0.0:
                 break
-            x_new = x + lu.solve(r)
-            r_new = b - A @ x_new
-            rel_new = np.linalg.norm(r_new) / scale
-            if rel_new >= rel:
+            iterations = k
+            alpha = rz / curvature
+            x += alpha * d
+            r -= alpha * q
+            rnorm = np.linalg.norm(r)
+            if rnorm <= target or r0 * (rnorm / r0) ** (maxiter / k) > target:
                 break
-            x, r, rel = x_new, r_new, rel_new
-        return x, LinearSolveReport(iterations=1, relative_residual=float(rel),
-                                    method="direct")
-    if precond is None:
-        raise ValueError("a PCG attempt needs a factorization as precond")
-    x, iterations, rnorm = _pcg(A, b, precond.solve, tol * scale, maxiter)
-    if rnorm <= tol * scale:  # met by the recursion: confirmed on the true residual
+            z = lu.solve(r)
+            rz, rz_old = float(r @ z), rz
+            d = z + (rz / rz_old) * d
+    if rnorm <= target:  # met by the recursion: confirmed on the true residual
         rnorm = np.linalg.norm(b - A @ x)
-    report = LinearSolveReport(iterations=iterations, relative_residual=float(rnorm / scale),
-                               method="cg")
-    return (x if report.relative_residual <= tol else None), report
+    report = LinearSolveReport(iterations=iterations, relative_residual=float(rnorm / scale))
+    return (x if report.relative_residual <= rtol else None), report

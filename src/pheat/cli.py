@@ -21,6 +21,7 @@ import sys
 from . import experiments
 from .error_metrics import empirical_order, read_csv
 from .experiments import ConfigError, default_config, parse_config_file
+from .fespace import build_space
 from .mesh import refine_to_level
 from .timestepper import NonConvergence, TimeGrid, solve_evolution
 
@@ -56,7 +57,7 @@ def cmd_eoc(args):
 def cmd_dump_mesh(args):
     try:
         mesh = refine_to_level(args.domain, args.level)
-    except ValueError as exc:  # an unknown domain or a negative level
+    except ValueError as exc:  # an unknown domain or a level outside [0, MAX_LEVEL]
         raise ConfigError(str(exc)) from exc
     with open(args.out, "w") as fh:
         mesh.dump(fh)
@@ -72,7 +73,8 @@ def cmd_dump_solution(args):
     # solve the first schedule row and dump its trajectory
     level, M = cfg.levels[0]
     t0, t_end = experiments.STUDIES[cfg.experiment].interval
-    traj = solve_evolution(spec, level, cfg.r, TimeGrid(t0, t_end, M), tol=cfg.tol)
+    space = build_space(refine_to_level(spec.domain, level), cfg.r)
+    traj = solve_evolution(spec, space, TimeGrid(t0, t_end, M), tol=cfg.tol)
     traj.dump(args.out)
     _log(f"wrote trajectory ({M + 1} snapshots) to {args.out}")
     return 0

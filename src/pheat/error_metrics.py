@@ -154,7 +154,7 @@ def exact_fields(exact, space, params, quad_degree=ERROR_QUADRATURE_DEGREE):
                        sq_v_profile=space.integrate(rule, sq_magnitude(v_prof)))
 
 
-def _exact_errors(traj, fields, grid):
+def _exact_errors(traj, fields):
     """Every windowed quantity from the separable form u = a(t) U(x).
 
     V(grad u) = b(t) V(grad U) and S(grad u) = c(t) S(grad U) with
@@ -166,7 +166,8 @@ def _exact_errors(traj, fields, grid):
     |J_m| ||V_h - b_bar V(grad U)||^2 + ||V(grad U)||^2
     sum_j w_j (b_j - b_bar)^2, which has no cancelling terms.
     """
-    space, ref, params, ops = traj.space, fields.exact, fields.params, fields.ops
+    space, grid, ops = traj.space, traj.grid, fields.ops
+    ref, params = fields.exact, fields.params
     rule = quadrature(fields.quad_degree)
     pprime = params.p_conjugate
     prof, v_prof, s_prof = fields.profile, fields.v_profile, fields.s_profile
@@ -231,10 +232,10 @@ def _trapezoid_average(ref_traj, grid, m):
     return coeffs / weights.sum()
 
 
-def _check_discrete_compat(traj, ref_traj, grid):
+def _check_discrete_compat(traj, ref_traj):
     """The run's prolongation to the reference space; IncompatibleHierarchy
     unless the reference refines the run's grid and mesh at no lower degree."""
-    rg = ref_traj.grid
+    grid, rg = traj.grid, ref_traj.grid
     if not (np.isclose(rg.t0, grid.t0) and np.isclose(rg.t_end, grid.t_end)):
         raise IncompatibleHierarchy("reference grid covers a different interval")
     if rg.M % grid.M != 0:
@@ -245,10 +246,10 @@ def _check_discrete_compat(traj, ref_traj, grid):
         raise IncompatibleHierarchy(str(exc)) from exc
 
 
-def _discrete_errors(traj, ref_traj, grid, params, quad_degree):
+def _discrete_errors(traj, ref_traj, params, quad_degree):
     """The run, prolongated to the reference space, against the reference."""
-    prolong = _check_discrete_compat(traj, ref_traj, grid)
-    ref_space = ref_traj.space
+    prolong = _check_discrete_compat(traj, ref_traj)
+    grid, ref_space = traj.grid, ref_traj.space
     rule = quadrature(quad_degree)
     ops = ref_space.operators(rule)
     pprime = params.p_conjugate
@@ -288,26 +289,26 @@ def _as_fields(traj, ref, params, quad_degree):
     return ref
 
 
-def v_error_breakdown(traj, ref, grid, params, quad_degree=ERROR_QUADRATURE_DEGREE):
+def v_error_breakdown(traj, ref, params, quad_degree=ERROR_QUADRATURE_DEGREE):
     """Window decomposition of sq_l2_v (exact references only)."""
     if not isinstance(ref, (ExactSolution, ExactFields)):
         raise TypeError("breakdown requires an exact reference")
-    d = _exact_errors(traj, _as_fields(traj, ref, params, quad_degree), grid)
+    d = _exact_errors(traj, _as_fields(traj, ref, params, quad_degree))
     return VErrorBreakdown(**{f.name: d[f.name] for f in fields(VErrorBreakdown)})
 
 
-def compute_error_report(traj, ref, grid, params, quad_degree=ERROR_QUADRATURE_DEGREE):
-    """Every error quantity of `traj` against an ExactSolution (or its
-    ExactFields on traj's space) or a reference Trajectory on a nested finer
-    mesh and grid, in one pass."""
+def compute_error_report(traj, ref, params, quad_degree=ERROR_QUADRATURE_DEGREE):
+    """Every error quantity of `traj`, on its own space and grid, against an
+    ExactSolution (or its ExactFields on traj's space) or a reference
+    Trajectory on a nested finer mesh and grid, in one pass."""
     if isinstance(ref, (ExactSolution, ExactFields)):
-        d = _exact_errors(traj, _as_fields(traj, ref, params, quad_degree), grid)
+        d = _exact_errors(traj, _as_fields(traj, ref, params, quad_degree))
     elif isinstance(ref, Trajectory):
-        d = _discrete_errors(traj, ref, grid, params, quad_degree)
+        d = _discrete_errors(traj, ref, params, quad_degree)
     else:
         raise TypeError(f"unknown reference type {type(ref)!r}")
-    return ErrorReport(ndof=traj.space.ndof, M=grid.M,
-                       h=mesh_quality(traj.space.mesh).h_max, tau=grid.tau,
+    return ErrorReport(ndof=traj.space.ndof, M=traj.grid.M,
+                       h=mesh_quality(traj.space.mesh).h_max, tau=traj.grid.tau,
                        sq_linfty_l2=d["sq_linfty_l2"], sq_l2_v=d["sq_l2_v"],
                        sq_l2_v_avg=d["sq_l2_v_avg"], raw_lp_sum=d["raw_lp_sum"],
                        sq_lp_s=d["raw_lp_sum"] ** (2.0 / params.p_conjugate))

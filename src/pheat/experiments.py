@@ -32,7 +32,7 @@ from .error_metrics import (ExactSolution, InsufficientData, compute_error_repor
                             empirical_order, exact_fields, write_csv, write_dat,
                             write_manifest)
 from .fespace import MAX_QUADRATURE_DEGREE, build_space, quadrature
-from .mesh import make_initial_mesh, refine_uniform
+from .mesh import MAX_LEVEL, make_initial_mesh, refine_uniform
 from .timestepper import (ConstantForce, PowerTimeForce, SeparableForce, ProblemSpec,
                           TimeGrid, initial_coefficients, solve_evolution)
 
@@ -214,8 +214,9 @@ def validate_config(cfg):
         raise ConfigError("empty level schedule")
     schedule = list(cfg.levels) + ([cfg.reference[:2]] if cfg.reference is not None else [])
     for lvl, m in schedule:
-        if lvl < 0 or m < 1:
-            raise ConfigError(f"need mesh level >= 0 and M >= 1, got {lvl}:{m}")
+        if not 0 <= lvl <= MAX_LEVEL or m < 1:
+            raise ConfigError(f"need mesh level in [0, {MAX_LEVEL}] and M >= 1, "
+                              f"got {lvl}:{m}")
     if cfg.reference is not None:
         if STUDIES[cfg.experiment].reference is None:
             raise ConfigError(f"{cfg.experiment} has an exact reference; drop `reference`")
@@ -394,16 +395,14 @@ def run_experiment(cfg):
                            None if exact is None else
                            exact_fields(exact, space, cfg.params, cfg.quad_degree))
         space, initial, fields = shared[lvl]
-        grid = TimeGrid(t0, t_end, M)
-        traj = solve_evolution(spec, lvl, cfg.r, grid, tol=cfg.tol, space=space,
+        traj = solve_evolution(spec, space, TimeGrid(t0, t_end, M), tol=cfg.tol,
                                initial=initial)
         if fields is None and reference is None:
             ref_level, ref_m, ref_deg = cfg.reference
-            reference = solve_evolution(
-                spec, ref_level, ref_deg, TimeGrid(t0, t_end, ref_m), tol=cfg.tol,
-                space=build_space(meshes[ref_level], ref_deg))
+            reference = solve_evolution(spec, build_space(meshes[ref_level], ref_deg),
+                                        TimeGrid(t0, t_end, ref_m), tol=cfg.tol)
         reports.append(compute_error_report(traj, reference if fields is None else fields,
-                                            grid, cfg.params, quad_degree=cfg.quad_degree))
+                                            cfg.params, quad_degree=cfg.quad_degree))
         if last_row[lvl] == i:  # the level's rows are done
             del shared[lvl], space, initial, fields
     write_csv(reports, cfg.output_path)

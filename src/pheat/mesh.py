@@ -23,6 +23,11 @@ from functools import cached_property
 import numpy as np
 
 DOMAINS = ("unit_square", "centered_square", "shifted_square", "slit")
+# the finest level `refine_to_level` makes and a config may name: the CSR
+# patterns of `assembly` store int32 indices, and a P3 space on an
+# 8-triangle template has about 6.5e8 pattern entries at level 10 and 2.6e9,
+# past 2^31, at level 11
+MAX_LEVEL = 10
 
 _EPS_ON_CUT = 1e-12
 
@@ -216,9 +221,10 @@ def refine_uniform(mesh):
 
 
 def refine_to_level(domain, level):
-    """Coarse template refined `level` times (hierarchy retained)."""
-    if level < 0:
-        raise ValueError(f"level must be >= 0, got {level}")
+    """Coarse template refined `level` times (hierarchy retained), for
+    0 <= level <= MAX_LEVEL; ValueError otherwise."""
+    if not 0 <= level <= MAX_LEVEL:
+        raise ValueError(f"level must be in [0, {MAX_LEVEL}], got {level}")
     m = make_initial_mesh(domain)
     for _ in range(level):
         m = refine_uniform(m)

@@ -52,8 +52,7 @@ import numpy as np
 
 from . import assembly
 from .constitutive import magnitude
-from .fespace import FeFunction, build_space, gauss_segments
-from .mesh import refine_to_level
+from .fespace import FeFunction, gauss_segments
 from .projection import build_boundary_data, l2_project
 
 DEFAULT_TOL = 1e-10
@@ -432,27 +431,29 @@ def _newton_direction(factored, space, u, tau, params, residual):
     """The Newton direction -J^-1 r at the iterate u, and how it was found.
 
     `factored` is the row's held factorization (see `step`).  At p = 2 the
-    held Jacobian is J at every state.  Otherwise J is assembled, replacing
-    the held Jacobian, which is freed first, and solved by PCG along the
-    held factorization (relative residual PCG_RTOL, a fixed forcing term of
-    inexact Newton, Eisenstat and Walker, SIAM J. Sci. Comput. 17, 1996; at
-    most PCG_MAX_ITERATIONS iterations) while the factorization's credit
-    lasts.  Without credit, or when PCG misses, the held factorization is
-    released and J is factored anew with the credit `assembly.pcg_credit`,
-    so the PCG work spent on one factorization costs at most about as much
-    as making it.  Either way `factored` holds J afterwards.  Returns (delta,
-    kind, PCG iterations), kind "held", "pcg" or "factored".
+    held Jacobian is J at every state, solved directly along it
+    (`assembly.solve_spd`).  Otherwise J is assembled, replacing the held
+    Jacobian, which is freed first, and attempted by PCG along the held
+    factorization (`assembly.pcg_attempt`: relative residual PCG_RTOL, a
+    fixed forcing term of inexact Newton, Eisenstat and Walker, SIAM J. Sci.
+    Comput. 17, 1996; at most PCG_MAX_ITERATIONS iterations) while the
+    factorization's credit lasts.  Without credit, or when PCG misses, the
+    held factorization is released and J is factored anew with the credit
+    `assembly.pcg_credit` and solved directly along it, so the PCG work
+    spent on one factorization costs at most about as much as making it.
+    Either way `factored` holds J afterwards.  Returns (delta, kind, PCG
+    iterations), kind "held", "pcg" or "factored".
     """
     if factored and params.p == 2.0:
-        return assembly.solve_spd(factored[0], -residual, precond=factored[1])[0], "held", 0
+        return assembly.solve_spd(factored[0], -residual, lu=factored[1])[0], "held", 0
     if factored:
         factored[0] = factored[4] = None
     jac = assembly.assemble_step_jacobian(space, FeFunction(space, u), tau, params)
     pcg = 0
     if factored and factored[3] > 0:
         factored[0] = jac
-        delta, rep = assembly.solve_spd(jac, -residual, tol=PCG_RTOL, precond=factored[1],
-                                        maxiter=min(PCG_MAX_ITERATIONS, factored[3]))
+        delta, rep = assembly.pcg_attempt(jac, -residual, factored[1], PCG_RTOL,
+                                          min(PCG_MAX_ITERATIONS, factored[3]))
         factored[3] -= rep.iterations
         pcg = rep.iterations
         if delta is not None:
@@ -460,7 +461,7 @@ def _newton_direction(factored, space, u, tau, params, residual):
     factored.clear()  # released before the next factor is made
     lu = assembly.factor_spd(jac)
     factored[:] = jac, lu, np.inf, assembly.pcg_credit(lu, jac), None
-    return assembly.solve_spd(jac, -residual, precond=factored[1])[0], "factored", pcg
+    return assembly.solve_spd(jac, -residual, lu=lu)[0], "factored", pcg
 
 
 def step(space, u_prev, m, grid, spec, tol=DEFAULT_TOL, bc_values=None, history=(),
@@ -581,7 +582,7 @@ def step(space, u_prev, m, grid, spec, tol=DEFAULT_TOL, bc_values=None, history=
             # Chord move: the slope along the held factor, predicted from its last
             # Newton direction and found below the energy's resolution, keeps the
             # move if the residual norm at least halves; else Newton follows.
-            chord = assembly.solve_spd(factored[0], -residual, precond=factored[1])[0]
+            chord = assembly.solve_spd(factored[0], -residual, lu=factored[1])[0]
             if abs(float(residual @ chord)) < resolution:
                 r_trial = residual_at(u + chord)
                 if np.linalg.norm(r_trial) <= CHORD_PROGRESS * rnorm:
@@ -632,7 +633,7 @@ def initial_coefficients(spec, space):
     return np.zeros(space.ndof) if spec.initial is None else l2_project(space, spec.initial).coeffs
 
 
-def solve_evolution(spec, level, degree, grid, tol=DEFAULT_TOL, space=None, initial=None):
+def solve_evolution(spec, space, grid, tol=DEFAULT_TOL, initial=None):
     """Run the implicit Euler scheme; returns the Trajectory.
 
     The initial snapshot is `initial` (default: `initial_coefficients`, the
@@ -641,14 +642,10 @@ def solve_evolution(spec, level, degree, grid, tol=DEFAULT_TOL, space=None, init
     Each later snapshot solves the discrete weak form to the Newton
     tolerance.  The steps share one factored step Jacobian (see `step`); at
     p = 2 it is made on the first step and serves every later one.
-    A given `space` must be the degree-`degree` space on `spec.domain` at
-    `level`; ValueError otherwise.
+    `space` must be a space on `spec.domain`; ValueError otherwise.
     """
-    if space is None:
-        space = build_space(refine_to_level(spec.domain, level), degree)
-    elif (space.mesh.domain, space.mesh.level, space.degree) != (spec.domain, level, degree):
-        raise ValueError(f"space is {space.mesh.domain} level {space.mesh.level} degree "
-                         f"{space.degree}, not {spec.domain} level {level} degree {degree}")
+    if space.mesh.domain != spec.domain:
+        raise ValueError(f"space is on {space.mesh.domain}, not on {spec.domain}")
 
     boundary = build_boundary_data(space, grid, spec.boundary)
     u0 = initial_coefficients(spec, space) if initial is None else np.array(initial, dtype=float)

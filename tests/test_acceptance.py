@@ -213,7 +213,7 @@ def test_accept_05_discrete_energy_identities(rng):
         spec = ProblemSpec(params=params, domain="unit_square", force=ConstantForce(0.0),
                            initial=lambda pts: np.sin(np.pi * pts[:, 0])
                            * np.sin(np.pi * pts[:, 1]))
-        traj = solve_evolution(spec, 3, 1, TimeGrid(0.0, T, 8), space=space)
+        traj = solve_evolution(spec, space, TimeGrid(0.0, T, 8))
         u0sq = space.integrate(rule, space.eval_at(rule, traj.snapshots[0].coeffs) ** 2)
         dissip = 0.0
         for snap in traj.snapshots[1:]:
@@ -270,8 +270,10 @@ def test_accept_07_omega2_optimal_averaged_rate(tmp_path):
     exact, force = known_solution_fields(params)
     spec = ProblemSpec(params=params, domain="shifted_square", force=force,
                        initial=lambda pts: exact.u(pts, -1.0), boundary=exact.u)
-    fine_few = solve_evolution(spec, 5, 1, TimeGrid(-1.0, 1.0, 4))
-    coarse_many = solve_evolution(spec, 1, 1, TimeGrid(-1.0, 1.0, 512))
+    fine_few = solve_evolution(spec, build_space(refine_to_level("shifted_square", 5), 1),
+                               TimeGrid(-1.0, 1.0, 4))
+    coarse_many = solve_evolution(spec, build_space(refine_to_level("shifted_square", 1), 1),
+                                  TimeGrid(-1.0, 1.0, 512))
     extremes_ok = (all(r.converged for r in fine_few.newton_reports)
                    and all(r.converged for r in coarse_many.newton_reports))
 

@@ -12,17 +12,21 @@ from pheat.timestepper import (ConstantForce, ProblemSpec, TimeGrid, Trajectory,
                                solve_evolution)
 
 
+def _evolve(spec, level, degree, grid):
+    return solve_evolution(spec, build_space(refine_to_level(spec.domain, level), degree), grid)
+
+
 def _zero_traj(level, M, degree=1, domain="unit_square"):
     params = PLaplaceParams(p=1.5, kappa=0.0)
     spec = ProblemSpec(params=params, domain=domain, force=ConstantForce(0.0))
-    return solve_evolution(spec, level, degree, TimeGrid(0.0, 1.0, M)), params
+    return _evolve(spec, level, degree, TimeGrid(0.0, 1.0, M)), params
 
 
 def test_reference_equals_run_degenerate_config():
     # zero force, zero data: the trajectory is identically zero; comparing the
     # run against itself as a discrete reference gives zero for every metric
     traj, params = _zero_traj(1, 4)
-    rep = compute_error_report(traj, traj, traj.grid, params)
+    rep = compute_error_report(traj, traj, params)
     assert rep.sq_linfty_l2 == 0.0
     assert rep.sq_l2_v == 0.0 and rep.sq_l2_v_avg == 0.0
     assert rep.sq_lp_s == 0.0
@@ -37,7 +41,7 @@ def test_exact_constant_reference_zero_error():
     ref = ExactSolution(profile=lambda pts: np.full(len(pts), 2.5),
                         profile_grad=lambda pts: np.zeros((len(pts), 2)),
                         amplitude=lambda t: 1.0)
-    rep = compute_error_report(traj, ref, grid, params)
+    rep = compute_error_report(traj, ref, params)
     assert rep.sq_linfty_l2 < 1e-24
     assert rep.sq_l2_v < 1e-24 and rep.sq_l2_v_avg < 1e-24
 
@@ -51,7 +55,7 @@ def test_one_versus_zero_unit_square():
     ref = ExactSolution(profile=lambda pts: np.zeros(len(pts)),
                         profile_grad=lambda pts: np.zeros((len(pts), 2)),
                         amplitude=lambda t: 1.0)
-    assert compute_error_report(traj, ref, grid, params).sq_linfty_l2 == pytest.approx(
+    assert compute_error_report(traj, ref, params).sq_linfty_l2 == pytest.approx(
         1.0, abs=1e-13)
 
 
@@ -63,7 +67,7 @@ def _smooth_run(level=2, M=4):
     spec = ProblemSpec(params=params, domain="unit_square", force=force,
                        initial=lambda pts: exact.u(pts, 0.0))
     grid = TimeGrid(0.0, 1.0, M)
-    return solve_evolution(spec, level, 1, grid), exact, grid, params
+    return _evolve(spec, level, 1, grid), exact, grid, params
 
 
 def test_p2_v_error_equals_gradient_error():
@@ -71,7 +75,7 @@ def test_p2_v_error_equals_gradient_error():
     # coded H1-seminorm error accumulation
     traj, exact, grid, params = _smooth_run()
     space = traj.space
-    v = compute_error_report(traj, exact, grid, params).sq_l2_v
+    v = compute_error_report(traj, exact, params).sq_l2_v
 
     rule = quadrature(8)
     pts = space.physical_points(rule)
@@ -155,8 +159,8 @@ def test_exact_pass_matches_per_node_loop(experiment, grid, closed_forms):
 
     cfg = default_config(experiment)
     spec, exact = build_spec(cfg)
-    traj = solve_evolution(spec, 2, 1, grid)
-    report = compute_error_report(traj, exact, grid, cfg.params)
+    traj = _evolve(spec, 2, 1, grid)
+    report = compute_error_report(traj, exact, cfg.params)
     expected = _per_node_errors(traj, exact, grid, cfg.params, closed_forms)
     for field in ("sq_linfty_l2", "sq_l2_v", "sq_l2_v_avg", "raw_lp_sum"):
         assert getattr(report, field) == pytest.approx(expected[field], rel=1e-12, abs=0.0), field
@@ -176,7 +180,7 @@ def test_exact_pass_evaluates_each_time_node_once(experiment, grid, split):
 
     cfg = default_config(experiment)
     spec, exact = build_spec(cfg)
-    traj = solve_evolution(spec, 1, 1, grid)
+    traj = _evolve(spec, 1, 1, grid)
     calls = {"profile": 0, "profile_grad": 0}
     times = []
 
@@ -187,11 +191,11 @@ def test_exact_pass_evaluates_each_time_node_once(experiment, grid, split):
     counting = replace(exact, profile=counted("profile"),
                        profile_grad=counted("profile_grad"),
                        amplitude=lambda t: times.append(t) or exact.amplitude(t))
-    report = compute_error_report(traj, counting, grid, cfg.params)
+    report = compute_error_report(traj, counting, cfg.params)
     assert calls == {"profile": 1, "profile_grad": 1}
     assert len(times) == 5 * (grid.M + split)
     assert len(set(times)) == len(times)
-    assert report == compute_error_report(traj, exact, grid, cfg.params)
+    assert report == compute_error_report(traj, exact, cfg.params)
 
 
 def test_exact_fields_serve_only_their_space_params_and_degree():
@@ -203,18 +207,18 @@ def test_exact_fields_serve_only_their_space_params_and_degree():
     cfg = default_config("p2_validation")
     spec, exact = build_spec(cfg)
     grid = TimeGrid(0.0, 1.0, 4)
-    traj = solve_evolution(spec, 2, 1, grid)
+    traj = _evolve(spec, 2, 1, grid)
     fields = exact_fields(exact, traj.space, cfg.params)
-    assert repr(compute_error_report(traj, fields, grid, cfg.params)) == \
-        repr(compute_error_report(traj, exact, grid, cfg.params))
-    assert v_error_breakdown(traj, fields, grid, cfg.params).sq_l2_v == \
-        v_error_breakdown(traj, exact, grid, cfg.params).sq_l2_v
+    assert repr(compute_error_report(traj, fields, cfg.params)) == \
+        repr(compute_error_report(traj, exact, cfg.params))
+    assert v_error_breakdown(traj, fields, cfg.params).sq_l2_v == \
+        v_error_breakdown(traj, exact, cfg.params).sq_l2_v
     other = build_space(refine_to_level("unit_square", 2), 1)
     for mismatch in (exact_fields(exact, other, cfg.params),
                      exact_fields(exact, traj.space, PLaplaceParams(p=2.0, kappa=0.5)),
                      exact_fields(exact, traj.space, cfg.params, quad_degree=6)):
         with pytest.raises(ValueError, match="another space"):
-            compute_error_report(traj, mismatch, grid, cfg.params)
+            compute_error_report(traj, mismatch, cfg.params)
 
 
 @pytest.mark.parametrize("params", [PLaplaceParams(p=1.5, kappa=0.5),
@@ -230,11 +234,11 @@ def test_exact_reference_needs_kappa_zero_or_p2(params):
                         profile_grad=lambda pts: np.tile([1.0, 0.0], (len(pts), 1)),
                         amplitude=lambda t: 1.0 + t)
     with pytest.raises(ValueError, match="kappa = 0 or p = 2"):
-        compute_error_report(traj, ref, grid, params)
+        compute_error_report(traj, ref, params)
     with pytest.raises(ValueError, match="kappa = 0 or p = 2"):
-        v_error_breakdown(traj, ref, grid, params)
+        v_error_breakdown(traj, ref, params)
     # kappa > 0 at p = 2 still factors
-    compute_error_report(traj, ref, grid, PLaplaceParams(p=2.0, kappa=0.5))
+    compute_error_report(traj, ref, PLaplaceParams(p=2.0, kappa=0.5))
 
 
 def test_orthogonal_window_decomposition():
@@ -242,7 +246,7 @@ def test_orthogonal_window_decomposition():
     # integrates ||V_h - V(s)||^2 and the fluctuation sum_j w_j ||V(s_j) - V_bar||^2
     # directly
     traj, exact, grid, params = _smooth_run(level=2, M=5)
-    br = v_error_breakdown(traj, exact, grid, params)
+    br = v_error_breakdown(traj, exact, params)
     expected = _per_node_errors(traj, exact, grid, params)
     assert br.sq_l2_v == pytest.approx(expected["sq_l2_v"], rel=1e-12)
     assert br.fluctuation == pytest.approx(expected["fluctuation"], rel=1e-12)
@@ -257,7 +261,7 @@ def test_orthogonal_window_decomposition():
 
 def test_lp_s_reduces_to_v_avg_at_p2():
     traj, exact, grid, params = _smooth_run()
-    rep = compute_error_report(traj, exact, grid, params)
+    rep = compute_error_report(traj, exact, params)
     assert rep.sq_lp_s == pytest.approx(rep.sq_l2_v_avg, rel=1e-10)
 
 
@@ -279,7 +283,7 @@ def test_lp_s_constant_field_closed_form():
     raw_expected = 0.0
     dS = np.linalg.norm(s_flux(P, params) - s_flux(Q, params)) ** pprime  # |Omega| = 1
     raw_expected = grid.tau * grid.M * dS
-    got = compute_error_report(traj, ref, grid, params).sq_lp_s
+    got = compute_error_report(traj, ref, params).sq_lp_s
     assert got == pytest.approx(raw_expected ** (2.0 / pprime), rel=1e-12)
 
 
@@ -287,16 +291,16 @@ def test_incompatible_hierarchy_raises():
     traj, params = _zero_traj(2, 4)
     other, _ = _zero_traj(1, 8, domain="centered_square")
     with pytest.raises(IncompatibleHierarchy):
-        compute_error_report(traj, other, traj.grid, params)
+        compute_error_report(traj, other, params)
     bad_m, _ = _zero_traj(3, 3)  # 3 not a multiple of 4
     with pytest.raises(IncompatibleHierarchy):
-        compute_error_report(traj, bad_m, traj.grid, params)
+        compute_error_report(traj, bad_m, params)
     # nested, but the run's degree is above the reference's
     p2_space = build_space(traj.space.mesh, 2)
     p2 = Trajectory(space=p2_space, grid=traj.grid, newton_reports=[],
                     snapshots=[FeFunction(p2_space, np.zeros(p2_space.ndof))] * 5)
     with pytest.raises(IncompatibleHierarchy):
-        compute_error_report(p2, traj, traj.grid, params)
+        compute_error_report(p2, traj, params)
 
 
 def test_discrete_reference_nested_consistency():
@@ -304,14 +308,13 @@ def test_discrete_reference_nested_consistency():
     # and the coarse-on-fine evaluation path is exercised
     params = PLaplaceParams(p=2.0, kappa=0.0)
     spec = ProblemSpec(params=params, domain="unit_square", force=ConstantForce(1.0))
-    coarse = solve_evolution(spec, 1, 1, TimeGrid(0.0, 1.0, 2))
+    coarse = _evolve(spec, 1, 1, TimeGrid(0.0, 1.0, 2))
     # reference shares the coarse mesh's hierarchy
     from pheat.fespace import build_space as bs
     from pheat.mesh import refine_uniform
     fine_mesh = refine_uniform(refine_uniform(coarse.space.mesh))
-    fine = solve_evolution(spec, 3, 2, TimeGrid(0.0, 1.0, 8),
-                           space=bs(fine_mesh, 2))
-    rep = compute_error_report(coarse, fine, coarse.grid, params)
+    fine = solve_evolution(spec, bs(fine_mesh, 2), TimeGrid(0.0, 1.0, 8))
+    rep = compute_error_report(coarse, fine, params)
     assert rep.sq_linfty_l2 > 0 and np.isfinite(rep.sq_linfty_l2)
     assert rep.sq_l2_v == rep.sq_l2_v_avg  # single averaged variant
 
@@ -401,9 +404,9 @@ def test_quadrature_robustness_omega2():
     spec = ProblemSpec(params=params, domain="shifted_square", force=force,
                        initial=lambda pts: exact.u(pts, -1.0), boundary=exact.u)
     grid = TimeGrid(-1.0, 1.0, 8)
-    traj = solve_evolution(spec, 3, 1, grid)
-    r8 = compute_error_report(traj, exact, grid, params, quad_degree=8)
-    r12 = compute_error_report(traj, exact, grid, params, quad_degree=12)
+    traj = _evolve(spec, 3, 1, grid)
+    r8 = compute_error_report(traj, exact, params, quad_degree=8)
+    r12 = compute_error_report(traj, exact, params, quad_degree=12)
     for field in ("sq_linfty_l2", "sq_l2_v", "sq_l2_v_avg", "sq_lp_s"):
         a, b = getattr(r8, field), getattr(r12, field)
         assert abs(a - b) / b < 0.01, field

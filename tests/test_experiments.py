@@ -14,6 +14,8 @@ from pheat.experiments import (STUDIES, ConfigError, default_config, eoc_summary
 from pheat import assembly, experiments
 from pheat.constitutive import PLaplaceParams, s_flux
 from pheat.error_metrics import read_csv
+from pheat.fespace import build_space
+from pheat.mesh import refine_to_level
 
 
 def test_default_configs_valid():
@@ -285,11 +287,11 @@ def test_smooth_nonlinear_solution_converges_at_the_optimal_rate(p, rng):
                        initial=lambda x: exact.u(x, 0.0), boundary=exact.u)
     reports, reused = [], 0
     for level, M in ((2, 4), (3, 8), (4, 16), (5, 32)):
-        grid = TimeGrid(0.0, 1.0, M)
-        traj = solve_evolution(spec, level, 1, grid)
+        traj = solve_evolution(spec, build_space(refine_to_level("unit_square", level), 1),
+                               TimeGrid(0.0, 1.0, M))
         assert all(rep.converged for rep in traj.newton_reports)
         reused += sum(rep.reused_moves for rep in traj.newton_reports)
-        reports.append(compute_error_report(traj, exact, grid, params))
+        reports.append(compute_error_report(traj, exact, params))
     assert reused > 0
     for field in ("sq_l2_v", "sq_l2_v_avg", "sq_lp_s"):
         assert -1.25 <= empirical_order(reports, field).ls_slope <= -0.75, field
@@ -352,8 +354,6 @@ def test_rows_of_one_level_share_the_projection_and_exact_fields(tmp_path, monke
 
     from pheat import timestepper
     from pheat.error_metrics import compute_error_report
-    from pheat.fespace import build_space
-    from pheat.mesh import refine_to_level
     from pheat.timestepper import TimeGrid, solve_evolution
 
     cfg = parse_config(f"experiment = p2_validation\nlevels = 3:4, 3:8\n"
@@ -379,10 +379,9 @@ def test_rows_of_one_level_share_the_projection_and_exact_fields(tmp_path, monke
     t0, t_end = STUDIES[cfg.experiment].interval
     rows = []
     for lvl, M in cfg.levels:
-        grid = TimeGrid(t0, t_end, M)
-        traj = solve_evolution(spec, lvl, cfg.r, grid, tol=cfg.tol,
-                               space=build_space(refine_to_level(spec.domain, lvl), cfg.r))
-        rows.append(compute_error_report(traj, exact, grid, cfg.params))
+        traj = solve_evolution(spec, build_space(refine_to_level(spec.domain, lvl), cfg.r),
+                               TimeGrid(t0, t_end, M), tol=cfg.tol)
+        rows.append(compute_error_report(traj, exact, cfg.params))
     assert [repr(r) for r in reports] == [repr(r) for r in rows]
 
 
@@ -450,7 +449,7 @@ def test_every_step_converges_across_the_solver_matrix(monkeypatch):
     from pheat.timestepper import (ConstantForce, NonConvergence, ProblemSpec, TimeGrid,
                                    solve_evolution)
 
-    armijo, solve, changes, pcg = timestepper._armijo, assembly.solve_spd, [], []
+    armijo, pcg_attempt, changes, pcg = timestepper._armijo, assembly.pcg_attempt, [], []
 
     def line_search(*args):
         move = armijo(*args)
@@ -458,14 +457,14 @@ def test_every_step_converges_across_the_solver_matrix(monkeypatch):
             changes.append(move[1])
         return move
 
-    def pcg_solve(A, b, **kwargs):  # records each PCG direction's report
-        x, rep = solve(A, b, **kwargs)
-        if kwargs.get("maxiter") is not None and x is not None:
-            pcg.append((rep, kwargs["tol"], kwargs["maxiter"]))
+    def pcg_solve(A, b, lu, rtol, maxiter):  # records each PCG direction's report
+        x, rep = pcg_attempt(A, b, lu, rtol, maxiter)
+        if x is not None:
+            pcg.append((rep, rtol, maxiter))
         return x, rep
 
     monkeypatch.setattr(timestepper, "_armijo", line_search)
-    monkeypatch.setattr(assembly, "solve_spd", pcg_solve)
+    monkeypatch.setattr(assembly, "pcg_attempt", pcg_solve)
     runs = []
     for p in (1.1, 1.2, 1.5, 3.0, 4.5):
         for name, variant in (("slit_constant_force", ""), ("rough_in_time", ""),
@@ -482,7 +481,8 @@ def test_every_step_converges_across_the_solver_matrix(monkeypatch):
     runs.append(("decay, p = 1.5", decay, 2, 0.0, 0.5, 4))
     for label, spec, level, t0, t_end, M in runs:
         try:
-            traj = solve_evolution(spec, level, 1, TimeGrid(t0, t_end, M))
+            traj = solve_evolution(spec, build_space(refine_to_level(spec.domain, level), 1),
+                                   TimeGrid(t0, t_end, M))
         except NonConvergence as exc:
             pytest.fail(f"{label}: {exc}")
         # each accepted move books one energy, and the energy sequence never rises
@@ -554,7 +554,7 @@ def test_cli_run_known_solution_at_p_1_2(tmp_path):
 
 def test_cli_out_of_memory_is_one_line_exit_1(tmp_path, monkeypatch, capsys):
     # a schedule row too large for memory (levels = 1:1000000000000 fails on
-    # the boundary data), or a mesh level too deep, is reported like a solver
+    # the boundary data), or a mesh too fine, is reported like a solver
     # failure, not a traceback; the solves and the refinement are replaced, so
     # nothing large is allocated here
     from pheat import cli
@@ -571,7 +571,7 @@ def test_cli_out_of_memory_is_one_line_exit_1(tmp_path, monkeypatch, capsys):
     mesh = tmp_path / "m.txt"
     for args in (["run", "p2_validation", "--config", str(cfgfile)],
                  ["dump-solution", "--out", str(tmp_path / "t"), "--config", str(cfgfile)],
-                 ["dump-mesh", "--domain", "slit", "--level", "40", "--out", str(mesh)]):
+                 ["dump-mesh", "--domain", "slit", "--level", "10", "--out", str(mesh)]):
         assert cli.main(args) == 1, args
         assert capsys.readouterr().err == "solver failure: out of memory\n", args
     assert not mesh.exists()
@@ -687,6 +687,37 @@ def test_cli_dump_mesh_unwritable_out_exit_2(tmp_path):
     assert "output error" in r.stderr and "Traceback" not in r.stderr
 
 
+def test_mesh_level_above_the_bound_is_a_config_error(tmp_path, monkeypatch, capsys):
+    # a level past MAX_LEVEL is refused before any refinement, in a config and
+    # on the command line; refinement is replaced, so a missing bound fails
+    # here by refining instead of growing a mesh until memory runs out
+    from pheat import cli, mesh
+
+    def refined(*args):
+        raise AssertionError("a mesh was refined")
+
+    monkeypatch.setattr(experiments, "refine_uniform", refined)
+    monkeypatch.setattr(mesh, "refine_uniform", refined)
+    cfg = default_config("p2_validation")
+    cfg.levels = ((mesh.MAX_LEVEL, 2),)
+    validate_config(cfg)
+    cfg.levels = ((mesh.MAX_LEVEL + 1, 2),)
+    with pytest.raises(ConfigError, match=r"need mesh level in \[0, 10\]"):
+        run_experiment(cfg)
+    cfgfile = tmp_path / "deep.cfg"
+    for level in (mesh.MAX_LEVEL + 1, 99999999999999999999):
+        cfgfile.write_text(f"experiment = p2_validation\nlevels = {level}:2\n"
+                           f"output_path = {tmp_path / 'deep.csv'}\n")
+        assert cli.main(["run", "p2_validation", "--config", str(cfgfile)]) == 2
+        assert capsys.readouterr().err == ("config error: need mesh level in [0, 10] and "
+                                           f"M >= 1, got {level}:2\n")
+        out = tmp_path / "m.txt"
+        assert cli.main(["dump-mesh", "--domain", "slit", "--level", str(level),
+                         "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: level must be in [0, 10], got {level}\n"
+        assert not out.exists()
+
+
 def test_cli_dump_mesh_negative_level_exit_2(tmp_path):
     out = tmp_path / "m.txt"
     r = _cli("dump-mesh", "--domain", "slit", "--level", "-1", "--out", str(out))
@@ -748,7 +779,8 @@ def test_cli_dump_solution_solves_the_runner_spec(tmp_path):
 
     spec, exact = build_spec(parse_config(text))
     assert spec.force_mode == "point_value" and exact is None
-    traj = solve_evolution(spec, 1, 1, TimeGrid(-0.1, 0.1, 4))
+    traj = solve_evolution(spec, build_space(refine_to_level(spec.domain, 1), 1),
+                           TimeGrid(-0.1, 0.1, 4))
     for m, snap in enumerate(traj.snapshots):
         dumped = np.loadtxt(outdir / f"snapshot_{m:05d}.txt", skiprows=1)
         assert np.array_equal(dumped, snap.coeffs), m

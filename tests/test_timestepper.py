@@ -212,7 +212,8 @@ def test_p2_step_single_newton_matches_direct():
     u, rep = step(space, zero, 1, grid, spec)
     assert rep.iterations == 1
     assert rep.converged and not rep.fallback_used
-    traj = solve_evolution(spec, 2, 1, TimeGrid(0.0, 0.25, 4))
+    traj = solve_evolution(spec, build_space(refine_to_level("unit_square", 2), 1),
+                           TimeGrid(0.0, 0.25, 4))
     assert all(r.converged and r.iterations <= 2 for r in traj.newton_reports)
 
     rule = assembly.step_rule(space)
@@ -323,18 +324,23 @@ def test_report_counts_kacanov_iterations(monkeypatch):
                        force=ConstantForce(0.0),
                        initial=lambda pts: np.sin(np.pi * pts[:, 0]) * np.sin(np.pi * pts[:, 1]))
     calls, events = [], []  # events: "|" a step, "K"/"N" a direction, "D" a dead end
-    matrix, armijo, solve, one_step = (timestepper.kacanov_matrix, timestepper._armijo,
-                                       assembly.solve_spd, timestepper.step)
+    matrix, armijo, solve, pcg, one_step = (timestepper.kacanov_matrix, timestepper._armijo,
+                                            assembly.solve_spd, assembly.pcg_attempt,
+                                            timestepper.step)
 
     def counting(*args, **kwargs):
         calls.append(1)
         events.append("K")
         return matrix(*args, **kwargs)
 
-    def newton_solve(A, b, **kwargs):
-        if kwargs.get("precond") is not None:
+    def newton_solve(A, b, lu=None):
+        if lu is not None:  # along the held factorization, not a Kacanov or warm start
             events.append("N")
-        return solve(A, b, **kwargs)
+        return solve(A, b, lu=lu)
+
+    def newton_pcg(*args):
+        events.append("N")
+        return pcg(*args)
 
     def line_search(*args):
         accepted = armijo(*args)
@@ -345,9 +351,10 @@ def test_report_counts_kacanov_iterations(monkeypatch):
     monkeypatch.setattr(timestepper, "kacanov_matrix", counting)
     monkeypatch.setattr(timestepper, "_armijo", line_search)
     monkeypatch.setattr(assembly, "solve_spd", newton_solve)
+    monkeypatch.setattr(assembly, "pcg_attempt", newton_pcg)
     monkeypatch.setattr(timestepper, "step",
                         lambda *a, **k: events.append("|") or one_step(*a, **k))
-    traj = solve_evolution(spec, 2, 1, TimeGrid(0.0, 0.5, 4), space=space)
+    traj = solve_evolution(spec, space, TimeGrid(0.0, 0.5, 4))
     reports = traj.newton_reports
     assert sum(r.kacanov_iterations for r in reports) == len(calls) > 0
     for r in reports:
@@ -389,13 +396,13 @@ def test_evolution_stationary_fixed_point():
     params = PLaplaceParams(p=3.0, kappa=0.0)
     spec = ProblemSpec(params=params, domain="unit_square", force=ConstantForce(1.0))
     # long horizon with large tau reaches the discrete steady state
-    warm = solve_evolution(spec, 2, 1, TimeGrid(0.0, 80.0, 10), space=space)
+    warm = solve_evolution(spec, space, TimeGrid(0.0, 80.0, 10))
     steady = warm.snapshots[-1].coeffs
     assert np.max(np.abs(steady - warm.snapshots[-2].coeffs)) < 1e-9
 
     spec2 = ProblemSpec(params=params, domain="unit_square", force=ConstantForce(1.0),
                         initial=None)
-    traj = solve_evolution(spec2, 2, 1, TimeGrid(0.0, 0.5, 3), space=space)
+    traj = solve_evolution(spec2, space, TimeGrid(0.0, 0.5, 3))
     # restart from the steady state: snapshots stay constant
     from pheat.timestepper import Trajectory
     start = FeFunction(space, steady.copy())
@@ -416,7 +423,7 @@ def test_evolution_energy_dissipation_f_zero():
         spec = ProblemSpec(params=params, domain="unit_square", force=ConstantForce(0.0),
                            initial=lambda pts: np.sin(np.pi * pts[:, 0])
                            * np.sin(np.pi * pts[:, 1]))
-        traj = solve_evolution(spec, 3, 1, TimeGrid(0.0, T, 8), space=space)
+        traj = solve_evolution(spec, space, TimeGrid(0.0, T, 8))
         l2 = [space.integrate(rule, space.eval_at(rule, s.coeffs) ** 2)
               for s in traj.snapshots]
         assert np.all(np.diff(l2) <= 1e-12)
@@ -439,8 +446,8 @@ def test_evolution_p2_manufactured_error_decreases():
     errs = []
     for level, M in ((1, 2), (2, 4), (3, 8)):
         grid = TimeGrid(0.0, 1.0, M)
-        traj = solve_evolution(spec, level, 1, grid)
-        errs.append(compute_error_report(traj, exact, grid, params).sq_linfty_l2)
+        traj = solve_evolution(spec, build_space(refine_to_level("unit_square", level), 1), grid)
+        errs.append(compute_error_report(traj, exact, params).sq_linfty_l2)
     assert errs[2] < errs[1] < errs[0]
 
 
@@ -459,7 +466,7 @@ def test_nonconvergence_carries_step_index():
                        initial=lambda pts: np.sin(np.pi * pts[:, 0])
                        * np.sin(np.pi * pts[:, 1]))
     with pytest.raises(NonConvergence) as exc:
-        solve_evolution(spec, 3, 1, grid, space=space)
+        solve_evolution(spec, space, grid)
     rep = exc.value.report
     assert exc.value.m == 6 and "step 6" in str(exc.value)
     assert not rep.converged and not rep.at_floor
@@ -479,11 +486,11 @@ def test_boundary_data_paths():
     bdofs = space.boundary_dofs
     zero = ProblemSpec(params=params, domain="shifted_square", force=force,
                        initial=lambda pts: exact.u(pts, grid.t0))
-    for snap in solve_evolution(zero, 2, 1, grid, space=space).snapshots:
+    for snap in solve_evolution(zero, space, grid).snapshots:
         assert np.all(snap.coeffs[bdofs] == 0.0)
     spec = ProblemSpec(params=params, domain="shifted_square", force=force,
                        initial=zero.initial, boundary=exact.u)
-    traj = solve_evolution(spec, 2, 1, grid, space=space)
+    traj = solve_evolution(spec, space, grid)
     for m, snap in enumerate(traj.snapshots):
         want = averaged_boundary_values(space, exact.u, max(m, 1), grid)
         assert np.any(want != 0.0) and np.array_equal(snap.coeffs[bdofs], want), m
@@ -497,7 +504,7 @@ def _known_trajectory(p):
     cfg.p = p
     spec, _ = build_spec(cfg)
     grid = TimeGrid(-1.0, 1.0, 16)
-    traj = solve_evolution(spec, 3, 1, grid)
+    traj = solve_evolution(spec, build_space(refine_to_level(spec.domain, 3), 1), grid)
     bdata = build_boundary_data(traj.space, grid, spec.boundary)
     return spec, traj, bdata
 
@@ -548,7 +555,7 @@ def test_steady_state_keeps_the_previous_start():
     space = build_space(refine_to_level("unit_square", 2), 1)
     spec = ProblemSpec(params=PLaplaceParams(p=1.5, kappa=0.0), domain="unit_square",
                        force=ConstantForce(1.0))
-    traj = solve_evolution(spec, 2, 1, TimeGrid(0.0, 80.0, 10), space=space)
+    traj = solve_evolution(spec, space, TimeGrid(0.0, 80.0, 10))
     late = traj.newton_reports[4:]
     assert [rep.start for rep in late] == ["previous"] * len(late)
     assert sum(rep.iterations for rep in late) == 0
@@ -567,7 +574,7 @@ def test_p2_step_ignores_history(monkeypatch):
     energy = assembly.step_energy
     monkeypatch.setattr(assembly, "step_energy",
                         lambda *a, **k: calls.append(1) or energy(*a, **k))
-    traj = solve_evolution(spec, 2, 1, grid, space=space)
+    traj = solve_evolution(spec, space, grid)
     with_history = len(calls)
     calls.clear()
     u = traj.snapshots[0]
@@ -599,18 +606,18 @@ def test_p2_row_factors_its_step_matrix_once(monkeypatch):
         iterates.append(u.coeffs.copy())
         return residual(space, u, *args, **kwargs)
 
-    def check_solve(A, b, **kwargs):
-        if kwargs.get("precond") is not None:  # a Newton solve, not the L2 projection
+    def check_solve(A, b, lu=None):
+        if lu is not None:  # a Newton solve, not the L2 projection
             J = assembly.assemble_step_jacobian(space, FeFunction(space, iterates[-1]),
                                                 grid.tau, params)
             solved.append(np.array_equal(A.indptr, J.indptr)
                           and np.array_equal(A.indices, J.indices)
                           and np.array_equal(A.data, J.data))
-        return solve(A, b, **kwargs)
+        return solve(A, b, lu=lu)
 
     monkeypatch.setattr(assembly, "assemble_step_residual", record_residual)
     monkeypatch.setattr(assembly, "solve_spd", check_solve)
-    traj = solve_evolution(spec, 3, 1, grid, space=space)
+    traj = solve_evolution(spec, space, grid)
     assert len(factored) == 1
     assert [rep.factorizations for rep in traj.newton_reports] == [1] + [0] * (grid.M - 1)
     assert len(solved) == sum(rep.iterations for rep in traj.newton_reports) >= grid.M
@@ -647,7 +654,7 @@ def test_p2_step_moves_the_full_newton_step(monkeypatch):
     monkeypatch.setattr(timestepper, "_armijo", no_line_search)
     monkeypatch.setattr(assembly, "step_energy",
                         lambda *a, **k: energies.append(1) or energy(*a, **k))
-    traj = solve_evolution(spec, 3, 1, grid, space=space)
+    traj = solve_evolution(spec, space, grid)
     assert energies == []
     for m, rep in enumerate(traj.newton_reports, start=1):
         assert rep.converged and rep.iterations >= 1
@@ -670,7 +677,7 @@ def test_p2_row_converges_by_its_assembled_residual(monkeypatch):
     residual = assembly.assemble_step_residual
     monkeypatch.setattr(assembly, "assemble_step_residual",
                         lambda *a, **k: assembled.append(1) or residual(*a, **k))
-    traj = solve_evolution(spec, 3, 1, grid, space=space)
+    traj = solve_evolution(spec, space, grid)
     assert len(assembled) == grid.M
     rule, bdofs = assembly.step_rule(space), space.boundary_dofs
     for m, rep in enumerate(traj.newton_reports, start=1):
@@ -743,7 +750,7 @@ def test_floor_test_makes_abs_jacobian_once_per_held_matrix(monkeypatch):
         made.clear()
         spec = ProblemSpec(params=PLaplaceParams(p=p, kappa=0.0), domain="slit",
                            force=ConstantForce(2.0))
-        traj = solve_evolution(spec, 3, 1, TimeGrid(0.0, 4.0, 16), space=space)
+        traj = solve_evolution(spec, space, TimeGrid(0.0, 4.0, 16))
         assert made and all(rep.converged for rep in traj.newton_reports)
         assert p == 2.0 or sum(rep.pcg_iterations for rep in traj.newton_reports) > 0
         assert len(made) == (made_per_row or len(made))
@@ -770,8 +777,8 @@ def test_nonlinear_row_reuses_its_last_factorization(monkeypatch):
     params = PLaplaceParams(p=3.0, kappa=0.0)
     spec = ProblemSpec(params=params, domain="slit", force=ConstantForce(2.0))
     grid = TimeGrid(0.0, 4.0, 32)
-    factor, solve, residual, armijo = assembly.factor_spd, assembly.solve_spd, \
-        assembly.assemble_step_residual, timestepper._armijo
+    factor, solve, pcg_attempt, residual, armijo = assembly.factor_spd, assembly.solve_spd, \
+        assembly.pcg_attempt, assembly.assemble_step_residual, timestepper._armijo
     alive, alive_at_factor, events, fresh = [0], [], [], [lambda: None]
     credit, spent = [], []  # per factorization: PCG iterations allowed, taken
 
@@ -790,15 +797,17 @@ def test_nonlinear_row_reuses_its_last_factorization(monkeypatch):
         weakref.finalize(lu, lambda: alive.__setitem__(0, alive[0] - 1))
         return lu
 
-    def tagged_solve(A, b, **kwargs):
-        lu = kwargs.get("precond")
-        x, rep = solve(A, b, **kwargs)
-        if kwargs.get("maxiter") is not None:  # PCG along the held factor
-            assert lu is not None and lu is not fresh[0]()
-            assert rep.iterations <= kwargs["maxiter"] <= timestepper.PCG_MAX_ITERATIONS
-            spent[lu.serial] += rep.iterations
-            events.append(("pcg", x is not None))
-        elif lu is not None:  # "chord": a direct solve along a factor an earlier solve used
+    def tagged_pcg(A, b, lu, rtol, maxiter):  # PCG along the held factor
+        x, rep = pcg_attempt(A, b, lu, rtol, maxiter)
+        assert lu is not fresh[0]()
+        assert rep.iterations <= maxiter <= timestepper.PCG_MAX_ITERATIONS
+        spent[lu.serial] += rep.iterations
+        events.append(("pcg", x is not None))
+        return x, rep
+
+    def tagged_solve(A, b, lu=None):
+        x, rep = solve(A, b, lu=lu)
+        if lu is not None:  # "chord": a direct solve along a factor an earlier solve used
             events.append(("fresh" if lu is fresh[0]() else "chord", np.linalg.norm(b)))
             fresh[0] = lambda: None
         return x, rep
@@ -815,9 +824,10 @@ def test_nonlinear_row_reuses_its_last_factorization(monkeypatch):
 
     monkeypatch.setattr(assembly, "factor_spd", counted_factor)
     monkeypatch.setattr(assembly, "solve_spd", tagged_solve)
+    monkeypatch.setattr(assembly, "pcg_attempt", tagged_pcg)
     monkeypatch.setattr(assembly, "assemble_step_residual", recorded_residual)
     monkeypatch.setattr(timestepper, "_armijo", recorded_armijo)
-    traj = solve_evolution(spec, 3, 1, grid, space=space)
+    traj = solve_evolution(spec, space, grid)
     reports = traj.newton_reports
     assert all(rep.converged for rep in reports)
     assert sum(rep.factorizations for rep in reports) < sum(rep.iterations for rep in reports)
@@ -835,6 +845,21 @@ def test_nonlinear_row_reuses_its_last_factorization(monkeypatch):
     # PCG work on one factorization stays within its credit
     assert all(taken <= allowed for taken, allowed in zip(spent, credit))
     assert alive_at_factor and max(alive_at_factor) == 0 and alive[0] <= 1
+
+
+def test_solve_spd_is_only_the_direct_solve(monkeypatch):
+    # a p = 3 row takes PCG directions, but not through solve_spd: every call
+    # of it is one direct solve that returns its solution
+    space = build_space(refine_to_level("slit", 3), 1)
+    spec = ProblemSpec(params=PLaplaceParams(p=3.0, kappa=0.0), domain="slit",
+                       force=ConstantForce(2.0))
+    solve, results = assembly.solve_spd, []
+    monkeypatch.setattr(assembly, "solve_spd",
+                        lambda *a, **k: results.append(solve(*a, **k)) or results[-1])
+    traj = solve_evolution(spec, space, TimeGrid(0.0, 4.0, 32))
+    assert results and all(x is not None for x, _ in results)
+    assert all(rep.iterations == 1 for _, rep in results)
+    assert sum(rep.pcg_iterations for rep in traj.newton_reports) > 0
 
 
 def test_nonconvergence_reports_iterations_done(monkeypatch):
@@ -858,23 +883,22 @@ def test_nonconvergence_reports_iterations_done(monkeypatch):
     assert (rep.iterations, rep.kacanov_iterations, rep.converged) == (2, 1, False)
 
 
-def test_given_space_must_match_domain_level_and_degree():
+def test_given_space_must_be_on_the_spec_domain():
     space = build_space(refine_to_level("slit", 1), 1)
     params = PLaplaceParams(p=2.0, kappa=0.0)
     grid = TimeGrid(0.0, 0.5, 2)
     spec = ProblemSpec(params=params, domain="slit", force=ConstantForce(1.0))
-    assert len(solve_evolution(spec, 1, 1, grid, space=space).snapshots) == 3
+    assert len(solve_evolution(spec, space, grid).snapshots) == 3
     other = ProblemSpec(params=params, domain="centered_square", force=ConstantForce(1.0))
-    for args in ((other, 1, 1), (spec, 2, 1), (spec, 1, 2)):
-        with pytest.raises(ValueError, match="space is slit level 1 degree 1"):
-            solve_evolution(*args, grid, space=space)
+    with pytest.raises(ValueError, match="space is on slit, not on centered_square"):
+        solve_evolution(other, space, grid)
 
 
 def test_trajectory_dump(tmp_path):
     space = build_space(refine_to_level("unit_square", 1), 1)
     params = PLaplaceParams(p=2.0, kappa=0.0)
     spec = ProblemSpec(params=params, domain="unit_square", force=ConstantForce(1.0))
-    traj = solve_evolution(spec, 1, 1, TimeGrid(0.0, 0.5, 2), space=space)
+    traj = solve_evolution(spec, space, TimeGrid(0.0, 0.5, 2))
     traj.dump(tmp_path / "out")
     manifest = (tmp_path / "out" / "trajectory.manifest").read_text().splitlines()
     assert len(manifest) == 3
